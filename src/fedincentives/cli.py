@@ -87,7 +87,7 @@ def _contract_rows(contract, types):
 
 def _cmd_contract(args, setup) -> int:
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
-    report = verify_ir_ic(contract, setup.types, tol=setup.cfg.tol)
+    report = verify_ir_ic(contract, setup.types, setup.cfg)
     rows = _contract_rows(contract, setup.types)
     path = write_table(
         args.out_dir,

@@ -207,35 +207,35 @@ def brute_force_pooling_oracle(A: list[float], B: list[float]) -> PoolingSolutio
 
 
 def verify_ir_ic(
-    contract: Contract, types: list[UserTypeSpec], tol: float = 1e-9
+    contract: Contract, types: list[UserTypeSpec], cfg: GameConfig
 ) -> IRICReport:
     """Check participation (IR) and self-selection (IC) for every type.
 
-    Types are given in original order; the contract's order array maps them
-    to menu positions.  Slacks are expected payoffs (IR) and own-item minus
-    other-item payoffs (IC); a violation is any slack below -tol * scale.
+    Types are given in original order and the report is indexed by menu
+    position.  Each type pays its true cost rate kappa under cfg, not the
+    rate the menu was priced at (LLA's lambda = 0).  Slacks are expected
+    payoffs (IR) and own-item minus other-item payoffs (IC); a violation is
+    any slack below -cfg.tol * scale.
     """
     J = len(types)
-    pos_of = {orig: pos for pos, orig in enumerate(contract.order)}
     d = np.array([it.d for it in contract.items])
     r = np.array([it.r_learn for it in contract.items])
-    kappa = np.asarray(contract.kappa, dtype=float)
     scale = max(1.0, float(np.max(np.abs(r))))
 
     ir = np.empty(J)
     ic = np.zeros((J, J))
     violations: list[tuple[str, int, int]] = []
-    for orig in range(J):
-        j = pos_of[orig]
+    for j, orig in enumerate(contract.order):
         t = types[orig]
-        own = (1.0 - t.p) * r[j] - kappa[j] * d[j]
+        kappa = retention_discounted_cost(t, types, cfg)
+        own = (1.0 - t.p) * r[j] - kappa * d[j]
         ir[j] = own
-        if own < -tol * scale:
+        if own < -cfg.tol * scale:
             violations.append(("IR", j, j))
         for m in range(J):
-            other = (1.0 - t.p) * r[m] - kappa[j] * d[m]
+            other = (1.0 - t.p) * r[m] - kappa * d[m]
             ic[j, m] = own - other
-            if ic[j, m] < -tol * scale:
+            if ic[j, m] < -cfg.tol * scale:
                 violations.append(("IC", j, m))
     return IRICReport(
         ir_slack=ir,

@@ -29,6 +29,7 @@ from .model import (
     Contract,
     GameConfig,
     Population,
+    UserTerms,
     UserTypeSpec,
     mean_retention_rate,
     stage4_realized_cost,
@@ -190,31 +191,15 @@ def _realized_payoffs(
     sunk training cost.  Stayers collect the reward net of training, privacy
     and the unlearning burden of those who actually left.
     """
-    J = len(types)
-    d_of = np.empty(J)
-    r_of = np.empty(J)
-    theta = np.empty(J)
-    xi = np.empty(J)
-    for orig in range(J):
-        pos = contract.order.index(orig)
-        d_of[orig] = contract.items[pos].d
-        r_of[orig] = contract.items[pos].r_learn
-        theta[orig] = types[orig].theta
-        xi[orig] = types[orig].xi
-    idx = population.type_idx
-    d = d_of[idx]
+    user = UserTerms.of(population, contract, types)
     leavers = population.revoke & ~population.retained
     leave_mass = float(np.sum(population.loss[leavers] ** 2))
-    train_cost = theta[idx] * d * cfg.T
-    payoff = np.where(
+    train_cost = user.theta * user.d * cfg.T
+    return np.where(
         population.revoke,
         -train_cost,
-        r_of[idx]
-        - train_cost
-        - xi[idx] * population.loss * d
-        - theta[idx] * d * cfg.lam * leave_mass,
+        user.stay_margin(user.theta * user.d * cfg.lam, leave_mass, sunk=train_cost),
     )
-    return payoff
 
 
 def compare_costs(

@@ -23,6 +23,7 @@ __all__ = [
     "Contract",
     "UserRecord",
     "Population",
+    "UserTerms",
     "aggregated_marginal_cost",
     "retention_discounted_cost",
     "expected_unlearning_load",
@@ -131,11 +132,13 @@ class Contract:
     blocks: list[list[int]]
     order: list[int]
 
-    def d_for_original_type(self, type_idx: int) -> float:
-        return self.items[self.order.index(type_idx)].d
-
-    def reward_for_original_type(self, type_idx: int) -> float:
-        return self.items[self.order.index(type_idx)].r_learn
+    def per_type(self) -> tuple[np.ndarray, np.ndarray]:
+        """Data sizes and learning rewards indexed by original type."""
+        d = np.empty(len(self.items))
+        r = np.empty(len(self.items))
+        d[self.order] = [it.d for it in self.items]
+        r[self.order] = [it.r_learn for it in self.items]
+        return d, r
 
     def validate(self, tol: float = 1e-9) -> None:
         J = len(self.items)
@@ -216,6 +219,42 @@ class Population:
             revoke=bool(self.revoke[i]),
             retained=bool(self.retained[i]),
         )
+
+
+@dataclass(frozen=True)
+class UserTerms:
+    """Menu item and cost rates of some users of a population, each read
+    through its type's entry of Contract.per_type."""
+
+    d: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+    xi: np.ndarray
+    loss: np.ndarray
+
+    @classmethod
+    def of(cls, population, contract, types, users=slice(None)) -> "UserTerms":
+        d_of, r_of = contract.per_type()
+        idx = population.type_idx[users]
+        return cls(
+            d=d_of[idx],
+            r=r_of[idx],
+            theta=np.array([t.theta for t in types], dtype=float)[idx],
+            xi=np.array([t.xi for t in types], dtype=float)[idx],
+            loss=population.loss[users],
+        )
+
+    def stay_margin(self, w, burden, sunk=0.0):
+        """r - sunk - xi l d - w * burden, the payoff formula of stages III-IV.
+
+        burden is the squared-loss mass of the leavers and w its weight,
+        theta d lam (times 1 - q_bar where revokers only may leave).  With
+        sunk = 0 this is what staying gains over leaving; with sunk the
+        training cost theta d T it is a stayer's payoff, a leaver's being -sunk.
+        """
+        # the grouping (xi l) d and the left-to-right subtraction fix the
+        # bytes of every CLI output; keep them
+        return self.r - sunk - self.xi * self.loss * self.d - w * burden
 
 
 # --- scalar helpers ---
@@ -346,18 +385,14 @@ def stage3_payoff(
     the expected unlearning cost theta d lam (1 - q_bar) sum_k x_k l_k^2,
     where q_bar is the anticipated retention rate of revokers.
     """
-    t = types[population.type_idx[idx]]
-    d = contract.d_for_original_type(population.type_idx[idx])
-    r = contract.reward_for_original_type(population.type_idx[idx])
-    train_cost = t.theta * d * cfg.T
+    x = np.asarray(x, dtype=bool)
+    user = UserTerms.of(population, contract, types, idx)
+    train_cost = float(user.theta * user.d * cfg.T)
     if x[idx]:
         return -train_cost
-    leaver_mass = float(np.sum(x * (1.0 - q_bar) * population.loss ** 2))
-    return (
-        r
-        - train_cost
-        - t.xi * population.loss[idx] * d
-        - t.theta * d * cfg.lam * leaver_mass
+    leaver_mass = (1.0 - q_bar) * float(np.sum(population.loss[x] ** 2))
+    return float(
+        user.stay_margin(user.theta * user.d * cfg.lam, leaver_mass, sunk=train_cost)
     )
 
 
@@ -393,10 +428,10 @@ def stage4_realized_cost(
     """
     stay = ~population.revoke | population.retained
     accuracy = float(np.sum(population.shapley[stay]))
-    rewards = 0.0
-    for i in np.nonzero(stay)[0]:
-        rewards += contract.reward_for_original_type(population.type_idx[i])
-    rewards *= cfg.gamma
+    _, r_of = contract.per_type()
+    # a running sum in user order: np.sum adds pairwise and rounds differently
+    running = np.cumsum(np.append(0.0, r_of[population.type_idx[stay]]))
+    rewards = cfg.gamma * float(running[-1])
     retention = 0.0
     if incentives is not None and population.retained.any():
         retention = cfg.gamma * float(np.sum(incentives[population.retained]))

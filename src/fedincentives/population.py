@@ -120,7 +120,7 @@ def find_stationary_rates(
     """Locate (p, q) whose realized counterpart reproduces itself.
 
     Every grid point overrides all types' historical rates, runs the full
-    pipeline over `trials` populations (the same populations at every grid
+    pipeline over `trials` populations (drawn once and shared by every grid
     point, since the draws do not depend on p or q), and pools realized
     rates.  The best point by Euclidean distance then seeds a damped
     fixed-point iteration on fresh trials; refine_steps = 0 returns the grid
@@ -133,13 +133,18 @@ def find_stationary_rates(
 
         return [replace(t, p=p, q=q) for t in types]
 
-    def measure(p: float, q: float, stream: int, step: int, n_trials: int):
+    def draw(stream: int, step: int, n_trials: int) -> list[Population]:
+        seeds = (
+            np.random.SeedSequence([int(seed), stream, step, trial]).generate_state(1)[0]
+            for trial in range(n_trials)
+        )
+        return [sample_population(types, sampling, int(s)) for s in seeds]
+
+    def measure(p: float, q: float, populations: list[Population]):
         rated = with_rates(p, q)
         revoked = retained = users = 0
         cost_acc = 0.0
-        for trial in range(n_trials):
-            pop_seed = np.random.SeedSequence([int(seed), stream, step, trial]).generate_state(1)[0]
-            population = sample_population(rated, sampling, int(pop_seed))
+        for population in populations:
             outcome = run_pipeline(mechanism, rated, cfg, sampling, population=population)
             users += len(population)
             revoked += int(np.sum(outcome.population.revoke))
@@ -147,13 +152,14 @@ def find_stationary_rates(
             cost_acc += outcome.cost
         p_hat = revoked / users if users else 0.0
         q_hat = retained / revoked if revoked else 0.0
-        return p_hat, q_hat, cost_acc / n_trials
+        return p_hat, q_hat, cost_acc / len(populations)
 
+    grid_populations = draw(_STREAM_SWEEP, 0, trials)
     rows = []
     best = None
     for p in p_grid:
         for q in q_grid:
-            p_hat, q_hat, cost = measure(p, q, _STREAM_SWEEP, 0, trials)
+            p_hat, q_hat, cost = measure(p, q, grid_populations)
             dist = float(np.hypot(p_hat - p, q_hat - q))
             rows.append(
                 {"p": p, "q": q, "p_hat": p_hat, "q_hat": q_hat, "cost": cost, "dist": dist}
@@ -164,7 +170,8 @@ def find_stationary_rates(
 
     refined = False
     for step in range(refine_steps):
-        p_hat, q_hat, _ = measure(p_star, q_star, _STREAM_REFINE, step + 1, refine_trials)
+        populations = draw(_STREAM_REFINE, step + 1, refine_trials)
+        p_hat, q_hat, _ = measure(p_star, q_star, populations)
         p_star = (1.0 - refine_damping) * p_star + refine_damping * p_hat
         q_star = (1.0 - refine_damping) * q_star + refine_damping * q_hat
         p_star = min(max(p_star, 0.0), 0.999)

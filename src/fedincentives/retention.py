@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, GameConfig, Population, UserTypeSpec
+from .model import Contract, GameConfig, Population, UserTerms, UserTypeSpec
 
 __all__ = [
     "RetentionResult",
@@ -48,31 +48,24 @@ class RetentionResult:
 def _revoker_vectors(revokers, population, contract, types, cfg):
     """Per-revoker pieces of the objective.
 
+    user holds the revokers' terms of the stay margin,
     c = v + gamma*xi*l*d (direct cost of keeping the user),
     tg = theta*d*lam (unlearning sensitivity, reward weight applied later),
-    e = l^2 (burden the user adds if they finally leave),
-    base = xi*l*d - rL (incentive formula minus the externality part).
+    e = l^2 (burden the user adds if they finally leave).
     """
     revokers = np.asarray(revokers, dtype=int)
-    J = len(types)
-    d_of = np.empty(J)
-    r_of = np.empty(J)
-    for orig in range(J):
-        pos = contract.order.index(orig)
-        d_of[orig] = contract.items[pos].d
-        r_of[orig] = contract.items[pos].r_learn
-    idx = population.type_idx[revokers]
-    loss = population.loss[revokers]
-    theta = np.array([types[t].theta for t in idx])
-    xi = np.array([types[t].xi for t in idx])
-    d = d_of[idx]
-    rl = r_of[idx]
+    user = UserTerms.of(population, contract, types, revokers)
     v = population.shapley[revokers]
-    c = v + cfg.gamma * xi * loss * d
-    tg = theta * d * cfg.lam
-    e = loss ** 2
-    base = xi * loss * d - rl
-    return revokers, v, c, tg, e, rl, base
+    c = v + cfg.gamma * user.xi * user.loss * user.d
+    tg = user.theta * user.d * cfg.lam
+    return revokers, user, v, c, tg, user.loss ** 2
+
+
+def _payments(user, tg, leave_mass, clamp):
+    """Indifference payments rU = -(stay margin) at the given leaver mass,
+    floored at 0 under clamp; 0.0 - m rather than -m keeps a zero at +0.0."""
+    ru = 0.0 - user.stay_margin(tg, leave_mass)
+    return np.maximum(ru, 0.0) if clamp else ru
 
 
 def retention_objective(
@@ -91,7 +84,7 @@ def retention_objective(
     scores 0.  With the clamp switch the payment floor max(rU, 0) is applied,
     which breaks the closed decomposition but keeps the same baseline.
     """
-    revokers, v, c, tg, e, rl, base = _revoker_vectors(
+    revokers, user, v, c, tg, e = _revoker_vectors(
         revokers, population, contract, types, cfg
     )
     subset = np.asarray(subset, dtype=int)
@@ -100,10 +93,8 @@ def retention_objective(
         raise ValueError("subset must consist of revokers")
     leave_mass = float(np.sum(e[~sel]))
     if cfg.clamp_retention_incentives:
-        ru = tg[sel] * leave_mass + base[sel]
-        return float(
-            np.sum(v[sel] + cfg.gamma * (rl[sel] + np.maximum(ru, 0.0)))
-        )
+        ru = _payments(user, tg, leave_mass, clamp=True)
+        return float(np.sum((v + cfg.gamma * (user.r + ru))[sel]))
     return float(np.sum(c[sel]) + cfg.gamma * np.sum(tg[sel]) * leave_mass)
 
 
@@ -149,7 +140,7 @@ def optimal_retention_exact(
     sums, all built by doubling in O(2^n).  Clamped mode evaluates masks in
     chunks instead.  Raises RetentionSizeError beyond the configured cap.
     """
-    ids, v, c, tg, e, rl, base = _revoker_vectors(
+    ids, user, v, c, tg, e = _revoker_vectors(
         revokers, population, contract, types, cfg
     )
     n = len(ids)
@@ -172,8 +163,8 @@ def optimal_retention_exact(
             masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
             X = ((masks[:, None] >> bits) & 1).astype(bool)
             leave = e_tot - X @ e
-            ru = tg * leave[:, None] + base
-            per_user = v + gamma_t * (rl + np.maximum(ru, 0.0))
+            ru = _payments(user, tg, leave[:, None], clamp=True)
+            per_user = v + gamma_t * (user.r + ru)
             objective[start : start + len(masks)] = np.where(X, per_user, 0.0).sum(axis=1)
     else:
         C = _subset_sums(c)
@@ -211,7 +202,7 @@ def optimal_retention_heuristic(
         raise ValueError("categories capped at 16")
     if categories < 1:
         raise ValueError("categories must be positive")
-    ids, v, c, tg, e, rl, base = _revoker_vectors(
+    ids, user, v, c, tg, e = _revoker_vectors(
         revokers, population, contract, types, cfg
     )
     n = len(ids)
@@ -242,8 +233,8 @@ def optimal_retention_heuristic(
     def evaluate(sel: np.ndarray) -> float:
         leave = e_tot - float(np.sum(e[sel]))
         if clamp:
-            ru = tg[sel] * leave + base[sel]
-            return float(np.sum(v[sel] + gamma_t * (rl[sel] + np.maximum(ru, 0.0))))
+            ru = _payments(user, tg, leave, clamp=True)
+            return float(np.sum((v + gamma_t * (user.r + ru))[sel]))
         return float(np.sum(c[sel]) + gamma_t * np.sum(tg[sel]) * leave)
 
     best_sel = np.zeros(n, dtype=bool)
@@ -293,18 +284,12 @@ def retention_incentives(
     where the sum covers revokers neither retained nor equal to i.  Values
     may be negative; the clamp switch floors them at 0.
     """
-    ids, v, c, tg, e, rl, base = _revoker_vectors(
+    ids, user, v, c, tg, e = _revoker_vectors(
         revokers, population, contract, types, cfg
     )
     retained = np.asarray(retained, dtype=int)
     sel = np.isin(ids, retained)
     if retained.size != int(np.sum(sel)):
         raise ValueError("retained users must be revokers")
-    leave_mass = float(np.sum(e[~sel]))
-    out: dict[int, float] = {}
-    for k in np.flatnonzero(sel):
-        ru = tg[k] * leave_mass + base[k]
-        if cfg.clamp_retention_incentives:
-            ru = max(ru, 0.0)
-        out[int(ids[k])] = float(ru)
-    return out
+    ru = _payments(user, tg, float(np.sum(e[~sel])), cfg.clamp_retention_incentives)
+    return {int(ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, GameConfig, Population, UserTypeSpec
+from .model import Contract, GameConfig, Population, UserTerms, UserTypeSpec
 
 __all__ = [
     "RevocationProfile",
@@ -39,37 +39,16 @@ class RevocationProfile:
             raise ValueError("unknown start profile")
 
 
-def _user_vectors(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-user reward, privacy cost, externality weight and squared loss."""
-    J = len(types)
-    d_of = np.empty(J)
-    r_of = np.empty(J)
-    theta = np.empty(J)
-    xi = np.empty(J)
-    for orig in range(J):
-        pos = contract.order.index(orig)
-        d_of[orig] = contract.items[pos].d
-        r_of[orig] = contract.items[pos].r_learn
-        theta[orig] = types[orig].theta
-        xi[orig] = types[orig].xi
-    idx = population.type_idx
-    rl = r_of[idx]
-    xild = xi[idx] * population.loss * d_of[idx]
-    tdl = theta[idx] * d_of[idx] * cfg.lam * (1.0 - q_bar)
-    l2 = population.loss ** 2
-    return rl, xild, tdl, l2
+def _margin_terms(population, contract, types, cfg, q_bar):
+    """Per-user terms, burden weight theta d lam (1 - q_bar) and squared loss."""
+    user = UserTerms.of(population, contract, types)
+    return user, user.theta * user.d * cfg.lam * (1.0 - q_bar), population.loss ** 2
 
 
 def _sweep_profile(
     population, contract, types, cfg, q_bar, start_high: bool
 ) -> RevocationProfile:
-    rl, xild, tdl, l2 = _user_vectors(population, contract, types, cfg, q_bar)
+    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
     n = len(population)
     x = np.full(n, start_high, dtype=bool)
     iterations = 0
@@ -77,7 +56,7 @@ def _sweep_profile(
         iterations += 1
         mass = float(np.sum(l2[x]))
         # own squared loss never enters one's own externality sum
-        margin = rl - xild - tdl * (mass - np.where(x, l2, 0.0))
+        margin = user.stay_margin(w, mass - np.where(x, l2, 0.0))
         if start_high:
             movers = x & (margin >= 0.0)
             x = x & ~movers
@@ -132,9 +111,9 @@ def verify_nash(
 ) -> bool:
     """True iff no user strictly gains from a unilateral flip."""
     x = np.asarray(x, dtype=bool)
-    rl, xild, tdl, l2 = _user_vectors(population, contract, types, cfg, q_bar)
+    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
     mass = float(np.sum(l2[x]))
-    margin = rl - xild - tdl * (mass - np.where(x, l2, 0.0))
+    margin = user.stay_margin(w, mass - np.where(x, l2, 0.0))
     # a revoker with positive margin would rather stay; a stayer with
     # negative margin would rather revoke
     return bool(np.all(np.where(x, margin <= 0.0, margin >= 0.0)))
@@ -151,11 +130,11 @@ def all_equilibria(
     n = len(population)
     if n > 16:
         raise ValueError("exhaustive enumeration limited to 16 users")
-    rl, xild, tdl, l2 = _user_vectors(population, contract, types, cfg, q_bar)
+    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
     masks = np.arange(1 << n, dtype=np.uint32)
     X = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     S = X @ l2
-    margin = rl - xild - tdl * (S[:, None] - X * l2)
+    margin = user.stay_margin(w, S[:, None] - X * l2)
     ne = np.all(np.where(X, margin <= 0.0, margin >= 0.0), axis=1)
     return X[ne]
 

@@ -135,7 +135,7 @@ def test_verify_ir_ic_clean_contract(rng):
         types = random_types(rng)
         cfg = random_cfg(rng)
         c = design_contract(types, cfg)
-        report = verify_ir_ic(c, types, tol=cfg.tol)
+        report = verify_ir_ic(c, types, cfg)
         assert report.ok
         assert report.violations == []
         # boundary type earns exactly zero
@@ -151,7 +151,7 @@ def test_verify_ir_ic_detects_perturbation(rng):
     c = design_contract(types, cfg)
     k = len(c.items) - 1
     c.items[k] = ContractItem(c.items[k].d, c.items[k].r_learn * (1.0 - 1e-5))
-    report = verify_ir_ic(c, types, tol=cfg.tol)
+    report = verify_ir_ic(c, types, cfg)
     assert not report.ok
     assert report.violations
 
@@ -160,7 +160,7 @@ def test_verify_ir_ic_single_type_binding():
     types = random_types(np.random.default_rng(5), J=1)
     cfg = GameConfig(T=60.0, lam=0.01)
     c = design_contract(types, cfg)
-    report = verify_ir_ic(c, types, tol=cfg.tol)
+    report = verify_ir_ic(c, types, cfg)
     assert report.ok
     assert report.worst_ir == pytest.approx(0.0, abs=1e-9)
 

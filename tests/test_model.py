@@ -190,7 +190,7 @@ def test_stage3_revoker_payoff_is_sunk_cost(rng):
     pop = _two_user_population()
     x = np.array([True, False])
     t = types[0]
-    d = contract.d_for_original_type(0)
+    d = contract.per_type()[0][0]
     expect = -t.theta * d * cfg.T
     # a revoker's payoff never depends on anyone else
     for other in (False, True):
@@ -206,8 +206,7 @@ def test_stage3_stayer_with_zero_loss_no_revokers():
     pop.loss[0] = 0.0
     x = np.array([False, False])
     t = types[0]
-    d = contract.d_for_original_type(0)
-    r = contract.reward_for_original_type(0)
+    d, r = (a[0] for a in contract.per_type())
     assert stage3_payoff(0, x, pop, contract, types, cfg, 0.5) == pytest.approx(
         r - t.theta * d * cfg.T
     )
@@ -272,7 +271,7 @@ def test_stage4_no_revokers():
     pop = _two_user_population()
     pop.shapley = np.array([0.3, -0.1])
     total, parts = stage4_realized_cost(pop, contract, types, cfg)
-    rl = sum(contract.reward_for_original_type(i) for i in (0, 1))
+    rl = sum(contract.per_type()[1][i] for i in (0, 1))
     assert total == pytest.approx(0.2 + cfg.gamma * rl)
     assert parts["retention_rewards"] == 0.0
     assert parts["accuracy"] + parts["learning_rewards"] + parts["retention_rewards"] == pytest.approx(total, rel=1e-12)

@@ -269,8 +269,7 @@ def test_retained_users_indifferent(rng):
         burden_mass = sum(pop.loss[k] ** 2 for k in leave)
         for uid, ru in res.incentives.items():
             t = types[pop.type_idx[uid]]
-            d = contract.d_for_original_type(pop.type_idx[uid])
-            r = contract.reward_for_original_type(pop.type_idx[uid])
+            d, r = (a[pop.type_idx[uid]] for a in contract.per_type())
             slack = (r + ru
                      - t.xi * pop.loss[uid] * d
                      - t.theta * d * cfg.lam * burden_mass)

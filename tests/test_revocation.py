@@ -104,8 +104,7 @@ def test_lambda_zero_decouples(rng):
         assert np.array_equal(low.x, up.x)
         for i in range(n):
             t = types[pop.type_idx[i]]
-            d = contract.d_for_original_type(pop.type_idx[i])
-            r = contract.reward_for_original_type(pop.type_idx[i])
+            d, r = (a[pop.type_idx[i]] for a in contract.per_type())
             assert low.x[i] == (r < t.xi * pop.loss[i] * d)
 
 
