@@ -9,11 +9,11 @@ damped fixed-point iteration on freshly seeded trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
-from .model import Population, UserTypeSpec
+from .model import Population, UserTypeSpec, _norm_cdf
 
 __all__ = [
     "SamplingModel",
@@ -61,9 +61,16 @@ def _truncated_draws(rng, mu: float, sigma: float, n: int) -> np.ndarray:
         out[filled : filled + len(keep)] = keep
         filled += len(keep)
     if filled < n:
+        # invert the CDF in the left tail, where _norm_cdf keeps its
+        # precision: an interval right of the mean is mirrored and negated
         a, b = (0.0 - mu) / sigma, (1.0 - mu) / sigma
-        u = rng.uniform(size=n - filled)
-        out[filled:] = stats.truncnorm.ppf(u, a, b, loc=mu, scale=sigma)
+        sign = 1.0
+        if a > 0:
+            a, b, sign = -b, -a, -1.0
+        lo, hi = _norm_cdf(a), _norm_cdf(b)
+        inv_cdf = NormalDist().inv_cdf
+        z = [inv_cdf(lo + u * (hi - lo)) for u in rng.uniform(size=n - filled)]
+        out[filled:] = np.clip(mu + sign * sigma * np.array(z), 0.0, 1.0)
     return out
 
 

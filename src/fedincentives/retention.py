@@ -68,6 +68,13 @@ def _payments(user, tg, leave_mass, clamp):
     return np.maximum(ru, 0.0) if clamp else ru
 
 
+def _incentive_map(ids, sel, user, tg, e, clamp):
+    """Payments of the selected revokers, keyed by user id, at the leaver
+    mass of the unselected ones."""
+    ru = _payments(user, tg, float(np.sum(e[~sel])), clamp)
+    return {int(ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
+
+
 def retention_objective(
     subset,
     revokers,
@@ -173,11 +180,9 @@ def optimal_retention_exact(
         objective = C + T * (e_tot - E)
     mask = _pick_mask(objective, n)
     sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-    retained = ids[sel]
-    incentives = retention_incentives(retained, ids, population, contract, types, cfg)
     return RetentionResult(
-        retained=retained,
-        incentives=incentives,
+        retained=ids[sel],
+        incentives=_incentive_map(ids, sel, user, tg, e, cfg.clamp_retention_incentives),
         objective=float(objective[mask]),
         method="exact",
     )
@@ -260,11 +265,9 @@ def optimal_retention_heuristic(
                 best_obj = obj
                 best_sel = trial
                 improved = True
-    retained = ids[best_sel]
-    incentives = retention_incentives(retained, ids, population, contract, types, cfg)
     return RetentionResult(
-        retained=retained,
-        incentives=incentives,
+        retained=ids[best_sel],
+        incentives=_incentive_map(ids, best_sel, user, tg, e, clamp),
         objective=best_obj,
         method="heuristic",
     )
@@ -291,5 +294,4 @@ def retention_incentives(
     sel = np.isin(ids, retained)
     if retained.size != int(np.sum(sel)):
         raise ValueError("retained users must be revokers")
-    ru = _payments(user, tg, float(np.sum(e[~sel])), cfg.clamp_retention_incentives)
-    return {int(ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
+    return _incentive_map(ids, sel, user, tg, e, cfg.clamp_retention_incentives)

@@ -347,9 +347,32 @@ def test_truncated_moments_monte_carlo_oracle():
 
 
 def test_truncated_moments_wide_limit():
-    mean, var = truncated_normal_moments(2.0, 0.3, -100.0, 100.0)
-    assert mean == pytest.approx(2.0, abs=1e-12)
-    assert var == pytest.approx(0.09, rel=1e-9)
+    for lo, hi in ((-100.0, 100.0), (-np.inf, np.inf)):
+        mean, var = truncated_normal_moments(2.0, 0.3, lo, hi)
+        assert mean == pytest.approx(2.0, abs=1e-12)
+        assert var == pytest.approx(0.09, rel=1e-9)
+
+
+_MOMENT_GRID = [
+    (mu, sigma)
+    for mu in (-3.0, -1.5, -0.4, -0.1, 0.0, 0.2, 0.5, 0.75, 1.0, 1.1, 1.6, 2.5, 4.0)
+    for sigma in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+    if 0.0 <= mu <= 1.0 or max(abs(mu), abs(1.0 - mu)) <= 8.0 * sigma
+]
+
+
+@pytest.mark.parametrize("mu,sigma", _MOMENT_GRID)
+def test_truncated_moments_scipy_oracle(mu, sigma):
+    """Closed-form moments against scipy's truncnorm on [0, 1]: 1e-12
+    relative when the interval holds mu, else (both bounds within 8 sigma)
+    1e-11 on the mean and 1e-9 on the variance."""
+    from scipy import stats
+    a, b = (0.0 - mu) / sigma, (1.0 - mu) / sigma
+    ref_mean, ref_var = stats.truncnorm.stats(a, b, loc=mu, scale=sigma, moments="mv")
+    mean, var = truncated_normal_moments(mu, sigma, 0.0, 1.0)
+    mean_tol, var_tol = (1e-12, 1e-12) if 0.0 <= mu <= 1.0 else (1e-11, 1e-9)
+    assert mean == pytest.approx(float(ref_mean), rel=mean_tol, abs=0.0)
+    assert var == pytest.approx(float(ref_var), rel=var_tol, abs=0.0)
 
 
 def test_truncated_moments_errors():
@@ -359,6 +382,11 @@ def test_truncated_moments_errors():
         truncated_normal_moments(0.5, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         truncated_normal_moments(0.5, 0.2, 1.0, 1.0)
+    # no representable normal mass on [0, 1], on either side of it
+    with pytest.raises(ValueError):
+        truncated_normal_moments(-3.0, 0.01, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        truncated_normal_moments(4.0, 0.01, 0.0, 1.0)
 
 
 def test_type_spec_validation():

@@ -78,11 +78,13 @@ def test_losses_confined_to_unit_interval():
     assert np.all((pop.loss >= 0.0) & (pop.loss <= 1.0))
 
 
-def test_rejection_fallback_far_tail():
+@pytest.mark.parametrize("mu,sigma", [(-3.0, 0.5), (4.0, 0.5), (-5.0, 0.4), (6.0, 0.4)])
+def test_rejection_fallback_far_tail(mu, sigma):
     """A mean far outside [0, 1] defeats rejection sampling; the inverse-CDF
-    path must still produce draws with the right truncated distribution."""
+    path must still produce draws with the right truncated distribution, on
+    either side of the interval, also where the normal CDF at both bounds
+    rounds to 1 (or, built from erf, to 0)."""
     from scipy import stats
-    mu, sigma = -3.0, 0.5
     spec = UserTypeSpec(theta=5.0, xi=1200.0, count=4000, p=0.05, q=0.5,
                         loss_mean=0.05, loss_var=0.001)
     model = SamplingModel(loss_mu=(mu,), loss_sigma=(sigma,),
