@@ -26,7 +26,7 @@ from .config import load_config
 from .contract import verify_ir_ic
 from .experiments import MECHANISMS, compare_costs, mechanism_contract, run_pipeline
 from .learning import StepSchedule, check_gap_bound, scaffold_train
-from .model import GameConfig
+from .model import mean_retention_rate
 from .population import find_stationary_rates, sample_population
 from .revocation import lower_equilibrium, upper_equilibrium
 
@@ -63,7 +63,7 @@ def write_table(out_dir: str, name: str, columns: list[str], rows, fmt: str) -> 
     return path
 
 
-def _contract_rows(contract, types):
+def _write_contract(args, contract) -> str:
     block_of = {}
     for b, blk in enumerate(contract.blocks):
         for pos in blk:
@@ -82,20 +82,44 @@ def _contract_rows(contract, types):
                 block_of[pos],
             ]
         )
-    return rows
-
-
-def _cmd_contract(args, setup) -> int:
-    contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
-    report = verify_ir_ic(contract, setup.types, setup.cfg)
-    rows = _contract_rows(contract, setup.types)
-    path = write_table(
+    return write_table(
         args.out_dir,
         "contract",
         ["type", "d", "rL", "pi", "kappa", "A", "B", "block_id"],
         rows,
         args.format,
     )
+
+
+def _write_equilibrium(args, population, revoke) -> str:
+    rows = [
+        [i, int(population.type_idx[i]) + 1, float(population.loss[i]), int(revoke[i])]
+        for i in range(len(population))
+    ]
+    return write_table(
+        args.out_dir, "equilibrium", ["user", "type", "loss", "revoke"], rows, args.format
+    )
+
+
+def _write_retention(args, population, incentives) -> str:
+    rows = [
+        [
+            int(u),
+            float(population.shapley[u]),
+            int(population.retained[u]),
+            float(incentives.get(int(u), 0.0)),
+        ]
+        for u in np.flatnonzero(population.revoke)
+    ]
+    return write_table(
+        args.out_dir, "retention", ["user", "shapley", "retained", "rU"], rows, args.format
+    )
+
+
+def _cmd_contract(args, setup) -> int:
+    contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
+    report = verify_ir_ic(contract, setup.types, setup.cfg)
+    path = _write_contract(args, contract)
     pooled = sum(1 for blk in contract.blocks if len(blk) > 1)
     print(f"contract: {len(contract.items)} items, {len(contract.blocks)} blocks"
           f" ({pooled} pooled), written to {path}")
@@ -105,37 +129,23 @@ def _cmd_contract(args, setup) -> int:
     return 0 if report.ok else 2
 
 
-def _stage3(args, setup):
+def _cmd_equilibrium(args, setup) -> int:
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
     population = sample_population(setup.types, setup.sampling, args.seed)
-    from .model import mean_retention_rate
-
     q_bar = mean_retention_rate(setup.types)
     lower = lower_equilibrium(population, contract, setup.types, setup.cfg, q_bar)
-    return contract, population, q_bar, lower
-
-
-def _cmd_equilibrium(args, setup) -> int:
-    contract, population, q_bar, lower = _stage3(args, setup)
     upper = upper_equilibrium(population, contract, setup.types, setup.cfg, q_bar)
-    unique = bool(np.array_equal(lower.x, upper.x))
-    rows = [
-        [i, int(population.type_idx[i]) + 1, float(population.loss[i]), int(lower.x[i])]
-        for i in range(len(population))
-    ]
-    path = write_table(
-        args.out_dir, "equilibrium", ["user", "type", "loss", "revoke"], rows, args.format
-    )
+    path = _write_equilibrium(args, population, lower.x)
     n_rev = int(np.sum(lower.x))
     print(f"equilibrium: {n_rev}/{len(population)} revoke after {lower.iterations} sweeps,"
           f" written to {path}")
-    if not unique:
+    if not np.array_equal(lower.x, upper.x):
         extra = int(np.sum(upper.x)) - n_rev
         print(f"note: extremal equilibria differ ({extra} users revoke only in the greatest one)")
     return 0
 
 
-def _cmd_retain(args, setup) -> int:
+def _pipeline(args, setup):
     outcome = run_pipeline(
         args.mechanism,
         setup.types,
@@ -143,76 +153,31 @@ def _cmd_retain(args, setup) -> int:
         setup.sampling,
         seed=args.seed,
         lla_retention=setup.experiment.lla_retention,
-        heuristic_categories=setup.experiment.heuristic_categories,
     )
-    population = outcome.population
-    revokers = np.flatnonzero(population.revoke)
     incentives = outcome.retention.incentives if outcome.retention else {}
-    rows = [
-        [
-            int(u),
-            float(population.shapley[u]),
-            int(population.retained[u]),
-            float(incentives.get(int(u), 0.0)),
-        ]
-        for u in revokers
-    ]
-    path = write_table(
-        args.out_dir, "retention", ["user", "shapley", "retained", "rU"], rows, args.format
-    )
+    return outcome, incentives
+
+
+def _cmd_retain(args, setup) -> int:
+    outcome, incentives = _pipeline(args, setup)
+    population = outcome.population
+    path = _write_retention(args, population, incentives)
     n_kept = int(np.sum(population.retained))
+    n_rev = int(np.sum(population.revoke))
     method = outcome.retention.method if outcome.retention else "none"
     negatives = sum(1 for v in incentives.values() if v < 0)
-    print(f"retention ({method}): kept {n_kept}/{len(revokers)} revokers, written to {path}")
+    print(f"retention ({method}): kept {n_kept}/{n_rev} revokers, written to {path}")
     if negatives:
         print(f"note: {negatives} retention incentives are negative (charges to stay)")
     return 0
 
 
 def _cmd_simulate(args, setup) -> int:
-    outcome = run_pipeline(
-        args.mechanism,
-        setup.types,
-        setup.cfg,
-        setup.sampling,
-        seed=args.seed,
-        lla_retention=setup.experiment.lla_retention,
-        heuristic_categories=setup.experiment.heuristic_categories,
-    )
+    outcome, incentives = _pipeline(args, setup)
     population = outcome.population
-    write_table(
-        args.out_dir,
-        "contract",
-        ["type", "d", "rL", "pi", "kappa", "A", "B", "block_id"],
-        _contract_rows(outcome.contract, setup.types),
-        args.format,
-    )
-    write_table(
-        args.out_dir,
-        "equilibrium",
-        ["user", "type", "loss", "revoke"],
-        [
-            [i, int(population.type_idx[i]) + 1, float(population.loss[i]), int(population.revoke[i])]
-            for i in range(len(population))
-        ],
-        args.format,
-    )
-    incentives = outcome.retention.incentives if outcome.retention else {}
-    write_table(
-        args.out_dir,
-        "retention",
-        ["user", "shapley", "retained", "rU"],
-        [
-            [
-                int(u),
-                float(population.shapley[u]),
-                int(population.retained[u]),
-                float(incentives.get(int(u), 0.0)),
-            ]
-            for u in np.flatnonzero(population.revoke)
-        ],
-        args.format,
-    )
+    _write_contract(args, outcome.contract)
+    _write_equilibrium(args, population, population.revoke)
+    _write_retention(args, population, incentives)
     summary = {
         "mechanism": outcome.mechanism,
         "seed": args.seed,
@@ -244,7 +209,6 @@ def _cmd_compare(args, setup) -> int:
         trials=trials,
         seed=args.seed,
         lla_retention=setup.experiment.lla_retention,
-        heuristic_categories=setup.experiment.heuristic_categories,
     )
     rows = [
         [r["mechanism"], r["I"], r["cost_mean"], r["cost_stderr"], r["payoff_mean"]]
@@ -372,6 +336,13 @@ def _cmd_verify_bounds(args, setup) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedincentives",
@@ -391,10 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config path (packaged default if omitted)")
         p.add_argument("--seed", type=int, default=None, help="root seed (config seed if omitted)")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mechanism", choices=MECHANISMS, default="RAR")
+        if name in ("contract", "equilibrium", "retain", "simulate"):
+            p.add_argument("--mechanism", choices=MECHANISMS, default="RAR")
+        if name in ("compare", "sweep"):
+            p.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
         if name == "verify-bounds":
             p.add_argument("--strict", action="store_true", help="exit 3 on failed checks")
         p.set_defaults(func=func)

@@ -17,6 +17,7 @@ from importlib import resources
 from .learning import LearnProblem, StepSchedule, make_problem
 from .model import GameConfig, UserTypeSpec, truncated_normal_moments
 from .population import SamplingModel
+from .retention import EXACT_MAX_REVOKERS
 
 __all__ = [
     "ConfigError",
@@ -37,8 +38,6 @@ _GAME_KEYS = {
     "lambda": float,
     "rho": float,
     "gamma": float,
-    "iota": float,
-    "retention_exact_threshold": int,
     "seed": int,
     "tol": float,
     "spread_is_std": bool,
@@ -58,8 +57,6 @@ _GAME_DEFAULTS = {
     "lambda": 0.04,
     "rho": 1.0,
     "gamma": 1e-10,
-    "iota": 0.2,
-    "retention_exact_threshold": 20,
     "seed": 0,
     "tol": 1e-9,
     "spread_is_std": False,
@@ -131,7 +128,6 @@ _EXPERIMENT_KEYS = {
     "refine_steps": int,
     "refine_damping": float,
     "refine_trials": int,
-    "heuristic_categories": int,
     "lla_retention": str,
     "mechanisms": "str_list",
 }
@@ -145,9 +141,24 @@ _EXPERIMENT_DEFAULTS = {
     "refine_steps": 4,
     "refine_damping": 0.5,
     "refine_trials": 20,
-    "heuristic_categories": 8,
     "lla_retention": "optimal",
     "mechanisms": ["NRI", "LLA", "RAR"],
+}
+
+
+# Keys that once named a setting and now name fixed behaviour.  A file may
+# still state each one, but only at its fixed value, so no file that loads
+# asks for something the program does not do.
+_RETIRED = {
+    ("game", "iota"): (
+        0.2, "the game never read it; the batch proportion is [learning] iota"
+    ),
+    ("game", "retention_exact_threshold"): (
+        EXACT_MAX_REVOKERS, "Stage IV enumerates up to this many revokers"
+    ),
+    ("experiment", "heuristic_categories"): (
+        8, "the retention heuristic always uses 8 buckets"
+    ),
 }
 
 
@@ -199,7 +210,6 @@ class ExperimentConfig:
     refine_steps: int
     refine_damping: float
     refine_trials: int
-    heuristic_categories: int
     lla_retention: str
     mechanisms: list[str]
 
@@ -249,6 +259,13 @@ def _read_section(parser, name: str, schema: dict, defaults: dict) -> dict:
     if not parser.has_section(name):
         return values
     for key, raw in parser.items(name):
+        if (name, key) in _RETIRED:
+            fixed, reason = _RETIRED[name, key]
+            if _parse_value(name, key, raw, type(fixed)) != fixed:
+                raise ConfigError(
+                    f"[{name}] {key} is retired and accepted only at {fixed}: {reason}"
+                )
+            continue
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         values[key] = _parse_value(name, key, raw, schema[key])
@@ -302,8 +319,6 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         lam=game["lambda"],
         rho=game["rho"],
         gamma=game["gamma"],
-        iota=game["iota"],
-        retention_exact_threshold=game["retention_exact_threshold"],
         seed=game["seed"],
         tol=game["tol"],
         b_cross_alternative=game["b_cross_alternative"],
@@ -361,6 +376,12 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         raise ConfigError("[learning] schedule must be constant or inverse_t")
 
     experiment = ExperimentConfig(**exp_raw)
+    for key in ("trials", "sweep_trials", "refine_trials"):
+        if getattr(experiment, key) < 1:
+            raise ConfigError(f"[experiment] {key} must be positive")
+    for key in ("user_counts", "p_grid", "q_grid", "mechanisms"):
+        if not getattr(experiment, key):
+            raise ConfigError(f"[experiment] {key} must not be empty")
     if experiment.lla_retention not in ("optimal", "none", "all"):
         raise ConfigError("[experiment] lla_retention must be optimal, none or all")
     for mech in experiment.mechanisms:

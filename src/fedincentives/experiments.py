@@ -36,8 +36,8 @@ from .model import (
 )
 from .population import SamplingModel, realized_rates, sample_population
 from .retention import (
+    EXACT_MAX_REVOKERS,
     RetentionResult,
-    RetentionSizeError,
     optimal_retention_exact,
     optimal_retention_heuristic,
     retention_incentives,
@@ -103,14 +103,15 @@ def run_pipeline(
     seed: int = 0,
     retention: str | None = None,
     lla_retention: str = "optimal",
-    heuristic_categories: int = 8,
 ) -> Outcome:
     """Contract, acceptance, revocation equilibrium, retention, realized cost.
 
     The population may be passed in (for common-random-number comparisons);
     otherwise it is sampled from the seed.  `retention` forces a Stage-IV
     mode (optimal / none / all) regardless of mechanism, which gives
-    controlled comparisons that differ in retention only.
+    controlled comparisons that differ in retention only.  Optimal
+    retention enumerates up to EXACT_MAX_REVOKERS revokers and runs the
+    bucket heuristic beyond.
     """
     mech = mechanism.upper()
     if mech not in MECHANISMS:
@@ -145,14 +146,11 @@ def run_pipeline(
             retained_ids, revokers, population, contract, types, cfg
         )
     else:
-        try:
-            retention_result = optimal_retention_exact(
-                revokers, population, contract, types, cfg
-            )
-        except RetentionSizeError:
-            retention_result = optimal_retention_heuristic(
-                revokers, population, contract, types, cfg, categories=heuristic_categories
-            )
+        if len(revokers) <= EXACT_MAX_REVOKERS:
+            solve = optimal_retention_exact
+        else:
+            solve = optimal_retention_heuristic
+        retention_result = solve(revokers, population, contract, types, cfg)
         retained_ids = retention_result.retained
         incentive_map = retention_result.incentives
 
@@ -211,7 +209,6 @@ def compare_costs(
     trials: int = 50,
     seed: int = 0,
     lla_retention: str = "optimal",
-    heuristic_categories: int = 8,
 ) -> list[dict]:
     """Mean realized cost and user payoff per mechanism and population size.
 
@@ -243,7 +240,6 @@ def compare_costs(
                     sampling,
                     population=population,
                     lla_retention=lla_retention,
-                    heuristic_categories=heuristic_categories,
                 )
                 costs[mech.upper()].append(outcome.cost)
                 payoffs[mech.upper()].append(float(np.mean(outcome.payoffs)))

@@ -86,8 +86,6 @@ class GameConfig:
     lam: float = 0.04
     rho: float = 1.0
     gamma: float = 1e-10
-    iota: float = 0.2
-    retention_exact_threshold: int = 20
     seed: int = 0
     tol: float = 1e-9
     b_cross_alternative: bool = False
@@ -100,10 +98,6 @@ class GameConfig:
             raise ValueError("lam must be nonnegative")
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
-        if not 0.0 < self.iota < 1.0:
-            raise ValueError("iota must lie in (0, 1)")
-        if self.retention_exact_threshold < 0:
-            raise ValueError("retention_exact_threshold must be nonnegative")
         if not 0.0 < self.tol <= 1e-3:
             raise ValueError("tol must lie in (0, 1e-3]")
 

@@ -5,7 +5,7 @@ score plus reward-weighted payments, but shrinks the unlearning burden that
 the users outside S impose on every retained member.  The relative objective
 (cost of retaining S minus cost of retaining nobody) decomposes into three
 subset sums, so exact minimization enumerates all 2^n subsets with vector
-arithmetic; beyond the configured size cap a quantile-bucket heuristic with
+arithmetic; beyond EXACT_MAX_REVOKERS a quantile-bucket heuristic with
 greedy refinement takes over.  The incentive payment makes each retained
 user exactly indifferent between staying and leaving.
 """
@@ -18,6 +18,7 @@ import numpy as np
 from .model import Contract, GameConfig, Population, UserTerms, UserTypeSpec
 
 __all__ = [
+    "EXACT_MAX_REVOKERS",
     "RetentionResult",
     "RetentionSizeError",
     "retention_objective",
@@ -25,6 +26,11 @@ __all__ = [
     "optimal_retention_heuristic",
     "retention_incentives",
 ]
+
+
+EXACT_MAX_REVOKERS = 20
+"""Largest revoker set optimal_retention_exact enumerates (2^n subsets);
+run_pipeline hands larger sets to optimal_retention_heuristic."""
 
 
 class RetentionSizeError(ValueError):
@@ -45,34 +51,83 @@ class RetentionResult:
             raise ValueError("incentives must cover exactly the retained users")
 
 
-def _revoker_vectors(revokers, population, contract, types, cfg):
+@dataclass
+class _Revokers:
     """Per-revoker pieces of the objective.
 
     user holds the revokers' terms of the stay margin,
     c = v + gamma*xi*l*d (direct cost of keeping the user),
     tg = theta*d*lam (unlearning sensitivity, reward weight applied later),
-    e = l^2 (burden the user adds if they finally leave).
+    e = l^2 (burden the user adds if they finally leave), e_tot its sum.
     """
-    revokers = np.asarray(revokers, dtype=int)
-    user = UserTerms.of(population, contract, types, revokers)
-    v = population.shapley[revokers]
-    c = v + cfg.gamma * user.xi * user.loss * user.d
-    tg = user.theta * user.d * cfg.lam
-    return revokers, user, v, c, tg, user.loss ** 2
 
+    ids: np.ndarray
+    user: UserTerms
+    v: np.ndarray
+    c: np.ndarray
+    tg: np.ndarray
+    e: np.ndarray
+    e_tot: float
+    cfg: GameConfig
 
-def _payments(user, tg, leave_mass, clamp):
-    """Indifference payments rU = -(stay margin) at the given leaver mass,
-    floored at 0 under clamp; 0.0 - m rather than -m keeps a zero at +0.0."""
-    ru = 0.0 - user.stay_margin(tg, leave_mass)
-    return np.maximum(ru, 0.0) if clamp else ru
+    @classmethod
+    def of(cls, revokers, population, contract, types, cfg) -> "_Revokers":
+        ids = np.asarray(revokers, dtype=int)
+        user = UserTerms.of(population, contract, types, ids)
+        v = population.shapley[ids]
+        e = user.loss ** 2
+        return cls(
+            ids=ids,
+            user=user,
+            v=v,
+            c=v + cfg.gamma * user.xi * user.loss * user.d,
+            tg=user.theta * user.d * cfg.lam,
+            e=e,
+            e_tot=float(np.sum(e)),
+            cfg=cfg,
+        )
 
+    def mask(self, members) -> np.ndarray:
+        members = np.asarray(members, dtype=int)
+        sel = np.isin(self.ids, members)
+        if members.size != int(np.sum(sel)):
+            raise ValueError("retained users must be revokers")
+        return sel
 
-def _incentive_map(ids, sel, user, tg, e, clamp):
-    """Payments of the selected revokers, keyed by user id, at the leaver
-    mass of the unselected ones."""
-    ru = _payments(user, tg, float(np.sum(e[~sel])), clamp)
-    return {int(ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
+    def payments(self, leave_mass, clamp):
+        """Indifference payments rU = -(stay margin) at the given leaver
+        mass, floored at 0 under clamp; 0.0 - m rather than -m keeps a zero
+        at +0.0."""
+        ru = 0.0 - self.user.stay_margin(self.tg, leave_mass)
+        return np.maximum(ru, 0.0) if clamp else ru
+
+    def clamped_cost(self, leave_mass):
+        """Per-revoker cost v + gamma (r + max(rU, 0)) of retaining them."""
+        ru = self.payments(leave_mass, clamp=True)
+        return self.v + self.cfg.gamma * (self.user.r + ru)
+
+    def objective(self, sel: np.ndarray) -> float:
+        """Relative cost of retaining the selected revokers; the leaver mass
+        is e_tot minus the selected burden, as in the subset sums."""
+        leave = self.e_tot - float(np.sum(self.e[sel]))
+        if self.cfg.clamp_retention_incentives:
+            return float(np.sum(self.clamped_cost(leave)[sel]))
+        return float(np.sum(self.c[sel]) + self.cfg.gamma * np.sum(self.tg[sel]) * leave)
+
+    def incentives(self, sel: np.ndarray) -> dict[int, float]:
+        """Payments of the selected revokers, keyed by user id, at the leaver
+        mass of the unselected ones.  That mass is summed over them, not
+        taken as e_tot minus the selected: the output bytes depend on it."""
+        ru = self.payments(float(np.sum(self.e[~sel])), self.cfg.clamp_retention_incentives)
+        return {int(self.ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
+
+    def result(self, sel: np.ndarray, objective: float, method: str) -> RetentionResult:
+        return RetentionResult(
+            retained=self.ids[sel],
+            incentives=self.incentives(sel),
+            objective=objective,
+            method=method,
+        )
 
 
 def retention_objective(
@@ -91,18 +146,8 @@ def retention_objective(
     scores 0.  With the clamp switch the payment floor max(rU, 0) is applied,
     which breaks the closed decomposition but keeps the same baseline.
     """
-    revokers, user, v, c, tg, e = _revoker_vectors(
-        revokers, population, contract, types, cfg
-    )
-    subset = np.asarray(subset, dtype=int)
-    sel = np.isin(revokers, subset)
-    if subset.size != int(np.sum(sel)):
-        raise ValueError("subset must consist of revokers")
-    leave_mass = float(np.sum(e[~sel]))
-    if cfg.clamp_retention_incentives:
-        ru = _payments(user, tg, leave_mass, clamp=True)
-        return float(np.sum((v + cfg.gamma * (user.r + ru))[sel]))
-    return float(np.sum(c[sel]) + cfg.gamma * np.sum(tg[sel]) * leave_mass)
+    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    return rv.objective(rv.mask(subset))
 
 
 def _subset_sums(vals: np.ndarray) -> np.ndarray:
@@ -145,47 +190,32 @@ def optimal_retention_exact(
 
     Unclamped, the objective is C_S + T_S * (E_tot - E_S) with three subset
     sums, all built by doubling in O(2^n).  Clamped mode evaluates masks in
-    chunks instead.  Raises RetentionSizeError beyond the configured cap.
+    chunks instead.  Raises RetentionSizeError beyond EXACT_MAX_REVOKERS.
     """
-    ids, user, v, c, tg, e = _revoker_vectors(
-        revokers, population, contract, types, cfg
-    )
-    n = len(ids)
-    if n > cfg.retention_exact_threshold:
+    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    n = len(rv.ids)
+    if n > EXACT_MAX_REVOKERS:
         raise RetentionSizeError(
-            f"{n} revokers exceed exact cap {cfg.retention_exact_threshold}; "
+            f"{n} revokers exceed exact cap {EXACT_MAX_REVOKERS}; "
             "use optimal_retention_heuristic"
         )
-    if n == 0:
-        return RetentionResult(
-            retained=np.array([], dtype=int), incentives={}, objective=0.0, method="exact"
-        )
-    e_tot = float(np.sum(e))
     if cfg.clamp_retention_incentives:
         objective = np.empty(1 << n)
-        gamma_t = cfg.gamma
         chunk = 1 << 12
         bits = np.arange(n)
         for start in range(0, 1 << n, chunk):
             masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
             X = ((masks[:, None] >> bits) & 1).astype(bool)
-            leave = e_tot - X @ e
-            ru = _payments(user, tg, leave[:, None], clamp=True)
-            per_user = v + gamma_t * (user.r + ru)
+            per_user = rv.clamped_cost((rv.e_tot - X @ rv.e)[:, None])
             objective[start : start + len(masks)] = np.where(X, per_user, 0.0).sum(axis=1)
     else:
-        C = _subset_sums(c)
-        T = _subset_sums(cfg.gamma * tg)
-        E = _subset_sums(e)
-        objective = C + T * (e_tot - E)
+        C = _subset_sums(rv.c)
+        T = _subset_sums(cfg.gamma * rv.tg)
+        E = _subset_sums(rv.e)
+        objective = C + T * (rv.e_tot - E)
     mask = _pick_mask(objective, n)
     sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-    return RetentionResult(
-        retained=ids[sel],
-        incentives=_incentive_map(ids, sel, user, tg, e, cfg.clamp_retention_incentives),
-        objective=float(objective[mask]),
-        method="exact",
-    )
+    return rv.result(sel, float(objective[mask]), "exact")
 
 
 def optimal_retention_heuristic(
@@ -207,21 +237,14 @@ def optimal_retention_heuristic(
         raise ValueError("categories capped at 16")
     if categories < 1:
         raise ValueError("categories must be positive")
-    ids, user, v, c, tg, e = _revoker_vectors(
-        revokers, population, contract, types, cfg
-    )
-    n = len(ids)
+    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    n = len(rv.ids)
     if n == 0:
-        return RetentionResult(
-            retained=np.array([], dtype=int),
-            incentives={},
-            objective=0.0,
-            method="heuristic",
-        )
+        return rv.result(np.zeros(0, dtype=bool), 0.0, "heuristic")
     categories = min(categories, n)
     # rank features: contribution score, unlearning sensitivity (theta*d up
     # to the lam factor), privacy compensation (xi*l*d up to gamma), burden
-    feats = [v, tg, c - v, e]
+    feats = [rv.v, rv.tg, rv.c - rv.v, rv.e]
     score = np.zeros(n)
     for f in feats:
         order = np.argsort(f, kind="stable")
@@ -231,17 +254,6 @@ def optimal_retention_heuristic(
     order = np.argsort(score, kind="stable")
     buckets = np.array_split(order, categories)
 
-    e_tot = float(np.sum(e))
-    clamp = cfg.clamp_retention_incentives
-    gamma_t = cfg.gamma
-
-    def evaluate(sel: np.ndarray) -> float:
-        leave = e_tot - float(np.sum(e[sel]))
-        if clamp:
-            ru = _payments(user, tg, leave, clamp=True)
-            return float(np.sum((v + gamma_t * (user.r + ru))[sel]))
-        return float(np.sum(c[sel]) + gamma_t * np.sum(tg[sel]) * leave)
-
     best_sel = np.zeros(n, dtype=bool)
     best_obj = 0.0
     for combo in range(1 << categories):
@@ -249,7 +261,7 @@ def optimal_retention_heuristic(
         for k in range(categories):
             if (combo >> k) & 1:
                 sel[buckets[k]] = True
-        obj = evaluate(sel)
+        obj = rv.objective(sel)
         if obj < best_obj:
             best_obj = obj
             best_sel = sel
@@ -260,17 +272,12 @@ def optimal_retention_heuristic(
         for u in range(n):
             trial = best_sel.copy()
             trial[u] = not trial[u]
-            obj = evaluate(trial)
+            obj = rv.objective(trial)
             if obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
                 best_obj = obj
                 best_sel = trial
                 improved = True
-    return RetentionResult(
-        retained=ids[best_sel],
-        incentives=_incentive_map(ids, best_sel, user, tg, e, clamp),
-        objective=best_obj,
-        method="heuristic",
-    )
+    return rv.result(best_sel, best_obj, "heuristic")
 
 
 def retention_incentives(
@@ -287,11 +294,5 @@ def retention_incentives(
     where the sum covers revokers neither retained nor equal to i.  Values
     may be negative; the clamp switch floors them at 0.
     """
-    ids, user, v, c, tg, e = _revoker_vectors(
-        revokers, population, contract, types, cfg
-    )
-    retained = np.asarray(retained, dtype=int)
-    sel = np.isin(ids, retained)
-    if retained.size != int(np.sum(sel)):
-        raise ValueError("retained users must be revokers")
-    return _incentive_map(ids, sel, user, tg, e, cfg.clamp_retention_incentives)
+    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    return rv.incentives(rv.mask(retained))

@@ -30,7 +30,6 @@ def random_cfg(rng):
         lam=float(rng.uniform(0.0, 0.1)),
         rho=float(rng.uniform(0.5, 2.0)),
         gamma=float(10.0 ** rng.uniform(-10, -6)),
-        iota=0.2,
         seed=0,
         tol=1e-9,
     )

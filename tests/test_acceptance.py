@@ -64,8 +64,7 @@ def benchmark_runs(shipped):
         pop = sample_population(shipped.types, shipped.sampling, seed=trial)
         base = dict(types=shipped.types, cfg=shipped.cfg, sampling=shipped.sampling,
                     population=pop,
-                    lla_retention=shipped.experiment.lla_retention,
-                    heuristic_categories=shipped.experiment.heuristic_categories)
+                    lla_retention=shipped.experiment.lla_retention)
         for mech in ("RAR", "NRI", "LLA"):
             runs[mech].append(run_pipeline(mech, **base))
         runs["RAR_NO_RETAIN"].append(run_pipeline("RAR", retention="none", **base))

@@ -173,6 +173,30 @@ def test_bad_config_exit_1(tmp_path, capsys):
     assert _run(["contract", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
+def test_empty_experiment_setting_exit_1(tmp_path, capsys):
+    path = tmp_path / "empty.ini"
+    path.write_text(SMALL.replace("p_grid = 0.0, 0.05", "p_grid ="))
+    assert _run(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "oe")]) == 1
+    assert "p_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mechanism", "NRI"],
+        ["compare", "--mechanism", "NRI"],
+        ["verify-bounds", "--mechanism", "NRI"],
+        ["contract", "--trials", "3"],
+        ["simulate", "--trials", "3"],
+        ["compare", "--trials", "0"],
+    ],
+)
+def test_flags_only_where_read(cfg_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--config", cfg_path])
+    assert exc.value.code == 2
+
+
 def test_numeric_error_exit_2(cfg_path, tmp_path, capsys):
     body = SMALL.replace("step_c = 0.4", "step_c = 50")
     path = tmp_path / "hot.ini"
@@ -199,6 +223,24 @@ def test_byte_identical_reruns(cfg_path, tmp_path):
     with open(os.path.join(c, "equilibrium.csv"), "rb") as fh:
         other = fh.read()
     assert base != other
+
+
+def test_simulate_writes_the_subcommand_tables(cfg_path, tmp_path):
+    """simulate writes the bytes that contract, equilibrium and retain write
+    at the same seed."""
+    sim = str(tmp_path / "sim")
+    assert _run(["simulate", "--config", cfg_path, "--out-dir", sim, "--seed", "4"]) == 0
+    for command, name in (("contract", "contract.csv"),
+                          ("equilibrium", "equilibrium.csv"),
+                          ("retain", "retention.csv")):
+        out = str(tmp_path / command)
+        assert _run([command, "--config", cfg_path, "--out-dir", out, "--seed", "4"]) == 0
+        with open(os.path.join(sim, name), "rb") as fh:
+            expect = fh.read()
+        with open(os.path.join(out, name), "rb") as fh:
+            assert fh.read() == expect, name
+    assert any(line.split(",")[2] == "1"
+               for line in _lines(os.path.join(sim, "retention.csv"))[1:])
 
 
 def test_json_format_output(cfg_path, tmp_path):

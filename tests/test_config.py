@@ -208,3 +208,37 @@ mechanisms = rar, nri
     assert e.p_grid == [0.0, 0.5]
     assert e.q_grid == [1.0]
     assert e.mechanisms == ["rar", "nri"]
+
+
+@pytest.mark.parametrize(
+    "section, key, shipped, other, hint",
+    [
+        ("game", "iota", "0.2", "0.3", "[learning] iota"),
+        ("game", "retention_exact_threshold", "20", "21", "accepted only at 20"),
+        ("experiment", "heuristic_categories", "8", "6", "accepted only at 8"),
+    ],
+)
+def test_retired_keys_load_only_at_their_fixed_value(tmp_path, section, key, shipped,
+                                                     other, hint):
+    load_config(_write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {shipped}\n"))
+    with pytest.raises(ConfigError, match=f"{key} is retired") as exc:
+        load_config(_write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {other}\n"))
+    assert hint in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "p_grid =",
+        "q_grid =",
+        "sweep_trials = 0",
+        "refine_trials = 0",
+        "trials = 0",
+        "user_counts =",
+        "mechanisms =",
+    ],
+)
+def test_empty_or_zero_experiment_settings_rejected(tmp_path, setting):
+    key = setting.split()[0]
+    with pytest.raises(ConfigError, match=rf"\[experiment\] {key} must"):
+        load_config(_write(tmp_path, MINIMAL + f"\n[experiment]\n{setting}\n"))

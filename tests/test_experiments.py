@@ -11,8 +11,9 @@ from fedincentives.experiments import (
     mechanism_contract,
     run_pipeline,
 )
-from fedincentives.model import mean_retention_rate
+from fedincentives.model import GameConfig, Population, UserTypeSpec, mean_retention_rate
 from fedincentives.population import SamplingModel, realized_rates, sample_population
+from fedincentives.retention import EXACT_MAX_REVOKERS
 
 from conftest import random_cfg, random_types
 
@@ -89,7 +90,7 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
         scale = max(1.0, abs(none.cost))
         assert opt.cost <= none.cost + 1e-9 * scale
         n_rev = int(np.sum(opt.population.revoke))
-        if 0 < n_rev <= cfg.retention_exact_threshold:
+        if 0 < n_rev <= EXACT_MAX_REVOKERS:
             allr = run_pipeline("RAR", retention="all", **base)
             assert opt.cost <= allr.cost + 1e-9 * scale
             checked += 1
@@ -97,6 +98,28 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
             gap = opt.cost - none.cost
             assert gap == pytest.approx(opt.retention.objective, rel=1e-9, abs=1e-9)
     assert checked >= 3
+
+
+@pytest.mark.parametrize(
+    "n_rev, method",
+    [(EXACT_MAX_REVOKERS, "exact"), (EXACT_MAX_REVOKERS + 1, "heuristic")],
+)
+def test_stage4_solver_follows_revoker_count(n_rev, method):
+    """Users with loss 1 revoke and users with loss 0 stay (lam = 0, so no
+    cascade); the revoker count alone picks the Stage-IV solver."""
+    types = [UserTypeSpec(theta=0.1, xi=800.0, count=40, p=0.01, q=0.5,
+                          loss_mean=0.5, loss_var=0.04)]
+    cfg = GameConfig(T=100.0, lam=0.0)
+    model = SamplingModel(loss_mu=(0.5,), loss_sigma=(0.2,),
+                          shapley_mu=5e-5, shapley_sigma=0.04)
+    pop = Population(
+        type_idx=np.zeros(40, dtype=int),
+        loss=np.where(np.arange(40) < n_rev, 1.0, 0.0),
+        shapley=np.full(40, -1e-4),
+    )
+    out = run_pipeline("RAR", types, cfg, model, population=pop)
+    assert int(np.sum(out.population.revoke)) == n_rev
+    assert out.retention.method == method
 
 
 def test_forced_all_mode_retains_every_revoker(rng):

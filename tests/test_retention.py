@@ -6,6 +6,7 @@ import pytest
 
 from fedincentives.model import Contract, ContractItem, GameConfig, Population, UserTypeSpec
 from fedincentives.retention import (
+    EXACT_MAX_REVOKERS,
     RetentionSizeError,
     optimal_retention_exact,
     optimal_retention_heuristic,
@@ -102,7 +103,7 @@ def test_exact_single_negative_revoker():
 
 
 def test_exact_size_guard():
-    n = 21
+    n = EXACT_MAX_REVOKERS + 1
     pop, contract, types, cfg = _setup(
         v=[0.0] * n, xi=[1.0] * n, losses=[0.5] * n
     )

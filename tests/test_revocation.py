@@ -145,7 +145,7 @@ def _random_instance(rng, n):
     cfg = random_cfg(rng)
     # push lam up so externality cascades actually occur
     cfg = GameConfig(T=cfg.T, lam=float(rng.uniform(0.0, 0.3)), rho=cfg.rho,
-                     gamma=cfg.gamma, iota=cfg.iota)
+                     gamma=cfg.gamma)
     contract = design_contract(types, cfg)
     pop = Population(
         type_idx=rng.integers(0, J, size=n),
@@ -198,7 +198,7 @@ def test_monotone_in_lambda_and_qbar(rng):
         lams = sorted(rng.uniform(0.0, 0.5, size=3))
         prev = None
         for lam in lams:
-            c = GameConfig(T=cfg.T, lam=lam, rho=cfg.rho, gamma=cfg.gamma, iota=cfg.iota)
+            c = GameConfig(T=cfg.T, lam=lam, rho=cfg.rho, gamma=cfg.gamma)
             x = lower_equilibrium(pop, contract, types, c, q_bar).x
             if prev is not None:
                 assert not np.any(prev & ~x)
