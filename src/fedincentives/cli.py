@@ -152,7 +152,6 @@ def _pipeline(args, setup):
         setup.cfg,
         setup.sampling,
         seed=args.seed,
-        lla_retention=setup.experiment.lla_retention,
     )
     incentives = outcome.retention.incentives if outcome.retention else {}
     return outcome, incentives
@@ -208,7 +207,6 @@ def _cmd_compare(args, setup) -> int:
         user_counts=setup.experiment.user_counts,
         trials=trials,
         seed=args.seed,
-        lla_retention=setup.experiment.lla_retention,
     )
     rows = [
         [r["mechanism"], r["I"], r["cost_mean"], r["cost_stderr"], r["payoff_mean"]]

@@ -41,8 +41,6 @@ _GAME_KEYS = {
     "seed": int,
     "tol": float,
     "spread_is_std": bool,
-    "b_cross_alternative": bool,
-    "clamp_retention_incentives": bool,
     "p": float,
     "q": float,
     "count": int,
@@ -60,8 +58,6 @@ _GAME_DEFAULTS = {
     "seed": 0,
     "tol": 1e-9,
     "spread_is_std": False,
-    "b_cross_alternative": False,
-    "clamp_retention_incentives": False,
     "p": 0.0028,
     "q": 0.5,
     "count": 1000,
@@ -128,7 +124,6 @@ _EXPERIMENT_KEYS = {
     "refine_steps": int,
     "refine_damping": float,
     "refine_trials": int,
-    "lla_retention": str,
     "mechanisms": "str_list",
 }
 
@@ -141,7 +136,6 @@ _EXPERIMENT_DEFAULTS = {
     "refine_steps": 4,
     "refine_damping": 0.5,
     "refine_trials": 20,
-    "lla_retention": "optimal",
     "mechanisms": ["NRI", "LLA", "RAR"],
 }
 
@@ -158,6 +152,15 @@ _RETIRED = {
     ),
     ("experiment", "heuristic_categories"): (
         8, "the retention heuristic always uses 8 buckets"
+    ),
+    ("game", "clamp_retention_incentives"): (
+        False, "retention payments make each retained user exactly indifferent"
+    ),
+    ("game", "b_cross_alternative"): (
+        False, "the cross term of B is always the direct form"
+    ),
+    ("experiment", "lla_retention"): (
+        "optimal", "LLA plays the same optimal Stage IV as RAR"
     ),
 }
 
@@ -210,7 +213,6 @@ class ExperimentConfig:
     refine_steps: int
     refine_damping: float
     refine_trials: int
-    lla_retention: str
     mechanisms: list[str]
 
 
@@ -262,8 +264,9 @@ def _read_section(parser, name: str, schema: dict, defaults: dict) -> dict:
         if (name, key) in _RETIRED:
             fixed, reason = _RETIRED[name, key]
             if _parse_value(name, key, raw, type(fixed)) != fixed:
+                spelled = str(fixed).lower() if isinstance(fixed, bool) else fixed
                 raise ConfigError(
-                    f"[{name}] {key} is retired and accepted only at {fixed}: {reason}"
+                    f"[{name}] {key} is retired and accepted only at {spelled}: {reason}"
                 )
             continue
         if key not in schema:
@@ -321,8 +324,6 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         gamma=game["gamma"],
         seed=game["seed"],
         tol=game["tol"],
-        b_cross_alternative=game["b_cross_alternative"],
-        clamp_retention_incentives=game["clamp_retention_incentives"],
     )
     cfg.validate()
 
@@ -382,8 +383,14 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     for key in ("user_counts", "p_grid", "q_grid", "mechanisms"):
         if not getattr(experiment, key):
             raise ConfigError(f"[experiment] {key} must not be empty")
-    if experiment.lla_retention not in ("optimal", "none", "all"):
-        raise ConfigError("[experiment] lla_retention must be optimal, none or all")
+    if min(experiment.user_counts) < len(types):
+        raise ConfigError(
+            f"[experiment] user_counts values must be at least {len(types)}, the number of types"
+        )
+    if not all(0.0 <= p < 1.0 for p in experiment.p_grid):
+        raise ConfigError("[experiment] p_grid values must lie in [0, 1)")
+    if not all(0.0 <= q <= 1.0 for q in experiment.q_grid):
+        raise ConfigError("[experiment] q_grid values must lie in [0, 1]")
     for mech in experiment.mechanisms:
         if mech.upper() not in ("RAR", "NRI", "LLA"):
             raise ConfigError(f"[experiment] unknown mechanism {mech!r}")

@@ -7,7 +7,7 @@ priced and whether revokers may be paid to stay:
 * NRI prices with zero anticipated retention and never retains anyone.
 * LLA prices as if unlearning were free (no unlearning load in the cost
   rates, no expected retention payments in the size coefficients) but then
-  faces the real game, including retention.
+  faces the real game, including RAR's optimal retention.
 
 Populations are shared across mechanisms within a trial (common random
 numbers), so per-trial cost differences isolate the mechanism effect.
@@ -83,17 +83,6 @@ def mechanism_contract(
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def _retention_mode(mechanism: str, override: str | None, lla_retention: str) -> str:
-    if override is not None:
-        return override
-    mech = mechanism.upper()
-    if mech == "NRI":
-        return "none"
-    if mech == "LLA":
-        return lla_retention
-    return "optimal"
-
-
 def run_pipeline(
     mechanism: str,
     types: list[UserTypeSpec],
@@ -102,16 +91,15 @@ def run_pipeline(
     population: Population | None = None,
     seed: int = 0,
     retention: str | None = None,
-    lla_retention: str = "optimal",
 ) -> Outcome:
     """Contract, acceptance, revocation equilibrium, retention, realized cost.
 
     The population may be passed in (for common-random-number comparisons);
-    otherwise it is sampled from the seed.  `retention` forces a Stage-IV
-    mode (optimal / none / all) regardless of mechanism, which gives
-    controlled comparisons that differ in retention only.  Optimal
-    retention enumerates up to EXACT_MAX_REVOKERS revokers and runs the
-    bucket heuristic beyond.
+    otherwise it is sampled from the seed.  NRI retains nobody, and RAR and
+    LLA retain optimally, unless `retention` forces a Stage-IV mode
+    (optimal / none / all), which gives controlled comparisons that differ
+    in retention only.  Optimal retention enumerates up to
+    EXACT_MAX_REVOKERS revokers and runs the bucket heuristic beyond.
     """
     mech = mechanism.upper()
     if mech not in MECHANISMS:
@@ -133,7 +121,7 @@ def run_pipeline(
     population.revoke = profile.x
     revokers = np.flatnonzero(profile.x)
 
-    mode = _retention_mode(mech, retention, lla_retention)
+    mode = retention if retention is not None else ("none" if mech == "NRI" else "optimal")
     if mode not in ("none", "all", "optimal"):
         raise ValueError(f"unknown retention mode {mode!r}")
     retention_result: RetentionResult | None = None
@@ -208,7 +196,6 @@ def compare_costs(
     user_counts=None,
     trials: int = 50,
     seed: int = 0,
-    lla_retention: str = "optimal",
 ) -> list[dict]:
     """Mean realized cost and user payoff per mechanism and population size.
 
@@ -233,14 +220,7 @@ def compare_costs(
             ).generate_state(1)[0]
             population = sample_population(scaled, sampling, int(pop_seed))
             for mech in mechanisms:
-                outcome = run_pipeline(
-                    mech,
-                    scaled,
-                    cfg,
-                    sampling,
-                    population=population,
-                    lla_retention=lla_retention,
-                )
+                outcome = run_pipeline(mech, scaled, cfg, sampling, population=population)
                 costs[mech.upper()].append(outcome.cost)
                 payoffs[mech.upper()].append(float(np.mean(outcome.payoffs)))
         for mech in mechanisms:

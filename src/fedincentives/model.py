@@ -76,10 +76,7 @@ class GameConfig:
 
     lam is the unlearning-rounds coefficient: unlearning the data of a leaver
     set L costs each staying user i an extra theta_i * d_i * lam * sum of
-    squared losses over L.  b_cross_alternative switches the cross term of the
-    reward coefficient B_j to the telescoped per-step differences reading
-    (see cost_coefficients); the default uses the direct form, which is the
-    one consistent with the expected-cost identity.
+    squared losses over L.
     """
 
     T: float = 100.0
@@ -88,8 +85,6 @@ class GameConfig:
     gamma: float = 1e-10
     seed: int = 0
     tol: float = 1e-9
-    b_cross_alternative: bool = False
-    clamp_retention_incentives: bool = False
 
     def validate(self) -> None:
         if self.T <= 0:
@@ -322,10 +317,6 @@ def cost_coefficients(
 
         B_j = gamma I_j (p_j q_j (alpha theta_j + xi_j E[l_j]) + (1-p_j) pi_j)
               + sum_{m<j} gamma I_m (1-p_m) (pi_j - pi_{j-1})
-
-    With cfg.b_cross_alternative the cross term reads
-    sum_{m<j} gamma I_m (1-p_m) (pi_m - pi_{m-1}) instead (documented
-    alternative; it breaks the expected-cost identity and is off by default).
     """
     J = len(types)
     alpha = expected_unlearning_load(types, cfg)
@@ -343,11 +334,7 @@ def cost_coefficients(
         )
         cross = 0.0
         for m in range(j):
-            if cfg.b_cross_alternative:
-                step = pis[m] - (pis[m - 1] if m > 0 else 0.0)
-            else:
-                step = pis[j] - pis[j - 1]
-            cross += cfg.gamma * types[m].count * (1.0 - types[m].p) * step
+            cross += cfg.gamma * types[m].count * (1.0 - types[m].p) * (pis[j] - pis[j - 1])
         B[j] = own + cross
     return A, B
 

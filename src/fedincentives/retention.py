@@ -7,7 +7,8 @@ the users outside S impose on every retained member.  The relative objective
 subset sums, so exact minimization enumerates all 2^n subsets with vector
 arithmetic; beyond EXACT_MAX_REVOKERS a quantile-bucket heuristic with
 greedy refinement takes over.  The incentive payment makes each retained
-user exactly indifferent between staying and leaving.
+user exactly indifferent between staying and leaving; it may be negative,
+a charge to stay.
 """
 from __future__ import annotations
 
@@ -94,31 +95,22 @@ class _Revokers:
             raise ValueError("retained users must be revokers")
         return sel
 
-    def payments(self, leave_mass, clamp):
+    def payments(self, leave_mass):
         """Indifference payments rU = -(stay margin) at the given leaver
-        mass, floored at 0 under clamp; 0.0 - m rather than -m keeps a zero
-        at +0.0."""
-        ru = 0.0 - self.user.stay_margin(self.tg, leave_mass)
-        return np.maximum(ru, 0.0) if clamp else ru
-
-    def clamped_cost(self, leave_mass):
-        """Per-revoker cost v + gamma (r + max(rU, 0)) of retaining them."""
-        ru = self.payments(leave_mass, clamp=True)
-        return self.v + self.cfg.gamma * (self.user.r + ru)
+        mass; 0.0 - m rather than -m keeps a zero at +0.0."""
+        return 0.0 - self.user.stay_margin(self.tg, leave_mass)
 
     def objective(self, sel: np.ndarray) -> float:
         """Relative cost of retaining the selected revokers; the leaver mass
         is e_tot minus the selected burden, as in the subset sums."""
         leave = self.e_tot - float(np.sum(self.e[sel]))
-        if self.cfg.clamp_retention_incentives:
-            return float(np.sum(self.clamped_cost(leave)[sel]))
         return float(np.sum(self.c[sel]) + self.cfg.gamma * np.sum(self.tg[sel]) * leave)
 
     def incentives(self, sel: np.ndarray) -> dict[int, float]:
         """Payments of the selected revokers, keyed by user id, at the leaver
         mass of the unselected ones.  That mass is summed over them, not
         taken as e_tot minus the selected: the output bytes depend on it."""
-        ru = self.payments(float(np.sum(self.e[~sel])), self.cfg.clamp_retention_incentives)
+        ru = self.payments(float(np.sum(self.e[~sel])))
         return {int(self.ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
 
     def result(self, sel: np.ndarray, objective: float, method: str) -> RetentionResult:
@@ -143,8 +135,7 @@ def retention_objective(
     sum_{i in subset} (v_i + gamma xi_i l_i d_i
                        + gamma theta_i d_i lam sum_{k leaves} l_k^2),
     with the leaver sum over revokers outside the subset.  Retaining nobody
-    scores 0.  With the clamp switch the payment floor max(rU, 0) is applied,
-    which breaks the closed decomposition but keeps the same baseline.
+    scores 0.
     """
     rv = _Revokers.of(revokers, population, contract, types, cfg)
     return rv.objective(rv.mask(subset))
@@ -188,9 +179,9 @@ def optimal_retention_exact(
 ) -> RetentionResult:
     """Minimize the retention objective over every subset of revokers.
 
-    Unclamped, the objective is C_S + T_S * (E_tot - E_S) with three subset
-    sums, all built by doubling in O(2^n).  Clamped mode evaluates masks in
-    chunks instead.  Raises RetentionSizeError beyond EXACT_MAX_REVOKERS.
+    The objective is C_S + T_S * (E_tot - E_S) with three subset sums, all
+    built by doubling in O(2^n).  Raises RetentionSizeError beyond
+    EXACT_MAX_REVOKERS.
     """
     rv = _Revokers.of(revokers, population, contract, types, cfg)
     n = len(rv.ids)
@@ -199,20 +190,10 @@ def optimal_retention_exact(
             f"{n} revokers exceed exact cap {EXACT_MAX_REVOKERS}; "
             "use optimal_retention_heuristic"
         )
-    if cfg.clamp_retention_incentives:
-        objective = np.empty(1 << n)
-        chunk = 1 << 12
-        bits = np.arange(n)
-        for start in range(0, 1 << n, chunk):
-            masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-            X = ((masks[:, None] >> bits) & 1).astype(bool)
-            per_user = rv.clamped_cost((rv.e_tot - X @ rv.e)[:, None])
-            objective[start : start + len(masks)] = np.where(X, per_user, 0.0).sum(axis=1)
-    else:
-        C = _subset_sums(rv.c)
-        T = _subset_sums(cfg.gamma * rv.tg)
-        E = _subset_sums(rv.e)
-        objective = C + T * (rv.e_tot - E)
+    C = _subset_sums(rv.c)
+    T = _subset_sums(cfg.gamma * rv.tg)
+    E = _subset_sums(rv.e)
+    objective = C + T * (rv.e_tot - E)
     mask = _pick_mask(objective, n)
     sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
     return rv.result(sel, float(objective[mask]), "exact")
@@ -292,7 +273,7 @@ def retention_incentives(
 
     rU_i = theta_i d_i lam * sum_{k leaves} l_k^2 + xi_i l_i d_i - rL_i,
     where the sum covers revokers neither retained nor equal to i.  Values
-    may be negative; the clamp switch floors them at 0.
+    may be negative (a charge to stay).
     """
     rv = _Revokers.of(revokers, population, contract, types, cfg)
     return rv.incentives(rv.mask(retained))

@@ -63,8 +63,7 @@ def benchmark_runs(shipped):
     for trial in range(50):
         pop = sample_population(shipped.types, shipped.sampling, seed=trial)
         base = dict(types=shipped.types, cfg=shipped.cfg, sampling=shipped.sampling,
-                    population=pop,
-                    lla_retention=shipped.experiment.lla_retention)
+                    population=pop)
         for mech in ("RAR", "NRI", "LLA"):
             runs[mech].append(run_pipeline(mech, **base))
         runs["RAR_NO_RETAIN"].append(run_pipeline("RAR", retention="none", **base))

@@ -181,6 +181,21 @@ def test_empty_experiment_setting_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("sweep", "p_grid = 0.0, 0.05", "p_grid = 0.0, 1.05"),
+        ("compare", "user_counts = 120", "user_counts = 1"),
+    ],
+)
+def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, new):
+    path = tmp_path / "range.ini"
+    path.write_text(SMALL.replace(old, new))
+    assert _run([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert new.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--mechanism", "NRI"],

@@ -1,8 +1,10 @@
 """Configuration parsing, defaults and failure modes."""
+from pathlib import Path
+
 import pytest
 
 from fedincentives.config import ConfigError, default_config_path, load_config
-from fedincentives.model import truncated_normal_moments
+from fedincentives.model import GameConfig, truncated_normal_moments
 
 
 def _write(tmp_path, body, name="case.ini"):
@@ -216,6 +218,9 @@ mechanisms = rar, nri
         ("game", "iota", "0.2", "0.3", "[learning] iota"),
         ("game", "retention_exact_threshold", "20", "21", "accepted only at 20"),
         ("experiment", "heuristic_categories", "8", "6", "accepted only at 8"),
+        ("game", "clamp_retention_incentives", "false", "true", "accepted only at false"),
+        ("game", "b_cross_alternative", "false", "true", "accepted only at false"),
+        ("experiment", "lla_retention", "optimal", "none", "accepted only at optimal"),
     ],
 )
 def test_retired_keys_load_only_at_their_fixed_value(tmp_path, section, key, shipped,
@@ -224,6 +229,46 @@ def test_retired_keys_load_only_at_their_fixed_value(tmp_path, section, key, shi
     with pytest.raises(ConfigError, match=f"{key} is retired") as exc:
         load_config(_write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {other}\n"))
     assert hint in str(exc.value)
+
+
+def test_shipped_and_bench_inis_give_the_packaged_game():
+    """The benchmark INIs state every retired key at its fixed value; they
+    must keep loading to the packaged game constants."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths = [default_config_path(), bench / "sweep_small.ini", bench / "retain_large.ini"]
+    assert [load_config(str(path)).cfg for path in paths] == [GameConfig()] * 3
+
+
+@pytest.mark.parametrize(
+    "setting, loads",
+    [
+        ("p_grid = 0.0, 0.999", True),
+        ("p_grid = -0.001", False),
+        ("p_grid = 1.0", False),
+        ("q_grid = 0.0, 1.0", True),
+        ("q_grid = -0.1", False),
+        ("q_grid = 1.01", False),
+    ],
+)
+def test_grid_values_within_the_rate_ranges(tmp_path, setting, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[experiment]\n{setting}\n")
+    if loads:
+        load_config(path)
+        return
+    key = setting.split()[0]
+    with pytest.raises(ConfigError, match=rf"\[experiment\] {key} values must lie in"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("counts, loads", [("2, 5", True), ("2, 1", False), ("0", False)])
+def test_user_counts_at_least_the_type_count(tmp_path, counts, loads):
+    body = MINIMAL + "\n[types.2]\ntheta = 3.0\nxi = 700\n"
+    path = _write(tmp_path, body + f"\n[experiment]\nuser_counts = {counts}\n")
+    if loads:
+        assert load_config(path).experiment.user_counts == [2, 5]
+        return
+    with pytest.raises(ConfigError, match=r"\[experiment\] user_counts values must be at least"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(

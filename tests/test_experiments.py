@@ -142,7 +142,7 @@ def test_lla_retention_mode_switch(rng):
     for trial in range(10):
         pop = sample_population(types, model, seed=trial)
         out = run_pipeline("LLA", types, cfg, model, population=pop,
-                           lla_retention="none")
+                           retention="none")
         assert not out.population.retained.any()
     with pytest.raises(ValueError):
         run_pipeline("RAR", types, cfg, model, retention="sometimes")

@@ -127,25 +127,6 @@ def test_b_single_type_has_no_cross_term():
     assert B[0] == pytest.approx(own, rel=1e-12)
 
 
-def test_b_cross_alternative_flag_changes_value(rng):
-    """The alternative cross-term reading differs on generic multi-type
-    instances; the first type (empty cross sum) is unaffected."""
-    changed = False
-    for _ in range(20):
-        types = random_types(rng, J=4)
-        cfg = random_cfg(rng)
-        order = np.argsort([aggregated_marginal_cost(t, types, cfg) for t in types],
-                           kind="stable")
-        srt = [types[i] for i in order]
-        _, B_main = cost_coefficients(srt, cfg)
-        _, B_alt = cost_coefficients(srt, GameConfig(
-            T=cfg.T, lam=cfg.lam, rho=cfg.rho, gamma=cfg.gamma,
-            b_cross_alternative=True))
-        assert B_main[0] == pytest.approx(B_alt[0], rel=1e-12)
-        changed = changed or not np.allclose(B_main, B_alt, rtol=1e-9)
-    assert changed
-
-
 def test_stage2_payoff_binding_ir():
     cfg = GameConfig(T=10.0, lam=0.0)
     t = _spec()
@@ -288,12 +269,12 @@ def test_stage4_empty_population():
 
 def test_stage4_difference_equals_retention_objective(rng):
     """Retaining S instead of nobody shifts the realized cost by exactly the
-    retention objective of S, with the payment floor or without it."""
+    retention objective of S."""
     from fedincentives.retention import retention_incentives, retention_objective
 
     types = random_types(rng, J=3)
-    unclamped = GameConfig(T=50.0, lam=0.05, gamma=1e-4)
-    contract = design_contract(types, unclamped)
+    cfg = GameConfig(T=50.0, lam=0.05, gamma=1e-4)
+    contract = design_contract(types, cfg)
     n = 12
     pop = Population(
         type_idx=rng.integers(0, 3, size=n),
@@ -303,20 +284,18 @@ def test_stage4_difference_equals_retention_objective(rng):
     pop.revoke = np.zeros(n, dtype=bool)
     pop.revoke[[2, 5, 7, 9]] = True
     revokers = np.flatnonzero(pop.revoke)
-    clamped = GameConfig(T=50.0, lam=0.05, gamma=1e-4, clamp_retention_incentives=True)
-    for cfg in (unclamped, clamped):
+    pop.retained = np.zeros(n, dtype=bool)
+    base, _ = stage4_realized_cost(pop, contract, types, cfg)
+    for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
         pop.retained = np.zeros(n, dtype=bool)
-        base, _ = stage4_realized_cost(pop, contract, types, cfg)
-        for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
-            pop.retained = np.zeros(n, dtype=bool)
-            pop.retained[subset] = True
-            inc_map = retention_incentives(subset, revokers, pop, contract, types, cfg)
-            vec = np.zeros(n)
-            for uid, val in inc_map.items():
-                vec[uid] = val
-            total, _ = stage4_realized_cost(pop, contract, types, cfg, incentives=vec)
-            f = retention_objective(subset, revokers, pop, contract, types, cfg)
-            assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
+        pop.retained[subset] = True
+        inc_map = retention_incentives(subset, revokers, pop, contract, types, cfg)
+        vec = np.zeros(n)
+        for uid, val in inc_map.items():
+            vec[uid] = val
+        total, _ = stage4_realized_cost(pop, contract, types, cfg, incentives=vec)
+        f = retention_objective(subset, revokers, pop, contract, types, cfg)
+        assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
 
 
 def test_operations_are_pure(rng):

@@ -15,7 +15,7 @@ from fedincentives.retention import (
 )
 
 
-def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0, **cfg_kw):
+def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
     """One type per user, unit data sizes; bundles are then
     v_i, theta_i*lam (externality), xi_i*loss_i (privacy)."""
     n = len(v)
@@ -37,7 +37,7 @@ def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0, **cfg_kw):
         shapley=np.asarray(v, dtype=float),
     )
     pop.revoke = np.ones(n, dtype=bool)
-    cfg = GameConfig(T=10.0, lam=lam, gamma=gamma, **cfg_kw)
+    cfg = GameConfig(T=10.0, lam=lam, gamma=gamma)
     return pop, contract, types, cfg
 
 
@@ -275,23 +275,6 @@ def test_retained_users_indifferent(rng):
                      - t.xi * pop.loss[uid] * d
                      - t.theta * d * cfg.lam * burden_mass)
             assert abs(slack) < 1e-9 * max(1.0, abs(r) + abs(ru))
-
-
-def test_clamped_mode_floors_incentives(rng):
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
-        cfg = GameConfig(T=cfg.T, lam=cfg.lam, gamma=cfg.gamma,
-                         clamp_retention_incentives=True)
-        rev = list(range(n))
-        res = optimal_retention_exact(rev, pop, contract, types, cfg)
-        assert all(v >= 0.0 for v in res.incentives.values())
-        # clamped optimum agrees with brute force under the clamped objective
-        best = 0.0
-        for k in range(n + 1):
-            for s in itertools.combinations(rev, k):
-                best = min(best, retention_objective(list(s), rev, pop, contract, types, cfg))
-        assert res.objective == pytest.approx(best, abs=1e-12)
 
 
 def test_exact_dominates_empty(rng):
