@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -261,10 +262,7 @@ def _cmd_verify_bounds(args, setup) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     # 1. noiseless contraction at the stability-cap stepsize
-    quiet = type(problem)(
-        Q=problem.Q, b=problem.b, data_sizes=problem.data_sizes, iota=problem.iota,
-        noise_sigma2=0.0,
-    )
+    quiet = replace(problem, noise_sigma2=0.0)
     eta = 1.0 / (12.0 * quiet.smoothness)
     w0 = quiet.w_star + np.ones(quiet.dim) / np.sqrt(quiet.dim)
     trace0 = scaffold_train(
@@ -310,10 +308,7 @@ def _cmd_verify_bounds(args, setup) -> int:
     if problem.noise_sigma2 > 0:
         half_rounds = max(60, learn.rounds // 2)
         flat = StepSchedule("constant", 1.0 / (24.0 * problem.smoothness))
-        doubled = type(problem)(
-            Q=problem.Q, b=problem.b, data_sizes=problem.data_sizes * 2,
-            iota=problem.iota, noise_sigma2=problem.noise_sigma2,
-        )
+        doubled = replace(problem, data_sizes=problem.data_sizes * 2)
         tails = []
         for prob in (problem, doubled):
             tr = scaffold_train(

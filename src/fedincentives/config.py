@@ -11,7 +11,7 @@ variances by default; spread_is_std reads them as standard deviations.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .learning import LearnProblem, StepSchedule, make_problem
@@ -33,30 +33,14 @@ class ConfigError(ValueError):
     """Malformed, missing or unknown configuration content."""
 
 
-_GAME_KEYS = {
-    "t": float,
-    "lambda": float,
-    "rho": float,
-    "gamma": float,
-    "seed": int,
-    "tol": float,
-    "spread_is_std": bool,
-    "p": float,
-    "q": float,
-    "count": int,
-    "loss_mu": float,
-    "loss_spread": float,
-    "shapley_mu": float,
-    "shapley_spread": float,
-}
-
-_GAME_DEFAULTS = {
-    "t": 100.0,
-    "lambda": 0.04,
-    "rho": 1.0,
-    "gamma": 1e-10,
-    "seed": 0,
-    "tol": 1e-9,
+# [game] keys with their defaults; each key's kind is its default's type.
+_GAME = {
+    "t": GameConfig.T,
+    "lambda": GameConfig.lam,
+    "rho": GameConfig.rho,
+    "gamma": GameConfig.gamma,
+    "seed": GameConfig.seed,
+    "tol": GameConfig.tol,
     "spread_is_std": False,
     "p": 0.0028,
     "q": 0.5,
@@ -66,78 +50,7 @@ _GAME_DEFAULTS = {
     "shapley_mu": 5e-5,
     "shapley_spread": 0.04,
 }
-
-_TYPE_KEYS = {
-    "theta": float,
-    "xi": float,
-    "p": float,
-    "q": float,
-    "count": int,
-    "loss_mu": float,
-    "loss_spread": float,
-}
-
-_LEARN_KEYS = {
-    "users": int,
-    "dim": int,
-    "data_size": int,
-    "iota": float,
-    "noise_sigma2": float,
-    "rounds": int,
-    "local_steps": int,
-    "schedule": str,
-    "step_c": float,
-    "step_shift": float,
-    "seeds": int,
-    "mu": float,
-    "condition": float,
-    "hessian_spread": float,
-    "rotate": bool,
-    "b_scale": float,
-}
-
-_LEARN_DEFAULTS = {
-    "users": 10,
-    "dim": 16,
-    "data_size": 64,
-    "iota": 0.25,
-    "noise_sigma2": 0.01,
-    "rounds": 600,
-    "local_steps": 5,
-    "schedule": "inverse_t",
-    "step_c": 2.0,
-    "step_shift": 23.0,
-    "seeds": 100,
-    "mu": 1.0,
-    "condition": 1.0,
-    "hessian_spread": 0.0,
-    "rotate": False,
-    "b_scale": 1.0,
-}
-
-_EXPERIMENT_KEYS = {
-    "trials": int,
-    "user_counts": "int_list",
-    "p_grid": "float_list",
-    "q_grid": "float_list",
-    "sweep_trials": int,
-    "refine_steps": int,
-    "refine_damping": float,
-    "refine_trials": int,
-    "mechanisms": "str_list",
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "trials": 50,
-    "user_counts": [1000, 2000, 3000, 4000, 5000],
-    "p_grid": [i / 1000.0 for i in range(11)],
-    "q_grid": [i / 10.0 for i in range(11)],
-    "sweep_trials": 20,
-    "refine_steps": 4,
-    "refine_damping": 0.5,
-    "refine_trials": 20,
-    "mechanisms": ["NRI", "LLA", "RAR"],
-}
+_TYPE_SHARED = ("p", "q", "count", "loss_mu", "loss_spread")
 
 
 # Keys that once named a setting and now name fixed behaviour.  A file may
@@ -167,22 +80,24 @@ _RETIRED = {
 
 @dataclass
 class LearnConfig:
-    users: int
-    dim: int
-    data_size: int
-    iota: float
-    noise_sigma2: float
-    rounds: int
-    local_steps: int
-    schedule: str
-    step_c: float
-    step_shift: float
-    seeds: int
-    mu: float
-    condition: float
-    hessian_spread: float
-    rotate: bool
-    b_scale: float
+    """[learning]: one field per key, whose default is the key's default."""
+
+    users: int = 10
+    dim: int = 16
+    data_size: int = 64
+    iota: float = 0.25
+    noise_sigma2: float = 0.01
+    rounds: int = 600
+    local_steps: int = 5
+    schedule: str = "inverse_t"
+    step_c: float = 2.0
+    step_shift: float = 23.0
+    seeds: int = 100
+    mu: float = 1.0
+    condition: float = 1.0
+    hessian_spread: float = 0.0
+    rotate: bool = False
+    b_scale: float = 1.0
 
     def make_schedule(self) -> StepSchedule:
         return StepSchedule(kind=self.schedule, c=self.step_c, shift=self.step_shift)
@@ -205,15 +120,17 @@ class LearnConfig:
 
 @dataclass
 class ExperimentConfig:
-    trials: int
-    user_counts: list[int]
-    p_grid: list[float]
-    q_grid: list[float]
-    sweep_trials: int
-    refine_steps: int
-    refine_damping: float
-    refine_trials: int
-    mechanisms: list[str]
+    """[experiment]: one field per key, whose default is the key's default."""
+
+    trials: int = 50
+    user_counts: list[int] = field(default_factory=lambda: [1000, 2000, 3000, 4000, 5000])
+    p_grid: list[float] = field(default_factory=lambda: [i / 1000.0 for i in range(11)])
+    q_grid: list[float] = field(default_factory=lambda: [i / 10.0 for i in range(11)])
+    sweep_trials: int = 20
+    refine_steps: int = 4
+    refine_damping: float = 0.5
+    refine_trials: int = 20
+    mechanisms: list[str] = field(default_factory=lambda: ["NRI", "LLA", "RAR"])
 
 
 @dataclass
@@ -230,48 +147,36 @@ def default_config_path() -> str:
     return str(resources.files("fedincentives").joinpath("data/base.ini"))
 
 
-def _parse_value(section: str, key: str, raw: str, kind):
+def _parse_value(section: str, key: str, raw: str, default):
+    """Parse raw as the kind of default; a list default (of numbers or
+    strings) takes a comma list of its first element's kind."""
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw.strip()
-        if kind == "int_list":
-            return [int(x) for x in raw.split(",") if x.strip()]
-        if kind == "float_list":
-            return [float(x) for x in raw.split(",") if x.strip()]
-        if kind == "str_list":
-            return [x.strip() for x in raw.split(",") if x.strip()]
-    except ValueError as exc:
+        if isinstance(default, list):
+            kind = type(default[0])
+            return [kind(x.strip()) for x in raw.split(",") if x.strip()]
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return type(default)(raw.strip())
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    raise ConfigError(f"[{section}] {key}: unsupported kind")
 
 
-def _read_section(parser, name: str, schema: dict, defaults: dict) -> dict:
+def _read_section(parser, name: str, defaults: dict) -> dict:
     values = dict(defaults)
     if not parser.has_section(name):
         return values
     for key, raw in parser.items(name):
         if (name, key) in _RETIRED:
             fixed, reason = _RETIRED[name, key]
-            if _parse_value(name, key, raw, type(fixed)) != fixed:
+            if _parse_value(name, key, raw, fixed) != fixed:
                 spelled = str(fixed).lower() if isinstance(fixed, bool) else fixed
                 raise ConfigError(
                     f"[{name}] {key} is retired and accepted only at {spelled}: {reason}"
                 )
             continue
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        values[key] = _parse_value(name, key, raw, schema[key])
+        values[key] = _parse_value(name, key, raw, defaults[key])
     return values
 
 
@@ -312,9 +217,9 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     if not type_sections:
         raise ConfigError("no [types.N] sections found")
 
-    game = _read_section(parser, "game", _GAME_KEYS, _GAME_DEFAULTS)
-    learn_raw = _read_section(parser, "learning", _LEARN_KEYS, _LEARN_DEFAULTS)
-    exp_raw = _read_section(parser, "experiment", _EXPERIMENT_KEYS, _EXPERIMENT_DEFAULTS)
+    game = _read_section(parser, "game", _GAME)
+    learn_raw = _read_section(parser, "learning", vars(LearnConfig()))
+    exp_raw = _read_section(parser, "experiment", vars(ExperimentConfig()))
 
     spread_is_std = game["spread_is_std"]
     cfg = GameConfig(
@@ -327,36 +232,29 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     )
     cfg.validate()
 
+    # theta and xi have no default: their 0.0 only gives the kind
+    type_defaults = {"theta": 0.0, "xi": 0.0, **{key: game[key] for key in _TYPE_SHARED}}
     types = []
     loss_mu = []
     loss_sigma = []
     for number in sorted(type_sections):
         section = type_sections[number]
-        values = dict(parser.items(section))
-        for key in values:
-            if key not in _TYPE_KEYS:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        values = _read_section(parser, section, type_defaults)
         for required in ("theta", "xi"):
-            if required not in values:
+            if not parser.has_option(section, required):
                 raise ConfigError(f"missing key {required!r} in section [{section}]")
-        parsed = {
-            key: _parse_value(section, key, raw, _TYPE_KEYS[key])
-            for key, raw in values.items()
-        }
-        mu = parsed.get("loss_mu", game["loss_mu"])
-        sigma = _spread_to_sigma(
-            parsed.get("loss_spread", game["loss_spread"]), spread_is_std, section
-        )
+        mu = values["loss_mu"]
+        sigma = _spread_to_sigma(values["loss_spread"], spread_is_std, section)
         if sigma == 0.0:
             mean, var = min(max(mu, 0.0), 1.0), 0.0
         else:
             mean, var = truncated_normal_moments(mu, sigma, 0.0, 1.0)
         spec = UserTypeSpec(
-            theta=parsed["theta"],
-            xi=parsed["xi"],
-            count=parsed.get("count", game["count"]),
-            p=parsed.get("p", game["p"]),
-            q=parsed.get("q", game["q"]),
+            theta=values["theta"],
+            xi=values["xi"],
+            count=values["count"],
+            p=values["p"],
+            q=values["q"],
             loss_mean=mean,
             loss_var=var,
         )
@@ -375,11 +273,18 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     learn = LearnConfig(**learn_raw)
     if learn.schedule not in ("constant", "inverse_t"):
         raise ConfigError("[learning] schedule must be constant or inverse_t")
+    for key in ("users", "dim", "data_size", "local_steps", "seeds"):
+        if getattr(learn, key) < 1:
+            raise ConfigError(f"[learning] {key} must be positive")
 
     experiment = ExperimentConfig(**exp_raw)
     for key in ("trials", "sweep_trials", "refine_trials"):
         if getattr(experiment, key) < 1:
             raise ConfigError(f"[experiment] {key} must be positive")
+    if experiment.refine_steps < 0:
+        raise ConfigError("[experiment] refine_steps must be nonnegative")
+    if not 0.0 < experiment.refine_damping <= 1.0:
+        raise ConfigError("[experiment] refine_damping must lie in (0, 1]")
     for key in ("user_counts", "p_grid", "q_grid", "mechanisms"):
         if not getattr(experiment, key):
             raise ConfigError(f"[experiment] {key} must not be empty")
@@ -391,9 +296,13 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         raise ConfigError("[experiment] p_grid values must lie in [0, 1)")
     if not all(0.0 <= q <= 1.0 for q in experiment.q_grid):
         raise ConfigError("[experiment] q_grid values must lie in [0, 1]")
+    named = set()
     for mech in experiment.mechanisms:
         if mech.upper() not in ("RAR", "NRI", "LLA"):
             raise ConfigError(f"[experiment] unknown mechanism {mech!r}")
+        if mech.upper() in named:
+            raise ConfigError(f"[experiment] mechanisms must name {mech.upper()} only once")
+        named.add(mech.upper())
 
     return ExperimentSetup(
         types=types,

@@ -52,20 +52,6 @@ class PoolingSolution:
     d: list[float]
     pooled: list[bool]
 
-    def validate(self, tol: float = 1e-9) -> None:
-        J = len(self.d)
-        flat = [j for blk in self.blocks for j in blk]
-        if flat != list(range(J)):
-            raise ValueError("blocks must partition 0..J-1 in order")
-        for blk in self.blocks:
-            base = self.d[blk[0]]
-            for j in blk[1:]:
-                if abs(self.d[j] - base) > tol * max(1.0, abs(base)):
-                    raise ValueError("unequal d inside a block")
-        for left, right in zip(self.blocks, self.blocks[1:]):
-            if not self.d[left[0]] > self.d[right[0]]:
-                raise ValueError("block d values must strictly decrease")
-
 
 @dataclass
 class IRICReport:
@@ -250,32 +236,28 @@ def verify_ir_ic(
 def design_contract(
     types: list[UserTypeSpec],
     cfg: GameConfig,
-    price_cfg: GameConfig | None = None,
     drop_expected_retention: bool = False,
 ) -> Contract:
     """Full Stage-I solve: sort, price, pool, reward.
 
-    price_cfg lets a benchmark mechanism price the menu under modified
-    constants (it defaults to cfg); drop_expected_retention removes the
-    expected retention-incentive term from the size coefficients B, for
-    mechanisms that ignore that part of the cost.  Types may be in any order;
-    the returned contract's order field maps menu positions back to the input
-    indices (stable sort by pricing cost rate).
+    drop_expected_retention removes the expected retention-incentive term
+    from the size coefficients B, for mechanisms that ignore that part of
+    the cost.  Types may be in any order; the returned contract's order field
+    maps menu positions back to the input indices (stable sort by pricing
+    cost rate).
     """
-    if price_cfg is None:
-        price_cfg = cfg
     for t in types:
         t.validate()
-    pis = [aggregated_marginal_cost(t, types, price_cfg) for t in types]
+    pis = [aggregated_marginal_cost(t, types, cfg) for t in types]
     order = sorted(range(len(types)), key=lambda i: pis[i])
     sorted_types = [types[i] for i in order]
     pi = [pis[i] for i in order]
-    kappa = [retention_discounted_cost(types[i], types, price_cfg) for i in order]
-    A, B = cost_coefficients(sorted_types, price_cfg)
+    kappa = [retention_discounted_cost(types[i], types, cfg) for i in order]
+    A, B = cost_coefficients(sorted_types, cfg)
     if drop_expected_retention:
-        alpha = expected_unlearning_load(sorted_types, price_cfg)
+        alpha = expected_unlearning_load(sorted_types, cfg)
         for j, t in enumerate(sorted_types):
-            B[j] -= price_cfg.gamma * t.count * t.p * t.q * (
+            B[j] -= cfg.gamma * t.count * t.p * t.q * (
                 alpha * t.theta + t.xi * t.loss_mean
             )
     pooling = optimal_data_sizes(A, B)

@@ -79,7 +79,7 @@ def mechanism_contract(
         return design_contract(no_retention, cfg)
     if mech == "LLA":
         myopic = replace(cfg, lam=0.0)
-        return design_contract(types, cfg, price_cfg=myopic, drop_expected_retention=True)
+        return design_contract(types, myopic, drop_expected_retention=True)
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
@@ -203,6 +203,8 @@ def compare_costs(
     across mechanisms within a trial.  Returns one row per (mechanism, I)
     with cost mean, standard error and mean user payoff.
     """
+    if len({m.upper() for m in mechanisms}) < len(mechanisms):
+        raise ValueError("each mechanism may be compared only once")
     if user_counts is None:
         user_counts = [sum(t.count for t in types)]
     base_total = sum(t.count for t in types)

@@ -93,6 +93,8 @@ class GameConfig:
             raise ValueError("lam must be nonnegative")
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.tol <= 1e-3:
             raise ValueError("tol must lie in (0, 1e-3]")
 

@@ -196,6 +196,24 @@ def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, 
 
 
 @pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("simulate", "seed = 0", "seed = -1", "seed"),
+        ("verify-bounds", "seeds = 5", "seeds = 0", "seeds"),
+        ("sweep", "refine_steps = 1", "refine_steps = -3", "refine_steps"),
+        ("sweep", "refine_steps = 1", "refine_damping = 3", "refine_damping"),
+        ("compare", "trials = 2", "mechanisms = RAR, rar", "mechanisms"),
+    ],
+)
+def test_out_of_domain_value_exit_1(tmp_path, capsys, command, old, new, key):
+    path = tmp_path / "domain.ini"
+    path.write_text(SMALL.replace(old, new))
+    assert _run([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--mechanism", "NRI"],

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from fedincentives.config import ConfigError, default_config_path, load_config
+from fedincentives.config import (
+    ConfigError,
+    ExperimentConfig,
+    LearnConfig,
+    default_config_path,
+    load_config,
+)
 from fedincentives.model import GameConfig, truncated_normal_moments
 
 
@@ -287,3 +293,59 @@ def test_empty_or_zero_experiment_settings_rejected(tmp_path, setting):
     key = setting.split()[0]
     with pytest.raises(ConfigError, match=rf"\[experiment\] {key} must"):
         load_config(_write(tmp_path, MINIMAL + f"\n[experiment]\n{setting}\n"))
+
+
+def test_repeated_mechanism_rejected(tmp_path):
+    body = MINIMAL + "\n[experiment]\nmechanisms = RAR, rar, NRI\n"
+    with pytest.raises(ConfigError, match=r"\[experiment\] mechanisms must name RAR only once"):
+        load_config(_write(tmp_path, body))
+
+
+@pytest.mark.parametrize("setting, loads", [("seed = 0", True), ("seed = -1", False)])
+def test_game_seed_nonnegative(tmp_path, setting, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[game]\n{setting}\n")
+    if loads:
+        load_config(path)
+        return
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["users", "dim", "data_size", "local_steps", "seeds"])
+@pytest.mark.parametrize("value, loads", [("1", True), ("0", False)])
+def test_learning_counts_positive(tmp_path, key, value, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[learning]\n{key} = {value}\n")
+    if loads:
+        assert getattr(load_config(path).learn, key) == 1
+        return
+    with pytest.raises(ConfigError, match=rf"\[learning\] {key} must be positive"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value, loads", [("0", True), ("-3", False)])
+def test_refine_steps_nonnegative(tmp_path, value, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[experiment]\nrefine_steps = {value}\n")
+    if loads:
+        assert load_config(path).experiment.refine_steps == 0
+        return
+    with pytest.raises(ConfigError, match=r"\[experiment\] refine_steps must be nonnegative"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value, loads", [("1", True), ("0.01", True), ("0", False),
+                                          ("3", False), ("-0.5", False)])
+def test_refine_damping_within_unit_interval(tmp_path, value, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[experiment]\nrefine_damping = {value}\n")
+    if loads:
+        assert load_config(path).experiment.refine_damping == float(value)
+        return
+    with pytest.raises(ConfigError, match=r"\[experiment\] refine_damping must lie in \(0, 1\]"):
+        load_config(path)
+
+
+def test_packaged_default_states_the_field_defaults():
+    """base.ini and the LearnConfig / ExperimentConfig field defaults agree,
+    so neither can drift from the other."""
+    setup = load_config(None)
+    assert setup.learn == LearnConfig()
+    assert setup.experiment == ExperimentConfig()

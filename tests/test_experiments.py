@@ -42,7 +42,7 @@ def test_mechanism_contract_definitions(rng):
         assert nri.items == ref.items and nri.order == ref.order
         lla = mechanism_contract("LLA", types, cfg)
         myopic = replace(cfg, lam=0.0)
-        ref = design_contract(types, cfg, price_cfg=myopic, drop_expected_retention=True)
+        ref = design_contract(types, myopic, drop_expected_retention=True)
         assert lla.items == ref.items and lla.order == ref.order
     with pytest.raises(ValueError):
         mechanism_contract("FOO", types, cfg)
@@ -161,12 +161,22 @@ def test_shared_population_input_not_mutated(rng):
 
 
 def test_compare_costs_shares_draws_across_mechanisms(rng):
+    """A mechanism's row does not depend on its place in the list: every
+    mechanism plays each trial's one population."""
     types, cfg, model = _economy(rng, J=2, count_hi=40)
-    rows = compare_costs(types, cfg, model, mechanisms=("RAR", "RAR"),
-                         user_counts=[40], trials=3, seed=1)
-    assert len(rows) == 2
-    assert rows[0]["cost_mean"] == rows[1]["cost_mean"]
-    assert rows[0]["payoff_mean"] == rows[1]["payoff_mean"]
+
+    def rows(*mechanisms):
+        return compare_costs(types, cfg, model, mechanisms=mechanisms,
+                             user_counts=[40], trials=3, seed=1)
+
+    assert rows("RAR", "NRI") == rows("RAR") + rows("NRI")
+
+
+def test_compare_costs_rejects_repeated_mechanisms(rng):
+    types, cfg, model = _economy(rng, J=2, count_hi=40)
+    with pytest.raises(ValueError, match="only once"):
+        compare_costs(types, cfg, model, mechanisms=("RAR", "rar", "NRI"),
+                      user_counts=[40], trials=2)
 
 
 def test_compare_costs_row_schema(rng):
