@@ -276,6 +276,18 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     for key in ("users", "dim", "data_size", "local_steps", "seeds"):
         if getattr(learn, key) < 1:
             raise ConfigError(f"[learning] {key} must be positive")
+    # stated as what must hold, so a NaN fails every rule
+    for key, holds, rule in (
+        ("iota", 0.0 < learn.iota <= 1.0, "must lie in (0, 1]"),
+        ("noise_sigma2", learn.noise_sigma2 >= 0.0, "must be nonnegative"),
+        ("step_c", learn.step_c > 0.0, "must be positive"),
+        ("step_shift", learn.step_shift >= 0.0, "must be nonnegative"),
+        ("mu", learn.mu > 0.0, "must be positive"),
+        ("condition", learn.condition >= 1.0, "must be at least 1"),
+        ("hessian_spread", 0.0 <= learn.hessian_spread < 1.0, "must lie in [0, 1)"),
+    ):
+        if not holds:
+            raise ConfigError(f"[learning] {key} {rule}")
 
     experiment = ExperimentConfig(**exp_raw)
     for key in ("trials", "sweep_trials", "refine_trials"):

@@ -287,28 +287,47 @@ def _run_scaffold(
     if stop_norm is not None and dist_mean[0] <= stop_norm:
         stop_round = 0
 
+    # Round buffers, reused: each seed draws its round's noise as one
+    # contiguous (steps, users, dim) block, so its stream is consumed in the
+    # same order as a fresh draw; `noise` views it as (steps, users, seeds, dim).
+    Q = problem.Q
+    QT = np.ascontiguousarray(Q.transpose(0, 2, 1))
+    b = problem.b[:, None, :]
+    if sigma2 > 0:
+        buf = np.empty((n_seeds, local_steps + 1, users, dim))
+        noise = buf.transpose(1, 2, 0, 3)
+    else:
+        noise = None
+    cv = np.empty((users, n_seeds, dim))
+    Y = np.empty_like(cv)
+    G = np.empty_like(cv)
+
     t = 0
     while t < rounds and stop_round is None:
         eta_bar = schedule.value(t)
         eta = eta_bar / local_steps
-        if sigma2 > 0:
-            noise = np.empty((local_steps + 1, users, n_seeds, dim))
+        if noise is not None:
             for k, gen in enumerate(gens):
-                draw = gen.standard_normal((local_steps + 1, users, dim))
-                noise[:, :, k, :] = draw
-            noise *= comp_std[None, :, None, None]
-        else:
-            noise = None
+                gen.standard_normal(out=buf[k])
+            buf *= comp_std[:, None]
         # fresh corrections at the server point, one minibatch each
-        grad_at_w = np.einsum("ide,se->isd", problem.Q, W) + problem.b[:, None, :]
-        cv = grad_at_w + (noise[0] if noise is not None else 0.0)
+        np.matmul(W, QT, out=cv)
+        cv += b
+        if noise is not None:
+            cv += noise[0]
         cv_mean = cv.mean(axis=0)
-        Y = np.broadcast_to(W, (users, n_seeds, dim)).copy()
+        Y[...] = W
+        # in place, the same operations in the same order as
+        # Y - eta * (Y Q + b + noise - cv + cv_mean)
         for k in range(1, local_steps + 1):
-            G = np.einsum("isd,ide->ise", Y, problem.Q) + problem.b[:, None, :]
+            np.matmul(Y, Q, out=G)
+            G += b
             if noise is not None:
-                G = G + noise[k]
-            Y = Y - eta * (G - cv + cv_mean[None])
+                G += noise[k]
+            G -= cv
+            G += cv_mean
+            G *= eta
+            Y -= G
         if collect_updates:
             updates.append(Y[:, 0, :] - W[0])
         W = Y.mean(axis=0)
@@ -454,30 +473,28 @@ def federated_shapley_exact(
         reference=problem.w_star,
         collect_updates=True,
     )
-    # reconstruct the server trajectory from the collected updates
-    w = np.zeros(problem.dim)
+    # row m of X marks the members of coalition m; joined[m, i] is m with i
+    masks = np.arange(1 << users)
+    X = ((masks[:, None] >> np.arange(users)) & 1).astype(bool)
+    sizes = X.sum(axis=1)
+    joined = masks[:, None] | (1 << np.arange(users))
     fact = [math.factorial(k) for k in range(users + 1)]
     weights = np.array(
         [fact[s] * fact[users - s - 1] / fact[users] for s in range(users)]
     )
-    phi = np.zeros(users)
-    total = 0.0
+    # Shapley weight of i joining m, zero where i is already a member
+    coef = np.where(X, 0.0, weights[np.minimum(sizes, users - 1)][:, None])
+    # characteristic values summed over rounds; Shapley values are linear in them
+    char = np.zeros(1 << users)
+    # reconstruct the server trajectory from the collected updates
+    w = np.zeros(problem.dim)
     for delta in updates:
-        f_now = problem.global_value(w)
-        char = np.empty(1 << users)
-        char[0] = 0.0
-        for mask in range(1, 1 << users):
-            members = [i for i in range(users) if (mask >> i) & 1]
-            shifted = w + delta[members].mean(axis=0)
-            char[mask] = problem.global_value(shifted) - f_now
-        for i in range(users):
-            for mask in range(1 << users):
-                if (mask >> i) & 1:
-                    continue
-                size = bin(mask).count("1")
-                phi[i] += weights[size] * (char[mask | (1 << i)] - char[mask])
-        total += char[(1 << users) - 1]
+        shifted = w + (X[1:] @ delta) / sizes[1:, None]
+        value = 0.5 * np.sum((shifted @ problem.q_mean) * shifted, axis=1)
+        value += shifted @ problem.b_mean
+        char[1:] += value - problem.global_value(w)
         w = w + delta.mean(axis=0)
+    phi = np.sum(coef * (char[joined] - char[:, None]), axis=0)
     if with_total:
-        return phi, total
+        return phi, char[-1]
     return phi

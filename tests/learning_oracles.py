@@ -1,0 +1,106 @@
+"""Loop forms of the learning lab's vectorized kernels, kept as test oracles.
+
+`run_scaffold_loop` is the round loop of `learning._run_scaffold` written with
+`einsum` and a fresh array per operation; `shapley_loop` is the per-coalition
+loop of `federated_shapley_exact`.  Tests compare the library against them.
+"""
+import math
+
+import numpy as np
+
+from fedincentives.learning import TrainTrace, _seed_list
+
+
+def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, reference,
+                      stop_norm=None, collect_updates=False):
+    """Same arguments and result (trace, stop_round, updates) as
+    `learning._run_scaffold`."""
+    schedule.validate(problem)
+    seed_ids = _seed_list(seeds)
+    n_seeds = len(seed_ids)
+    dim = problem.dim
+    users = problem.users
+    w0 = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float)
+
+    gens = [np.random.default_rng(np.random.SeedSequence([s, 0x5343414646])) for s in seed_ids]
+    sigma2 = problem.noise_sigma2
+    s_i = problem.batch_sizes
+    comp_std = np.sqrt(sigma2 / (dim * s_i)) if sigma2 > 0 else np.zeros(users)
+
+    W = np.tile(w0, (n_seeds, 1))
+    sq = np.sum((W - reference) ** 2, axis=1)
+    gap_mean = [float(np.mean(sq))]
+    gap_err = [float(np.std(sq) / math.sqrt(n_seeds))]
+    dist_mean = [float(np.mean(np.sqrt(sq)))]
+    updates = []
+
+    stop_round = None
+    if stop_norm is not None and dist_mean[0] <= stop_norm:
+        stop_round = 0
+
+    t = 0
+    while t < rounds and stop_round is None:
+        eta = schedule.value(t) / local_steps
+        if sigma2 > 0:
+            noise = np.empty((local_steps + 1, users, n_seeds, dim))
+            for k, gen in enumerate(gens):
+                noise[:, :, k, :] = gen.standard_normal((local_steps + 1, users, dim))
+            noise *= comp_std[None, :, None, None]
+        else:
+            noise = None
+        grad_at_w = np.einsum("ide,se->isd", problem.Q, W) + problem.b[:, None, :]
+        cv = grad_at_w + (noise[0] if noise is not None else 0.0)
+        cv_mean = cv.mean(axis=0)
+        Y = np.broadcast_to(W, (users, n_seeds, dim)).copy()
+        for k in range(1, local_steps + 1):
+            G = np.einsum("isd,ide->ise", Y, problem.Q) + problem.b[:, None, :]
+            if noise is not None:
+                G = G + noise[k]
+            Y = Y - eta * (G - cv + cv_mean[None])
+        if collect_updates:
+            updates.append(Y[:, 0, :] - W[0])
+        W = Y.mean(axis=0)
+        t += 1
+        sq = np.sum((W - reference) ** 2, axis=1)
+        gap_mean.append(float(np.mean(sq)))
+        gap_err.append(float(np.std(sq) / math.sqrt(n_seeds)))
+        dist_mean.append(float(np.mean(np.sqrt(sq))))
+        if stop_norm is not None and dist_mean[-1] <= stop_norm:
+            stop_round = t
+
+    trace = TrainTrace(
+        gap=np.array(gap_mean),
+        gap_stderr=np.array(gap_err),
+        rounds=np.arange(len(gap_mean)),
+        stepsizes=schedule.values(len(gap_mean) - 1),
+        local_steps=local_steps,
+    )
+    return trace, stop_round, updates
+
+
+def shapley_loop(problem, updates):
+    """Per-round Shapley values summed over rounds, and the summed
+    grand-coalition value, from the per-round per-user updates."""
+    users = problem.users
+    w = np.zeros(problem.dim)
+    fact = [math.factorial(k) for k in range(users + 1)]
+    weights = [fact[s] * fact[users - s - 1] / fact[users] for s in range(users)]
+    phi = np.zeros(users)
+    total = 0.0
+    for delta in updates:
+        f_now = problem.global_value(w)
+        char = np.empty(1 << users)
+        char[0] = 0.0
+        for mask in range(1, 1 << users):
+            members = [i for i in range(users) if (mask >> i) & 1]
+            shifted = w + delta[members].mean(axis=0)
+            char[mask] = problem.global_value(shifted) - f_now
+        for i in range(users):
+            for mask in range(1 << users):
+                if (mask >> i) & 1:
+                    continue
+                size = bin(mask).count("1")
+                phi[i] += weights[size] * (char[mask | (1 << i)] - char[mask])
+        total += char[(1 << users) - 1]
+        w = w + delta.mean(axis=0)
+    return phi, total

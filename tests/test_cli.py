@@ -1,4 +1,5 @@
 """End-to-end command-line behaviour: exit codes, file schemas, determinism."""
+import hashlib
 import json
 import os
 
@@ -149,6 +150,19 @@ def test_verify_bounds_csv_and_checks(cfg_path, tmp_path, capsys):
     assert "[PASS] batch-doubling noise floor" in text
 
 
+# SMALL's learning lab has Q_i = mu I, where every contraction term but one
+# is an exact zero, so these bytes hold however the round kernel orders its
+# sums; a kernel that changes the arithmetic or the noise streams fails here.
+SMALL_BOUNDS_SHA256 = "cbae4bf567cbc12e9eaf7700bc319825e33f66709475d056f008f722de99e6ba"
+
+
+def test_verify_bounds_bytes_are_pinned(cfg_path, tmp_path):
+    out = str(tmp_path / "pinned")
+    assert _run(["verify-bounds", "--config", cfg_path, "--out-dir", out]) == 0
+    with open(os.path.join(out, "bounds.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SMALL_BOUNDS_SHA256
+
+
 def test_verify_bounds_strict_failure_exit_3(tmp_path, capsys):
     """Batches pinned at 1 by rounding cannot halve the noise floor, so the
     doubling check honestly fails and strict mode reports it."""
@@ -200,6 +214,7 @@ def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, 
     [
         ("simulate", "seed = 0", "seed = -1", "seed"),
         ("verify-bounds", "seeds = 5", "seeds = 0", "seeds"),
+        ("verify-bounds", "step_c = 0.4", "step_c = 0.4\ncondition = 0.5", "condition"),
         ("sweep", "refine_steps = 1", "refine_steps = -3", "refine_steps"),
         ("sweep", "refine_steps = 1", "refine_damping = 3", "refine_damping"),
         ("compare", "trials = 2", "mechanisms = RAR, rar", "mechanisms"),

@@ -322,6 +322,40 @@ def test_learning_counts_positive(tmp_path, key, value, loads):
         load_config(path)
 
 
+_LEARNING_RULES = {
+    "iota": r"must lie in \(0, 1\]",
+    "noise_sigma2": "must be nonnegative",
+    "step_c": "must be positive",
+    "step_shift": "must be nonnegative",
+    "mu": "must be positive",
+    "condition": "must be at least 1",
+    "hessian_spread": r"must lie in \[0, 1\)",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, loads",
+    [
+        ("iota", "1", True), ("iota", "0", False), ("iota", "2", False),
+        ("noise_sigma2", "0", True), ("noise_sigma2", "-1", False),
+        ("noise_sigma2", "nan", False),
+        ("step_c", "0.5", True), ("step_c", "0", False),
+        ("step_shift", "0", True), ("step_shift", "-1", False),
+        ("mu", "0.5", True), ("mu", "0", False), ("mu", "-1", False),
+        ("condition", "1", True), ("condition", "0.5", False),
+        ("hessian_spread", "0.5", True), ("hessian_spread", "1", False),
+        ("hessian_spread", "-1", False),
+    ],
+)
+def test_learning_values_within_their_domains(tmp_path, key, value, loads):
+    path = _write(tmp_path, MINIMAL + f"\n[learning]\n{key} = {value}\n")
+    if loads:
+        assert getattr(load_config(path).learn, key) == float(value)
+        return
+    with pytest.raises(ConfigError, match=rf"\[learning\] {key} {_LEARNING_RULES[key]}"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("value, loads", [("0", True), ("-3", False)])
 def test_refine_steps_nonnegative(tmp_path, value, loads):
     path = _write(tmp_path, MINIMAL + f"\n[experiment]\nrefine_steps = {value}\n")

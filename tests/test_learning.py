@@ -1,6 +1,7 @@
 """Synthetic training lab: convergence shapes, unlearning, attribution."""
 import numpy as np
 import pytest
+from learning_oracles import run_scaffold_loop, shapley_loop
 
 from fedincentives.learning import (
     LearnProblem,
@@ -14,6 +15,7 @@ from fedincentives.learning import (
     training_loss_metric,
     unlearn_continue,
 )
+from fedincentives.learning import _run_scaffold
 
 
 def _problem(seed=0, **kw):
@@ -290,3 +292,90 @@ def test_shapley_rejects_large_coalitions():
     sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
     with pytest.raises(ValueError):
         federated_shapley_exact(prob, 2, sch)
+
+
+def test_shapley_matches_the_coalition_loop():
+    for seed in range(8):
+        prob = make_problem(users=seed + 1, dim=6, data_size=16, seed=seed,
+                            noise_sigma2=1e-3, mu=0.5, condition=3.0,
+                            hessian_spread=0.3, rotate=True)
+        sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
+        phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
+        _, _, updates = _run_scaffold(prob, 5, sch, [seed], None, 5, prob.w_star,
+                                      collect_updates=True)
+        ref_phi, ref_total = shapley_loop(prob, updates)
+        assert np.max(np.abs(phi - ref_phi)) <= 1e-12 * np.max(np.abs(ref_phi))
+        assert total == pytest.approx(ref_total, rel=1e-12)
+
+
+# --- the batched round kernel against its loop form ---
+
+# With Q_i = mu I every contraction term but one is an exact zero, so the
+# batched kernel must give the loop's bits; rotated, heterogeneous Q_i sum in
+# another order, which moves the last digits.
+SCALAR = dict(condition=1.0)
+ROTATED = dict(condition=10.0, hessian_spread=0.5, rotate=True)
+KERNEL_SHAPES = [
+    pytest.param(SCALAR, 0.0, id="scalar"),
+    pytest.param(ROTATED, 1e-12, id="rotated"),
+]
+
+
+def _kernel_problem(shape, noise_sigma2=1e-2):
+    return make_problem(users=5, dim=8, data_size=16, seed=1,
+                        noise_sigma2=noise_sigma2, mu=1.0, **shape)
+
+
+def _assert_matches(new, ref, rtol, scale=None):
+    if rtol == 0.0:
+        assert np.array_equal(new, ref)
+    else:
+        bound = rtol * (np.abs(ref) if scale is None else scale)
+        assert np.all(np.abs(new - ref) <= bound)
+
+
+@pytest.mark.parametrize("noise_sigma2", [0.0, 1e-2])
+@pytest.mark.parametrize("shape, rtol", KERNEL_SHAPES)
+def test_scaffold_train_matches_the_loop_kernel(shape, rtol, noise_sigma2):
+    prob = _kernel_problem(shape, noise_sigma2)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    trace = scaffold_train(prob, 200, sch, range(6))
+    ref, _, _ = run_scaffold_loop(prob, 200, sch, range(6), None, 5, prob.w_star)
+    _assert_matches(trace.gap, ref.gap, rtol)
+    # without noise the seeds agree and the stderr is rounding dust
+    _assert_matches(trace.gap_stderr, ref.gap_stderr, rtol, scale=ref.gap)
+
+
+@pytest.mark.parametrize("shape", [SCALAR, ROTATED], ids=["scalar", "rotated"])
+def test_unlearn_stop_round_matches_the_loop_kernel(shape):
+    prob = _kernel_problem(shape)
+    rest = restrict_problem(prob, [1, 3, 4])
+    epsilon = 0.1 * float(np.linalg.norm(prob.w_star - rest.w_star))
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    rounds = unlearn_continue(prob, UnlearnSpec(leavers=(0, 2), epsilon=epsilon), sch, range(6))
+    _, ref, _ = run_scaffold_loop(rest, 100000, sch, range(6), prob.w_star, 5, rest.w_star,
+                                  stop_norm=epsilon)
+    assert rounds == ref > 0
+
+
+@pytest.mark.parametrize("shape, rtol", KERNEL_SHAPES)
+def test_collected_updates_match_the_loop_kernel(shape, rtol):
+    prob = _kernel_problem(shape)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    args = (prob, 40, sch, [4], None, 5, prob.w_star)
+    _, _, updates = _run_scaffold(*args, collect_updates=True)
+    _, _, ref = run_scaffold_loop(*args, collect_updates=True)
+    assert len(updates) == len(ref) == 40
+    for new, old in zip(updates, ref):
+        _assert_matches(new, old, rtol, scale=np.max(np.abs(old)))
+
+
+def test_joint_seeds_average_the_single_seed_runs():
+    """Each seed's trajectory depends on its own noise stream only, so a
+    joint run's gap is the mean of the single-seed gaps; a noise buffer read
+    along the wrong axis would mix the streams."""
+    prob = _kernel_problem(ROTATED)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    joint = scaffold_train(prob, 100, sch, [0, 3, 7])
+    single = np.mean([scaffold_train(prob, 100, sch, [s]).gap for s in (0, 3, 7)], axis=0)
+    np.testing.assert_allclose(joint.gap, single, rtol=1e-14, atol=0.0)
