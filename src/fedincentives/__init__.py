@@ -10,14 +10,20 @@ from .config import ConfigError, ExperimentSetup, default_config_path, load_conf
 from .contract import (
     IRICReport,
     PoolingSolution,
-    brute_force_pooling_oracle,
     design_contract,
     optimal_data_sizes,
     optimal_rewards,
-    reduced_cost,
     verify_ir_ic,
 )
-from .experiments import MECHANISMS, Outcome, compare_costs, mechanism_contract, run_pipeline
+from .experiments import (
+    MECHANISMS,
+    Outcome,
+    StationarySearch,
+    compare_costs,
+    find_stationary_rates,
+    mechanism_contract,
+    run_pipeline,
+)
 from .learning import (
     LearnProblem,
     StepSchedule,
@@ -36,7 +42,6 @@ from .model import (
     ContractItem,
     GameConfig,
     Population,
-    UserRecord,
     UserTypeSpec,
     aggregated_marginal_cost,
     cost_coefficients,
@@ -49,13 +54,7 @@ from .model import (
     stage4_realized_cost,
     truncated_normal_moments,
 )
-from .population import (
-    SamplingModel,
-    StationarySearch,
-    find_stationary_rates,
-    realized_rates,
-    sample_population,
-)
+from .population import SamplingModel, realized_rates, sample_population
 from .retention import (
     RetentionResult,
     RetentionSizeError,
@@ -66,7 +65,6 @@ from .retention import (
 )
 from .revocation import (
     RevocationProfile,
-    all_equilibria,
     lower_equilibrium,
     upper_equilibrium,
     verify_nash,
@@ -94,11 +92,8 @@ __all__ = [
     "StepSchedule",
     "TrainTrace",
     "UnlearnSpec",
-    "UserRecord",
     "UserTypeSpec",
     "aggregated_marginal_cost",
-    "all_equilibria",
-    "brute_force_pooling_oracle",
     "check_gap_bound",
     "compare_costs",
     "cost_coefficients",
@@ -117,7 +112,6 @@ __all__ = [
     "optimal_retention_heuristic",
     "optimal_rewards",
     "realized_rates",
-    "reduced_cost",
     "restrict_problem",
     "retention_discounted_cost",
     "retention_incentives",

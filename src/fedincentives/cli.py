@@ -25,10 +25,16 @@ import numpy as np
 
 from .config import load_config
 from .contract import verify_ir_ic
-from .experiments import MECHANISMS, compare_costs, mechanism_contract, run_pipeline
+from .experiments import (
+    MECHANISMS,
+    compare_costs,
+    find_stationary_rates,
+    mechanism_contract,
+    run_pipeline,
+)
 from .learning import StepSchedule, check_gap_bound, scaffold_train
 from .model import mean_retention_rate
-from .population import find_stationary_rates, sample_population
+from .population import sample_population
 from .revocation import lower_equilibrium, upper_equilibrium
 
 __all__ = ["main"]
@@ -147,13 +153,9 @@ def _cmd_equilibrium(args, setup) -> int:
 
 
 def _pipeline(args, setup):
-    outcome = run_pipeline(
-        args.mechanism,
-        setup.types,
-        setup.cfg,
-        setup.sampling,
-        seed=args.seed,
-    )
+    contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
+    population = sample_population(setup.types, setup.sampling, args.seed)
+    outcome = run_pipeline(args.mechanism, contract, setup.types, setup.cfg, population)
     incentives = outcome.retention.incentives if outcome.retention else {}
     return outcome, incentives
 

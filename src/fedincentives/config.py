@@ -273,7 +273,7 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     learn = LearnConfig(**learn_raw)
     if learn.schedule not in ("constant", "inverse_t"):
         raise ConfigError("[learning] schedule must be constant or inverse_t")
-    for key in ("users", "dim", "data_size", "local_steps", "seeds"):
+    for key in ("users", "dim", "data_size", "local_steps", "seeds", "rounds"):
         if getattr(learn, key) < 1:
             raise ConfigError(f"[learning] {key} must be positive")
     # stated as what must hold, so a NaN fails every rule

@@ -30,10 +30,8 @@ __all__ = [
     "IRICReport",
     "optimal_rewards",
     "optimal_data_sizes",
-    "brute_force_pooling_oracle",
     "verify_ir_ic",
     "design_contract",
-    "reduced_cost",
 ]
 
 # relative slack for ratio comparisons; avoids spurious merges from fp noise
@@ -137,59 +135,6 @@ def _canonical_blocks(d: list[float]) -> PoolingSolution:
             for j in blk:
                 pooled[j] = True
     return PoolingSolution(blocks=blocks, d=list(d), pooled=pooled)
-
-
-def reduced_cost(d: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    """sum_j A_j/d_j + B_j d_j."""
-    d = np.asarray(d, dtype=float)
-    return float(np.sum(np.asarray(A) / d + np.asarray(B) * d))
-
-
-def brute_force_pooling_oracle(A: list[float], B: list[float]) -> PoolingSolution:
-    """Exhaustive check of all 2^(J-1) consecutive partitions.
-
-    Every block takes its pooled size sqrt(sumA/sumB); partitions whose block
-    sizes increase somewhere are infeasible and skipped.  Returns the feasible
-    partition with minimal reduced cost, reported in canonical (equal-d run)
-    form.  Rejects J > 20.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    J = len(A)
-    if J > 20:
-        raise ValueError("oracle limited to J <= 20")
-    if J == 0:
-        raise ValueError("empty instance")
-    if np.any(A <= 0) or np.any(B <= 0):
-        raise ValueError("A and B must be positive")
-    prefA = np.concatenate([[0.0], np.cumsum(A)])
-    prefB = np.concatenate([[0.0], np.cumsum(B)])
-
-    best_cost = math.inf
-    best_d: list[float] | None = None
-    # DFS over block end positions; prune on ratio increase
-    stack = [(0, math.inf, 0.0, [])]
-    while stack:
-        start, prev_ratio, cost, d_acc = stack.pop()
-        if start == J:
-            if cost < best_cost:
-                best_cost = cost
-                best_d = d_acc
-            continue
-        for end in range(start + 1, J + 1):
-            sa = prefA[end] - prefA[start]
-            sb = prefB[end] - prefB[start]
-            ratio = sa / sb
-            if _ratio_greater(ratio, prev_ratio):
-                continue
-            block_d = math.sqrt(ratio)
-            stack.append(
-                (end, ratio, cost + 2.0 * math.sqrt(sa * sb), d_acc + [block_d] * (end - start))
-            )
-    if best_d is None:
-        # cannot happen: the single all-in-one block is always feasible
-        raise RuntimeError("no feasible partition found")
-    return _canonical_blocks(best_d)
 
 
 def verify_ir_ic(

@@ -1,4 +1,8 @@
-"""Four-stage pipeline and benchmark comparison.
+"""Four-stage pipeline, benchmark comparison and the stationary-rate search.
+
+Stage I prices the menu from type-level metrics before any user is drawn, so
+each harness designs one menu per mechanism and setting and plays it against
+every population it draws; run_pipeline runs Stages II-IV only.
 
 Three mechanisms share the stage machinery and differ in how the menu is
 priced and whether revokers may be paid to stay:
@@ -44,11 +48,27 @@ from .retention import (
 )
 from .revocation import lower_equilibrium
 
-__all__ = ["Outcome", "run_pipeline", "compare_costs", "MECHANISMS"]
+__all__ = [
+    "Outcome",
+    "StationarySearch",
+    "run_pipeline",
+    "compare_costs",
+    "find_stationary_rates",
+    "MECHANISMS",
+]
 
 MECHANISMS = ("RAR", "NRI", "LLA")
 
+# fixed stream labels keep the seed derivation documented and collision-free
+# (population sampling itself uses label 1)
+_STREAM_SWEEP = 2
+_STREAM_REFINE = 3
 _STREAM_COMPARE = 4
+
+
+def _trial_seed(seed: int, stream: int, index: int, trial: int) -> int:
+    """Population seed of one harness trial."""
+    return int(np.random.SeedSequence([int(seed), stream, index, trial]).generate_state(1)[0])
 
 
 @dataclass
@@ -85,20 +105,20 @@ def mechanism_contract(
 
 def run_pipeline(
     mechanism: str,
+    contract: Contract,
     types: list[UserTypeSpec],
     cfg: GameConfig,
-    sampling: SamplingModel,
-    population: Population | None = None,
-    seed: int = 0,
+    population: Population,
     retention: str | None = None,
 ) -> Outcome:
-    """Contract, acceptance, revocation equilibrium, retention, realized cost.
+    """Acceptance, revocation equilibrium, retention and realized cost of one
+    population under a given menu (mechanism_contract prices it).
 
-    The population may be passed in (for common-random-number comparisons);
-    otherwise it is sampled from the seed.  NRI retains nobody, and RAR and
-    LLA retain optimally, unless `retention` forces a Stage-IV mode
-    (optimal / none / all), which gives controlled comparisons that differ
-    in retention only.  Optimal retention enumerates up to
+    The population is played on a copy with fresh outcome flags, so one draw
+    can be shared across mechanisms (common random numbers).  NRI retains
+    nobody, and RAR and LLA retain optimally, unless `retention` forces a
+    Stage-IV mode (optimal / none / all), which gives controlled comparisons
+    that differ in retention only.  Optimal retention enumerates up to
     EXACT_MAX_REVOKERS revokers and runs the bucket heuristic beyond.
     """
     mech = mechanism.upper()
@@ -106,15 +126,11 @@ def run_pipeline(
         raise ValueError(f"unknown mechanism {mechanism!r}")
     for t in types:
         t.validate()
-    if population is None:
-        population = sample_population(types, sampling, seed)
-    else:
-        population = Population(
-            type_idx=population.type_idx,
-            loss=population.loss,
-            shapley=population.shapley,
-        )
-    contract = mechanism_contract(mech, types, cfg)
+    population = Population(
+        type_idx=population.type_idx,
+        loss=population.loss,
+        shapley=population.shapley,
+    )
     q_bar = mean_retention_rate(types)
 
     profile = lower_equilibrium(population, contract, types, cfg, q_bar)
@@ -200,8 +216,9 @@ def compare_costs(
     """Mean realized cost and user payoff per mechanism and population size.
 
     Populations are scaled proportionally to the requested totals and shared
-    across mechanisms within a trial.  Returns one row per (mechanism, I)
-    with cost mean, standard error and mean user payoff.
+    across mechanisms within a trial; each mechanism's menu is designed once
+    per size.  Returns one row per (mechanism, I) with cost mean, standard
+    error and mean user payoff.
     """
     if len({m.upper() for m in mechanisms}) < len(mechanisms):
         raise ValueError("each mechanism may be compared only once")
@@ -213,20 +230,19 @@ def compare_costs(
         scaled = [
             replace(t, count=max(1, round(t.count * total / base_total))) for t in types
         ]
-        costs = {m.upper(): [] for m in mechanisms}
-        payoffs = {m.upper(): [] for m in mechanisms}
+        menus = {m.upper(): mechanism_contract(m, scaled, cfg) for m in mechanisms}
+        costs = {key: [] for key in menus}
+        payoffs = {key: [] for key in menus}
         actual_total = sum(t.count for t in scaled)
         for trial in range(trials):
-            pop_seed = np.random.SeedSequence(
-                [int(seed), _STREAM_COMPARE, size_index, trial]
-            ).generate_state(1)[0]
-            population = sample_population(scaled, sampling, int(pop_seed))
-            for mech in mechanisms:
-                outcome = run_pipeline(mech, scaled, cfg, sampling, population=population)
-                costs[mech.upper()].append(outcome.cost)
-                payoffs[mech.upper()].append(float(np.mean(outcome.payoffs)))
-        for mech in mechanisms:
-            key = mech.upper()
+            population = sample_population(
+                scaled, sampling, _trial_seed(seed, _STREAM_COMPARE, size_index, trial)
+            )
+            for key, contract in menus.items():
+                outcome = run_pipeline(key, contract, scaled, cfg, population)
+                costs[key].append(outcome.cost)
+                payoffs[key].append(float(np.mean(outcome.payoffs)))
+        for key in menus:
             arr = np.array(costs[key])
             rows.append(
                 {
@@ -238,3 +254,82 @@ def compare_costs(
                 }
             )
     return rows
+
+
+@dataclass
+class StationarySearch:
+    p_star: float
+    q_star: float
+    grid: list[dict]
+    refined: bool
+
+
+def find_stationary_rates(
+    types: list[UserTypeSpec],
+    cfg: GameConfig,
+    sampling: SamplingModel,
+    p_grid,
+    q_grid,
+    trials: int = 20,
+    seed: int = 0,
+    refine_steps: int = 4,
+    refine_damping: float = 0.5,
+    refine_trials: int = 20,
+) -> StationarySearch:
+    """Locate (p, q) whose realized counterpart reproduces itself under RAR.
+
+    Users' historical revocation/retention rates (p, q) feed the contract
+    design, but the rates realized in simulation depend on the contract in
+    turn.  Every grid point overrides all types' historical rates, designs
+    RAR's menu once, plays it against `trials` populations (drawn once and
+    shared by every grid point, since the draws do not depend on p or q),
+    and pools realized rates.  The best point by Euclidean distance then
+    seeds a damped fixed-point iteration on fresh trials; refine_steps = 0
+    returns the grid point itself.
+    """
+
+    def draw(stream: int, step: int, n_trials: int) -> list[Population]:
+        return [
+            sample_population(types, sampling, _trial_seed(seed, stream, step, trial))
+            for trial in range(n_trials)
+        ]
+
+    def measure(p: float, q: float, populations: list[Population]):
+        rated = [replace(t, p=p, q=q) for t in types]
+        contract = design_contract(rated, cfg)
+        revoked = retained = users = 0
+        cost_acc = 0.0
+        for population in populations:
+            outcome = run_pipeline("RAR", contract, rated, cfg, population)
+            users += len(population)
+            revoked += int(np.sum(outcome.population.revoke))
+            retained += int(np.sum(outcome.population.retained))
+            cost_acc += outcome.cost
+        p_hat = revoked / users if users else 0.0
+        q_hat = retained / revoked if revoked else 0.0
+        return p_hat, q_hat, cost_acc / len(populations)
+
+    grid_populations = draw(_STREAM_SWEEP, 0, trials)
+    rows = []
+    best = None
+    for p in p_grid:
+        for q in q_grid:
+            p_hat, q_hat, cost = measure(p, q, grid_populations)
+            dist = float(np.hypot(p_hat - p, q_hat - q))
+            rows.append(
+                {"p": p, "q": q, "p_hat": p_hat, "q_hat": q_hat, "cost": cost, "dist": dist}
+            )
+            if best is None or dist < best[0]:
+                best = (dist, p, q)
+    p_star, q_star = best[1], best[2]
+
+    refined = False
+    for step in range(refine_steps):
+        populations = draw(_STREAM_REFINE, step + 1, refine_trials)
+        p_hat, q_hat, _ = measure(p_star, q_star, populations)
+        p_star = (1.0 - refine_damping) * p_star + refine_damping * p_hat
+        q_star = (1.0 - refine_damping) * q_star + refine_damping * q_hat
+        p_star = min(max(p_star, 0.0), 0.999)
+        q_star = min(max(q_star, 0.0), 1.0)
+        refined = True
+    return StationarySearch(p_star=p_star, q_star=q_star, grid=rows, refined=refined)

@@ -22,7 +22,6 @@ __all__ = [
     "GameConfig",
     "ContractItem",
     "Contract",
-    "UserRecord",
     "Population",
     "UserTerms",
     "aggregated_marginal_cost",
@@ -160,27 +159,6 @@ class Contract:
                 raise ValueError("block data sizes must be strictly decreasing")
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    """Single-user view of a Population row.
-
-    retained may be set only for users who revoked.
-    """
-
-    id: int
-    type_idx: int
-    loss: float
-    shapley: float
-    revoke: bool
-    retained: bool
-
-    def validate(self) -> None:
-        if self.loss < 0:
-            raise ValueError("loss must be nonnegative")
-        if self.retained and not self.revoke:
-            raise ValueError("retained requires revoke")
-
-
 @dataclass
 class Population:
     """Realized users: per-user type index, loss, contribution score and
@@ -201,16 +179,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.type_idx)
-
-    def record(self, i: int) -> UserRecord:
-        return UserRecord(
-            id=i,
-            type_idx=int(self.type_idx[i]),
-            loss=float(self.loss[i]),
-            shapley=float(self.shapley[i]),
-            revoke=bool(self.revoke[i]),
-            retained=bool(self.retained[i]),
-        )
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ __all__ = [
     "lower_equilibrium",
     "upper_equilibrium",
     "verify_nash",
-    "all_equilibria",
-    "least_equilibrium_oracle",
 ]
 
 
@@ -117,41 +115,3 @@ def verify_nash(
     # a revoker with positive margin would rather stay; a stayer with
     # negative margin would rather revoke
     return bool(np.all(np.where(x, margin <= 0.0, margin >= 0.0)))
-
-
-def all_equilibria(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> np.ndarray:
-    """Every pure equilibrium by checking all 2^I profiles; I <= 16 only."""
-    n = len(population)
-    if n > 16:
-        raise ValueError("exhaustive enumeration limited to 16 users")
-    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    X = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    S = X @ l2
-    margin = user.stay_margin(w, S[:, None] - X * l2)
-    ne = np.all(np.where(X, margin <= 0.0, margin >= 0.0), axis=1)
-    return X[ne]
-
-
-def least_equilibrium_oracle(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> np.ndarray:
-    """Componentwise minimum over all equilibria (itself an equilibrium in
-    this game of strategic complements; asserted)."""
-    profiles = all_equilibria(population, contract, types, cfg, q_bar)
-    if len(profiles) == 0:
-        raise RuntimeError("no pure equilibrium found")
-    least = np.all(profiles, axis=0)
-    if not verify_nash(least, population, contract, types, cfg, q_bar):
-        raise RuntimeError("componentwise minimum is not an equilibrium")
-    return least

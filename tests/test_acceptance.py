@@ -16,13 +16,8 @@ from scipy import stats
 
 from fedincentives.cli import main as cli_main
 from fedincentives.config import load_config
-from fedincentives.contract import (
-    brute_force_pooling_oracle,
-    design_contract,
-    optimal_data_sizes,
-    verify_ir_ic,
-)
-from fedincentives.experiments import run_pipeline
+from fedincentives.contract import design_contract, optimal_data_sizes, verify_ir_ic
+from fedincentives.experiments import find_stationary_rates, mechanism_contract, run_pipeline
 from fedincentives.learning import (
     LearnProblem,
     StepSchedule,
@@ -40,9 +35,11 @@ from fedincentives.model import (
     mean_retention_rate,
     stage1_expected_cost,
 )
-from fedincentives.population import find_stationary_rates, sample_population
+from fedincentives.population import sample_population
 from fedincentives.retention import optimal_retention_exact, retention_objective
-from fedincentives.revocation import least_equilibrium_oracle, lower_equilibrium, verify_nash
+from fedincentives.revocation import lower_equilibrium, verify_nash
+
+from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -60,13 +57,15 @@ def benchmark_runs(shipped):
     """50 common-random-number trials; per trial each mechanism plays the full
     game on the same population, plus a retention-ablated RAR run."""
     runs = {"RAR": [], "NRI": [], "LLA": [], "RAR_NO_RETAIN": []}
+    types, cfg = shipped.types, shipped.cfg
+    menus = {m: mechanism_contract(m, types, cfg) for m in ("RAR", "NRI", "LLA")}
     for trial in range(50):
-        pop = sample_population(shipped.types, shipped.sampling, seed=trial)
-        base = dict(types=shipped.types, cfg=shipped.cfg, sampling=shipped.sampling,
-                    population=pop)
-        for mech in ("RAR", "NRI", "LLA"):
-            runs[mech].append(run_pipeline(mech, **base))
-        runs["RAR_NO_RETAIN"].append(run_pipeline("RAR", retention="none", **base))
+        pop = sample_population(types, shipped.sampling, seed=trial)
+        for mech, contract in menus.items():
+            runs[mech].append(run_pipeline(mech, contract, types, cfg, pop))
+        runs["RAR_NO_RETAIN"].append(
+            run_pipeline("RAR", menus["RAR"], types, cfg, pop, retention="none")
+        )
     return runs
 
 
@@ -178,7 +177,13 @@ def test_criterion_04_retention_optimality(shipped):
         scale = max(1.0, abs(best_key[0]))
         assert abs(result.objective - best_key[0]) <= 1e-12 * scale
 
-    outcome = run_pipeline("RAR", shipped.types, shipped.cfg, shipped.sampling, seed=0)
+    outcome = run_pipeline(
+        "RAR",
+        design_contract(shipped.types, shipped.cfg),
+        shipped.types,
+        shipped.cfg,
+        sample_population(shipped.types, shipped.sampling, seed=0),
+    )
     worst_slack = 0.0
     n_ret = 0
     if outcome.retention is not None:

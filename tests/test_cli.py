@@ -163,6 +163,23 @@ def test_verify_bounds_bytes_are_pinned(cfg_path, tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == SMALL_BOUNDS_SHA256
 
 
+# SMALL's compare.csv and sweep.csv.  Stage I depends on the types alone, so
+# the harnesses may share one menu across the populations they play, but the
+# bytes must not move.
+SMALL_HARNESS_SHA256 = {
+    "compare": "cd870328211342d9eecc29d1db82840c7e0907c1f3671f259f5b7af0e612c654",
+    "sweep": "08738b423a684a7fb740f9eab65add6f32850ea2d200a9e523101001c4f4970f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_HARNESS_SHA256))
+def test_harness_bytes_are_pinned(cfg_path, tmp_path, command):
+    out = str(tmp_path / "pinned")
+    assert _run([command, "--config", cfg_path, "--out-dir", out]) == 0
+    with open(os.path.join(out, command + ".csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SMALL_HARNESS_SHA256[command]
+
+
 def test_verify_bounds_strict_failure_exit_3(tmp_path, capsys):
     """Batches pinned at 1 by rounding cannot halve the noise floor, so the
     doubling check honestly fails and strict mode reports it."""
@@ -214,6 +231,7 @@ def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, 
     [
         ("simulate", "seed = 0", "seed = -1", "seed"),
         ("verify-bounds", "seeds = 5", "seeds = 0", "seeds"),
+        ("verify-bounds", "rounds = 80", "rounds = 0", "rounds"),
         ("verify-bounds", "step_c = 0.4", "step_c = 0.4\ncondition = 0.5", "condition"),
         ("sweep", "refine_steps = 1", "refine_steps = -3", "refine_steps"),
         ("sweep", "refine_steps = 1", "refine_damping = 3", "refine_damping"),

@@ -311,7 +311,7 @@ def test_game_seed_nonnegative(tmp_path, setting, loads):
         load_config(path)
 
 
-@pytest.mark.parametrize("key", ["users", "dim", "data_size", "local_steps", "seeds"])
+@pytest.mark.parametrize("key", ["users", "dim", "data_size", "local_steps", "seeds", "rounds"])
 @pytest.mark.parametrize("value, loads", [("1", True), ("0", False)])
 def test_learning_counts_positive(tmp_path, key, value, loads):
     path = _write(tmp_path, MINIMAL + f"\n[learning]\n{key} = {value}\n")

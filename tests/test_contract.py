@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from fedincentives.contract import (
-    brute_force_pooling_oracle,
     design_contract,
     optimal_data_sizes,
     optimal_rewards,
-    reduced_cost,
     verify_ir_ic,
 )
 from fedincentives.model import ContractItem, GameConfig, stage2_expected_payoff
 
 from conftest import random_cfg, random_types
+from game_oracles import brute_force_pooling_oracle, reduced_cost
 
 
 def test_rewards_worked_example():

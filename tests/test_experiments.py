@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedincentives import experiments
 from fedincentives.contract import design_contract
 from fedincentives.experiments import (
     MECHANISMS,
     compare_costs,
+    find_stationary_rates,
     mechanism_contract,
     run_pipeline,
 )
@@ -28,6 +30,13 @@ def _economy(rng, J=None, count_hi=60):
         shapley_sigma=0.04,
     )
     return types, cfg, model
+
+
+def _play(mechanism, types, cfg, model, seed, **kwargs):
+    """The mechanism's own menu played against the population drawn at seed."""
+    contract = mechanism_contract(mechanism, types, cfg)
+    pop = sample_population(types, model, seed)
+    return run_pipeline(mechanism, contract, types, cfg, pop, **kwargs)
 
 
 def test_mechanism_contract_definitions(rng):
@@ -51,7 +60,7 @@ def test_mechanism_contract_definitions(rng):
 def test_outcome_bookkeeping(rng):
     for trial in range(15):
         types, cfg, model = _economy(rng)
-        out = run_pipeline("RAR", types, cfg, model, seed=trial)
+        out = _play("RAR", types, cfg, model, seed=trial)
         pop = out.population
         n = len(pop)
         assert out.q_bar == pytest.approx(mean_retention_rate(types))
@@ -70,7 +79,7 @@ def test_outcome_bookkeeping(rng):
 def test_nri_never_pays_retention(rng):
     for trial in range(10):
         types, cfg, model = _economy(rng)
-        out = run_pipeline("NRI", types, cfg, model, seed=trial)
+        out = _play("NRI", types, cfg, model, seed=trial)
         assert out.retention is None
         assert not out.population.retained.any()
         assert out.cost_parts["retention_rewards"] == 0.0
@@ -84,7 +93,8 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
     for trial in range(25):
         types, cfg, model = _economy(rng)
         pop = sample_population(types, model, seed=trial)
-        base = dict(types=types, cfg=cfg, sampling=model, population=pop)
+        base = dict(contract=design_contract(types, cfg), types=types, cfg=cfg,
+                    population=pop)
         opt = run_pipeline("RAR", retention="optimal", **base)
         none = run_pipeline("RAR", retention="none", **base)
         scale = max(1.0, abs(none.cost))
@@ -110,14 +120,12 @@ def test_stage4_solver_follows_revoker_count(n_rev, method):
     types = [UserTypeSpec(theta=0.1, xi=800.0, count=40, p=0.01, q=0.5,
                           loss_mean=0.5, loss_var=0.04)]
     cfg = GameConfig(T=100.0, lam=0.0)
-    model = SamplingModel(loss_mu=(0.5,), loss_sigma=(0.2,),
-                          shapley_mu=5e-5, shapley_sigma=0.04)
     pop = Population(
         type_idx=np.zeros(40, dtype=int),
         loss=np.where(np.arange(40) < n_rev, 1.0, 0.0),
         shapley=np.full(40, -1e-4),
     )
-    out = run_pipeline("RAR", types, cfg, model, population=pop)
+    out = run_pipeline("RAR", design_contract(types, cfg), types, cfg, pop)
     assert int(np.sum(out.population.revoke)) == n_rev
     assert out.retention.method == method
 
@@ -126,8 +134,7 @@ def test_forced_all_mode_retains_every_revoker(rng):
     hits = 0
     for trial in range(40):
         types, cfg, model = _economy(rng)
-        pop = sample_population(types, model, seed=trial)
-        out = run_pipeline("RAR", types, cfg, model, population=pop, retention="all")
+        out = _play("RAR", types, cfg, model, seed=trial, retention="all")
         if out.population.revoke.any():
             assert np.array_equal(out.population.retained, out.population.revoke)
             assert out.q_hat == 1.0
@@ -140,22 +147,23 @@ def test_forced_all_mode_retains_every_revoker(rng):
 def test_lla_retention_mode_switch(rng):
     types, cfg, model = _economy(rng)
     for trial in range(10):
-        pop = sample_population(types, model, seed=trial)
-        out = run_pipeline("LLA", types, cfg, model, population=pop,
-                           retention="none")
+        out = _play("LLA", types, cfg, model, seed=trial, retention="none")
         assert not out.population.retained.any()
     with pytest.raises(ValueError):
-        run_pipeline("RAR", types, cfg, model, retention="sometimes")
+        _play("RAR", types, cfg, model, seed=0, retention="sometimes")
+    contract = design_contract(types, cfg)
+    pop = sample_population(types, model, seed=0)
     with pytest.raises(ValueError):
-        run_pipeline("BAR", types, cfg, model)
+        run_pipeline("BAR", contract, types, cfg, pop)
 
 
 def test_shared_population_input_not_mutated(rng):
     types, cfg, model = _economy(rng)
     pop = sample_population(types, model, seed=0)
-    out1 = run_pipeline("RAR", types, cfg, model, population=pop)
+    contract = design_contract(types, cfg)
+    out1 = run_pipeline("RAR", contract, types, cfg, pop)
     assert not pop.revoke.any() and not pop.retained.any()
-    out2 = run_pipeline("RAR", types, cfg, model, population=pop)
+    out2 = run_pipeline("RAR", contract, types, cfg, pop)
     assert out2.cost == out1.cost
     assert np.array_equal(out1.population.revoke, out2.population.revoke)
 
@@ -170,6 +178,35 @@ def test_compare_costs_shares_draws_across_mechanisms(rng):
                              user_counts=[40], trials=3, seed=1)
 
     assert rows("RAR", "NRI") == rows("RAR") + rows("NRI")
+
+
+@pytest.fixture
+def design_calls(monkeypatch):
+    """Every menu the harnesses design, counted through experiments' own
+    reference to design_contract."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return design_contract(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "design_contract", counted)
+    return calls
+
+
+def test_compare_costs_designs_each_menu_once_per_size(rng, design_calls):
+    types, cfg, model = _economy(rng, J=2, count_hi=30)
+    total = sum(t.count for t in types)
+    compare_costs(types, cfg, model, mechanisms=("RAR", "NRI"),
+                  user_counts=[total, 2 * total], trials=3, seed=0)
+    assert len(design_calls) == 2 * 2
+
+
+def test_stationary_search_designs_once_per_point_and_step(rng, design_calls):
+    types, cfg, model = _economy(rng, J=2, count_hi=30)
+    find_stationary_rates(types, cfg, model, p_grid=[0.0, 0.05], q_grid=[0.0, 0.5],
+                          trials=3, seed=0, refine_steps=1, refine_trials=3)
+    assert len(design_calls) == 2 * 2 + 1
 
 
 def test_compare_costs_rejects_repeated_mechanisms(rng):
@@ -209,7 +246,7 @@ def test_realized_payoffs_sign_structure(rng):
     get the menu reward minus training, privacy and unlearning burden."""
     for trial in range(10):
         types, cfg, model = _economy(rng)
-        out = run_pipeline("RAR", types, cfg, model, seed=100 + trial)
+        out = _play("RAR", types, cfg, model, seed=100 + trial)
         pop = out.population
         contract = out.contract
         d_pos = {orig: contract.items[contract.order.index(orig)].d

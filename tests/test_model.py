@@ -408,15 +408,3 @@ def test_contract_validation_catches_bad_menus():
     with pytest.raises(ValueError):
         broken.validate()
 
-
-def test_user_record_round_trip():
-    pop = _two_user_population()
-    pop.revoke[1] = True
-    pop.retained[1] = True
-    rec = pop.record(1)
-    rec.validate()
-    assert rec.type_idx == 1 and rec.revoke and rec.retained
-    bad = pop.record(0)
-    object.__setattr__(bad, "retained", True)
-    with pytest.raises(ValueError):
-        bad.validate()

@@ -2,13 +2,9 @@
 import numpy as np
 import pytest
 
+from fedincentives.experiments import find_stationary_rates
 from fedincentives.model import GameConfig, Population, UserTypeSpec, truncated_normal_moments
-from fedincentives.population import (
-    SamplingModel,
-    find_stationary_rates,
-    realized_rates,
-    sample_population,
-)
+from fedincentives.population import SamplingModel, realized_rates, sample_population
 
 
 def _one_type(mu, sigma, count, theta=5.0, xi=1200.0, p=0.05, q=0.5):

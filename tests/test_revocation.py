@@ -4,15 +4,10 @@ import pytest
 
 from fedincentives.contract import design_contract
 from fedincentives.model import Contract, ContractItem, GameConfig, Population, stage3_payoff
-from fedincentives.revocation import (
-    all_equilibria,
-    least_equilibrium_oracle,
-    lower_equilibrium,
-    upper_equilibrium,
-    verify_nash,
-)
+from fedincentives.revocation import lower_equilibrium, upper_equilibrium, verify_nash
 
 from conftest import random_cfg, random_types
+from game_oracles import all_equilibria, least_equilibrium_oracle
 
 
 def _manual_setup(rl, xi, losses, theta=None, lam=1.0, q_bar=0.0):
