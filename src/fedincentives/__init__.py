@@ -42,6 +42,7 @@ from .model import (
     ContractItem,
     GameConfig,
     Population,
+    UserTerms,
     UserTypeSpec,
     aggregated_marginal_cost,
     cost_coefficients,
@@ -92,6 +93,7 @@ __all__ = [
     "StepSchedule",
     "TrainTrace",
     "UnlearnSpec",
+    "UserTerms",
     "UserTypeSpec",
     "aggregated_marginal_cost",
     "check_gap_bound",

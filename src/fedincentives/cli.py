@@ -33,7 +33,7 @@ from .experiments import (
     run_pipeline,
 )
 from .learning import StepSchedule, check_gap_bound, scaffold_train
-from .model import mean_retention_rate
+from .model import UserTerms, mean_retention_rate
 from .population import sample_population
 from .revocation import lower_equilibrium, upper_equilibrium
 
@@ -108,13 +108,14 @@ def _write_equilibrium(args, population, revoke) -> str:
     )
 
 
-def _write_retention(args, population, incentives) -> str:
+def _write_retention(args, outcome) -> str:
+    population = outcome.population
     rows = [
         [
             int(u),
             float(population.shapley[u]),
             int(population.retained[u]),
-            float(incentives.get(int(u), 0.0)),
+            float(outcome.incentives[u]),
         ]
         for u in np.flatnonzero(population.revoke)
     ]
@@ -139,9 +140,10 @@ def _cmd_contract(args, setup) -> int:
 def _cmd_equilibrium(args, setup) -> int:
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
     population = sample_population(setup.types, setup.sampling, args.seed)
+    terms = UserTerms.of(population, contract, setup.types)
     q_bar = mean_retention_rate(setup.types)
-    lower = lower_equilibrium(population, contract, setup.types, setup.cfg, q_bar)
-    upper = upper_equilibrium(population, contract, setup.types, setup.cfg, q_bar)
+    lower = lower_equilibrium(terms, setup.cfg, q_bar)
+    upper = upper_equilibrium(terms, setup.cfg, q_bar)
     path = _write_equilibrium(args, population, lower.x)
     n_rev = int(np.sum(lower.x))
     print(f"equilibrium: {n_rev}/{len(population)} revoke after {lower.iterations} sweeps,"
@@ -155,19 +157,17 @@ def _cmd_equilibrium(args, setup) -> int:
 def _pipeline(args, setup):
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
     population = sample_population(setup.types, setup.sampling, args.seed)
-    outcome = run_pipeline(args.mechanism, contract, setup.types, setup.cfg, population)
-    incentives = outcome.retention.incentives if outcome.retention else {}
-    return outcome, incentives
+    return run_pipeline(args.mechanism, contract, setup.types, setup.cfg, population)
 
 
 def _cmd_retain(args, setup) -> int:
-    outcome, incentives = _pipeline(args, setup)
+    outcome = _pipeline(args, setup)
     population = outcome.population
-    path = _write_retention(args, population, incentives)
+    path = _write_retention(args, outcome)
     n_kept = int(np.sum(population.retained))
     n_rev = int(np.sum(population.revoke))
     method = outcome.retention.method if outcome.retention else "none"
-    negatives = sum(1 for v in incentives.values() if v < 0)
+    negatives = int(np.sum(outcome.incentives < 0))
     print(f"retention ({method}): kept {n_kept}/{n_rev} revokers, written to {path}")
     if negatives:
         print(f"note: {negatives} retention incentives are negative (charges to stay)")
@@ -175,11 +175,11 @@ def _cmd_retain(args, setup) -> int:
 
 
 def _cmd_simulate(args, setup) -> int:
-    outcome, incentives = _pipeline(args, setup)
+    outcome = _pipeline(args, setup)
     population = outcome.population
     _write_contract(args, outcome.contract)
     _write_equilibrium(args, population, population.revoke)
-    _write_retention(args, population, incentives)
+    _write_retention(args, outcome)
     summary = {
         "mechanism": outcome.mechanism,
         "seed": args.seed,

@@ -80,6 +80,7 @@ class Outcome:
     population: Population
     q_bar: float
     retention: RetentionResult | None
+    incentives: np.ndarray  # per-user retention payment, 0 off the retained set
     cost: float
     cost_parts: dict
     payoffs: np.ndarray
@@ -114,12 +115,13 @@ def run_pipeline(
     """Acceptance, revocation equilibrium, retention and realized cost of one
     population under a given menu (mechanism_contract prices it).
 
-    The population is played on a copy with fresh outcome flags, so one draw
-    can be shared across mechanisms (common random numbers).  NRI retains
-    nobody, and RAR and LLA retain optimally, unless `retention` forces a
-    Stage-IV mode (optimal / none / all), which gives controlled comparisons
-    that differ in retention only.  Optimal retention enumerates up to
-    EXACT_MAX_REVOKERS revokers and runs the bucket heuristic beyond.
+    Stage II is resolved once into the users' terms, which every later stage
+    reads.  The population is played on a copy with fresh outcome flags, so
+    one draw can be shared across mechanisms (common random numbers).  NRI
+    retains nobody, and RAR and LLA retain optimally, unless `retention`
+    forces a Stage-IV mode (optimal / none / all), which gives controlled
+    comparisons that differ in retention only.  Optimal retention enumerates
+    up to EXACT_MAX_REVOKERS revokers and runs the bucket heuristic beyond.
     """
     mech = mechanism.upper()
     if mech not in MECHANISMS:
@@ -131,9 +133,10 @@ def run_pipeline(
         loss=population.loss,
         shapley=population.shapley,
     )
+    terms = UserTerms.of(population, contract, types)
     q_bar = mean_retention_rate(types)
 
-    profile = lower_equilibrium(population, contract, types, cfg, q_bar)
+    profile = lower_equilibrium(terms, cfg, q_bar)
     population.revoke = profile.x
     revokers = np.flatnonzero(profile.x)
 
@@ -146,15 +149,13 @@ def run_pipeline(
         incentive_map: dict[int, float] = {}
     elif mode == "all":
         retained_ids = revokers
-        incentive_map = retention_incentives(
-            retained_ids, revokers, population, contract, types, cfg
-        )
+        incentive_map = retention_incentives(retained_ids, revokers, population, terms, cfg)
     else:
         if len(revokers) <= EXACT_MAX_REVOKERS:
             solve = optimal_retention_exact
         else:
             solve = optimal_retention_heuristic
-        retention_result = solve(revokers, population, contract, types, cfg)
+        retention_result = solve(revokers, population, terms, cfg)
         retained_ids = retention_result.retained
         incentive_map = retention_result.incentives
 
@@ -164,8 +165,8 @@ def run_pipeline(
     for uid, ru in incentive_map.items():
         incentives[uid] = ru
 
-    cost, parts = stage4_realized_cost(population, contract, types, cfg, incentives)
-    payoffs = _realized_payoffs(population, contract, types, cfg)
+    cost, parts = stage4_realized_cost(population, terms, cfg, incentives)
+    payoffs = _realized_payoffs(population, terms, cfg)
     p_hat, q_hat = realized_rates(population)
     return Outcome(
         mechanism=mech,
@@ -173,6 +174,7 @@ def run_pipeline(
         population=population,
         q_bar=q_bar,
         retention=retention_result,
+        incentives=incentives,
         cost=cost,
         cost_parts=parts,
         payoffs=payoffs,
@@ -181,26 +183,20 @@ def run_pipeline(
     )
 
 
-def _realized_payoffs(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-) -> np.ndarray:
+def _realized_payoffs(population: Population, terms: UserTerms, cfg: GameConfig) -> np.ndarray:
     """Per-user realized payoff given final leave/stay outcomes.
 
     Users who leave, and retained users (paid to indifference), end at the
     sunk training cost.  Stayers collect the reward net of training, privacy
     and the unlearning burden of those who actually left.
     """
-    user = UserTerms.of(population, contract, types)
     leavers = population.revoke & ~population.retained
-    leave_mass = float(np.sum(population.loss[leavers] ** 2))
-    train_cost = user.theta * user.d * cfg.T
+    leave_mass = float(np.sum(terms.loss[leavers] ** 2))
+    train_cost = terms.theta * terms.d * cfg.T
     return np.where(
         population.revoke,
         -train_cost,
-        user.stay_margin(user.theta * user.d * cfg.lam, leave_mass, sunk=train_cost),
+        terms.stay_margin(terms.theta * terms.d * cfg.lam, leave_mass, sunk=train_cost),
     )
 
 

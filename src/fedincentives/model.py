@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -183,8 +183,9 @@ class Population:
 
 @dataclass(frozen=True)
 class UserTerms:
-    """Menu item and cost rates of some users of a population, each read
-    through its type's entry of Contract.per_type."""
+    """Stage II played out: each user's menu item and cost rates, read
+    through its type's entry of Contract.per_type, and its realized loss.
+    Stages III-IV read users' terms only from here."""
 
     d: np.ndarray
     r: np.ndarray
@@ -193,16 +194,20 @@ class UserTerms:
     loss: np.ndarray
 
     @classmethod
-    def of(cls, population, contract, types, users=slice(None)) -> "UserTerms":
+    def of(cls, population, contract, types) -> "UserTerms":
         d_of, r_of = contract.per_type()
-        idx = population.type_idx[users]
+        idx = population.type_idx
         return cls(
             d=d_of[idx],
             r=r_of[idx],
             theta=np.array([t.theta for t in types], dtype=float)[idx],
             xi=np.array([t.xi for t in types], dtype=float)[idx],
-            loss=population.loss[users],
+            loss=population.loss,
         )
+
+    def take(self, users) -> "UserTerms":
+        """The terms of the given users (an index, index array or mask)."""
+        return UserTerms(*(getattr(self, f.name)[users] for f in fields(self)))
 
     def stay_margin(self, w, burden, sunk=0.0):
         """r - sunk - xi l d - w * burden, the payoff formula of stages III-IV.
@@ -324,9 +329,7 @@ def stage2_expected_payoff(
 def stage3_payoff(
     idx: int,
     x: np.ndarray,
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
     q_bar: float,
 ) -> float:
@@ -338,11 +341,11 @@ def stage3_payoff(
     where q_bar is the anticipated retention rate of revokers.
     """
     x = np.asarray(x, dtype=bool)
-    user = UserTerms.of(population, contract, types, idx)
+    user = terms.take(idx)
     train_cost = float(user.theta * user.d * cfg.T)
     if x[idx]:
         return -train_cost
-    leaver_mass = (1.0 - q_bar) * float(np.sum(population.loss[x] ** 2))
+    leaver_mass = (1.0 - q_bar) * float(np.sum(terms.loss[x] ** 2))
     return float(
         user.stay_margin(user.theta * user.d * cfg.lam, leaver_mass, sunk=train_cost)
     )
@@ -366,8 +369,7 @@ def stage1_expected_cost(
 
 def stage4_realized_cost(
     population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
     incentives: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float]]:
@@ -380,9 +382,8 @@ def stage4_realized_cost(
     """
     stay = ~population.revoke | population.retained
     accuracy = float(np.sum(population.shapley[stay]))
-    _, r_of = contract.per_type()
     # a running sum in user order: np.sum adds pairwise and rounds differently
-    running = np.cumsum(np.append(0.0, r_of[population.type_idx[stay]]))
+    running = np.cumsum(np.append(0.0, terms.r[stay]))
     rewards = cfg.gamma * float(running[-1])
     retention = 0.0
     if incentives is not None and population.retained.any():

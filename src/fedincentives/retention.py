@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, GameConfig, Population, UserTerms, UserTypeSpec
+from .model import GameConfig, Population, UserTerms
 
 __all__ = [
     "EXACT_MAX_REVOKERS",
@@ -72,9 +72,9 @@ class _Revokers:
     cfg: GameConfig
 
     @classmethod
-    def of(cls, revokers, population, contract, types, cfg) -> "_Revokers":
+    def of(cls, revokers, population, terms, cfg) -> "_Revokers":
         ids = np.asarray(revokers, dtype=int)
-        user = UserTerms.of(population, contract, types, ids)
+        user = terms.take(ids)
         v = population.shapley[ids]
         e = user.loss ** 2
         return cls(
@@ -126,8 +126,7 @@ def retention_objective(
     subset,
     revokers,
     population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
 ) -> float:
     """Relative cost of retaining `subset` out of `revokers`.
@@ -137,7 +136,7 @@ def retention_objective(
     with the leaver sum over revokers outside the subset.  Retaining nobody
     scores 0.
     """
-    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    rv = _Revokers.of(revokers, population, terms, cfg)
     return rv.objective(rv.mask(subset))
 
 
@@ -173,8 +172,7 @@ def _pick_mask(objective: np.ndarray, n: int) -> int:
 def optimal_retention_exact(
     revokers,
     population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
 ) -> RetentionResult:
     """Minimize the retention objective over every subset of revokers.
@@ -183,7 +181,7 @@ def optimal_retention_exact(
     built by doubling in O(2^n).  Raises RetentionSizeError beyond
     EXACT_MAX_REVOKERS.
     """
-    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    rv = _Revokers.of(revokers, population, terms, cfg)
     n = len(rv.ids)
     if n > EXACT_MAX_REVOKERS:
         raise RetentionSizeError(
@@ -202,8 +200,7 @@ def optimal_retention_exact(
 def optimal_retention_heuristic(
     revokers,
     population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
     categories: int = 8,
 ) -> RetentionResult:
@@ -218,7 +215,7 @@ def optimal_retention_heuristic(
         raise ValueError("categories capped at 16")
     if categories < 1:
         raise ValueError("categories must be positive")
-    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    rv = _Revokers.of(revokers, population, terms, cfg)
     n = len(rv.ids)
     if n == 0:
         return rv.result(np.zeros(0, dtype=bool), 0.0, "heuristic")
@@ -265,8 +262,7 @@ def retention_incentives(
     retained,
     revokers,
     population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
+    terms: UserTerms,
     cfg: GameConfig,
 ) -> dict[int, float]:
     """Indifference payments for the retained users.
@@ -275,5 +271,5 @@ def retention_incentives(
     where the sum covers revokers neither retained nor equal to i.  Values
     may be negative (a charge to stay).
     """
-    rv = _Revokers.of(revokers, population, contract, types, cfg)
+    rv = _Revokers.of(revokers, population, terms, cfg)
     return rv.incentives(rv.mask(retained))

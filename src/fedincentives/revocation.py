@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, GameConfig, Population, UserTerms, UserTypeSpec
+from .model import GameConfig, UserTerms
 
 __all__ = [
     "RevocationProfile",
@@ -37,24 +37,17 @@ class RevocationProfile:
             raise ValueError("unknown start profile")
 
 
-def _margin_terms(population, contract, types, cfg, q_bar):
-    """Per-user terms, burden weight theta d lam (1 - q_bar) and squared loss."""
-    user = UserTerms.of(population, contract, types)
-    return user, user.theta * user.d * cfg.lam * (1.0 - q_bar), population.loss ** 2
-
-
-def _sweep_profile(
-    population, contract, types, cfg, q_bar, start_high: bool
-) -> RevocationProfile:
-    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
-    n = len(population)
+def _sweep_profile(terms, cfg, q_bar, start_high: bool) -> RevocationProfile:
+    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.loss ** 2
+    n = len(l2)
     x = np.full(n, start_high, dtype=bool)
     iterations = 0
     for _ in range(n + 1):
         iterations += 1
         mass = float(np.sum(l2[x]))
         # own squared loss never enters one's own externality sum
-        margin = user.stay_margin(w, mass - np.where(x, l2, 0.0))
+        margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0))
         if start_high:
             movers = x & (margin >= 0.0)
             x = x & ~movers
@@ -70,13 +63,7 @@ def _sweep_profile(
     )
 
 
-def lower_equilibrium(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> RevocationProfile:
+def lower_equilibrium(terms: UserTerms, cfg: GameConfig, q_bar: float) -> RevocationProfile:
     """Least Nash equilibrium via synchronous ascent from all-stay.
 
     Each sweep flips to revoke every user whose staying margin
@@ -84,34 +71,21 @@ def lower_equilibrium(
     is strictly negative.  A user indifferent at zero margin stays.  The
     revoker set grows weakly, so at most I sweeps are needed.
     """
-    return _sweep_profile(population, contract, types, cfg, q_bar, start_high=False)
+    return _sweep_profile(terms, cfg, q_bar, start_high=False)
 
 
-def upper_equilibrium(
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> RevocationProfile:
+def upper_equilibrium(terms: UserTerms, cfg: GameConfig, q_bar: float) -> RevocationProfile:
     """Greatest Nash equilibrium via descent from all-revoke; if it matches
     lower_equilibrium the equilibrium is unique."""
-    return _sweep_profile(population, contract, types, cfg, q_bar, start_high=True)
+    return _sweep_profile(terms, cfg, q_bar, start_high=True)
 
 
-def verify_nash(
-    x: np.ndarray,
-    population: Population,
-    contract: Contract,
-    types: list[UserTypeSpec],
-    cfg: GameConfig,
-    q_bar: float,
-) -> bool:
+def verify_nash(x: np.ndarray, terms: UserTerms, cfg: GameConfig, q_bar: float) -> bool:
     """True iff no user strictly gains from a unilateral flip."""
     x = np.asarray(x, dtype=bool)
-    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
-    mass = float(np.sum(l2[x]))
-    margin = user.stay_margin(w, mass - np.where(x, l2, 0.0))
+    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.loss ** 2
+    margin = terms.stay_margin(w, float(np.sum(l2[x])) - np.where(x, l2, 0.0))
     # a revoker with positive margin would rather stay; a stayer with
     # negative margin would rather revoke
     return bool(np.all(np.where(x, margin <= 0.0, margin >= 0.0)))

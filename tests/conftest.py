@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedincentives.model import GameConfig, UserTypeSpec
+from fedincentives.model import Contract, GameConfig, UserTypeSpec
 
 
 def random_types(rng, J=None, count_hi=2000):
@@ -38,3 +38,18 @@ def random_cfg(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def per_type_calls(monkeypatch):
+    """Every Contract.per_type call, counted: Stage II maps users to their
+    menu items once per population, so each call is one resolution."""
+    calls = []
+    per_type = Contract.per_type
+
+    def counted(self):
+        calls.append(self)
+        return per_type(self)
+
+    monkeypatch.setattr(Contract, "per_type", counted)
+    return calls

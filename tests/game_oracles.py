@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from fedincentives.contract import PoolingSolution, _canonical_blocks, _ratio_greater
-from fedincentives.revocation import _margin_terms, verify_nash
+from fedincentives.revocation import verify_nash
 
 
 def reduced_cost(d, A, B) -> float:
@@ -67,27 +67,29 @@ def brute_force_pooling_oracle(A, B) -> PoolingSolution:
     return _canonical_blocks(best_d)
 
 
-def all_equilibria(population, contract, types, cfg, q_bar) -> np.ndarray:
+def all_equilibria(terms, cfg, q_bar) -> np.ndarray:
     """Every pure equilibrium by checking all 2^I profiles; I <= 16 only."""
-    n = len(population)
+    n = len(terms.loss)
     if n > 16:
         raise ValueError("exhaustive enumeration limited to 16 users")
-    user, w, l2 = _margin_terms(population, contract, types, cfg, q_bar)
+    # burden weight theta d lam (1 - q_bar) on the others' squared losses
+    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.loss ** 2
     masks = np.arange(1 << n, dtype=np.uint32)
     X = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     S = X @ l2
-    margin = user.stay_margin(w, S[:, None] - X * l2)
+    margin = terms.stay_margin(w, S[:, None] - X * l2)
     ne = np.all(np.where(X, margin <= 0.0, margin >= 0.0), axis=1)
     return X[ne]
 
 
-def least_equilibrium_oracle(population, contract, types, cfg, q_bar) -> np.ndarray:
+def least_equilibrium_oracle(terms, cfg, q_bar) -> np.ndarray:
     """Componentwise minimum over all equilibria (itself an equilibrium in
     this game of strategic complements; asserted)."""
-    profiles = all_equilibria(population, contract, types, cfg, q_bar)
+    profiles = all_equilibria(terms, cfg, q_bar)
     if len(profiles) == 0:
         raise RuntimeError("no pure equilibrium found")
     least = np.all(profiles, axis=0)
-    if not verify_nash(least, population, contract, types, cfg, q_bar):
+    if not verify_nash(least, terms, cfg, q_bar):
         raise RuntimeError("componentwise minimum is not an equilibrium")
     return least

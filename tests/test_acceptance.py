@@ -31,6 +31,7 @@ from fedincentives.model import (
     ContractItem,
     GameConfig,
     Population,
+    UserTerms,
     UserTypeSpec,
     mean_retention_rate,
     stage1_expected_cost,
@@ -146,10 +147,11 @@ def test_criterion_03_equilibrium_certification():
     oracle_checked = 0
     for _ in range(1000):
         types, cfg, contract, pop, q_bar = _micro_economy(rng)
-        profile = lower_equilibrium(pop, contract, types, cfg, q_bar)
-        assert verify_nash(profile.x, pop, contract, types, cfg, q_bar)
+        terms = UserTerms.of(pop, contract, types)
+        profile = lower_equilibrium(terms, cfg, q_bar)
+        assert verify_nash(profile.x, terms, cfg, q_bar)
         if len(pop) <= 12:
-            least = least_equilibrium_oracle(pop, contract, types, cfg, q_bar)
+            least = least_equilibrium_oracle(terms, cfg, q_bar)
             assert np.array_equal(profile.x, least)
             oracle_checked += 1
     ok = oracle_checked >= 150
@@ -164,12 +166,13 @@ def test_criterion_04_retention_optimality(shipped):
         types, cfg, contract, pop, q_bar = _micro_economy(rng, n_max=12)
         pop.revoke[:] = True
         revokers = np.arange(len(pop))
-        result = optimal_retention_exact(revokers, pop, contract, types, cfg)
+        terms = UserTerms.of(pop, contract, types)
+        result = optimal_retention_exact(revokers, pop, terms, cfg)
         best, best_key = None, None
         for size in range(len(revokers) + 1):
             for combo in itertools.combinations(range(len(revokers)), size):
                 subset = revokers[list(combo)]
-                obj = retention_objective(subset, revokers, pop, contract, types, cfg)
+                obj = retention_objective(subset, revokers, pop, terms, cfg)
                 key = (obj, size, combo)
                 if best_key is None or key < best_key:
                     best, best_key = subset, key

@@ -91,6 +91,14 @@ def test_equilibrium_csv_schema(cfg_path, tmp_path):
     assert len(_lines(path)) == 1 + 120
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "retain", "simulate"])
+def test_population_commands_resolve_stage_two_once(
+    cfg_path, tmp_path, per_type_calls, command
+):
+    assert _run([command, "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
+    assert len(per_type_calls) == 1
+
+
 def test_retain_csv_schema(cfg_path, tmp_path):
     out = str(tmp_path / "o3")
     assert _run(["retain", "--config", cfg_path, "--out-dir", out]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedincentives import experiments
+from fedincentives.config import load_config
 from fedincentives.contract import design_contract
 from fedincentives.experiments import (
     MECHANISMS,
@@ -128,6 +129,33 @@ def test_stage4_solver_follows_revoker_count(n_rev, method):
     out = run_pipeline("RAR", design_contract(types, cfg), types, cfg, pop)
     assert int(np.sum(out.population.revoke)) == n_rev
     assert out.retention.method == method
+
+
+@pytest.fixture(scope="module")
+def packaged():
+    """The packaged default's RAR menu and its population at seed 0, which
+    has 21 revokers (past the exact cap, so "optimal" runs the heuristic)."""
+    setup = load_config(None)
+    menu = mechanism_contract("RAR", setup.types, setup.cfg)
+    return setup, menu, sample_population(setup.types, setup.sampling, seed=0)
+
+
+@pytest.mark.parametrize("retention", ["all", "optimal"])
+def test_outcome_books_every_retention_payment(packaged, retention):
+    setup, menu, pop = packaged
+    o = run_pipeline("RAR", menu, setup.types, setup.cfg, pop, retention=retention)
+    retained = o.population.retained
+    assert retained.any()
+    assert not o.incentives[~retained].any()
+    booked = setup.cfg.gamma * float(np.sum(o.incentives[retained]))
+    assert booked == o.cost_parts["retention_rewards"]
+
+
+@pytest.mark.parametrize("retention", ["none", "all", "optimal"])
+def test_run_pipeline_resolves_stage_two_once(packaged, per_type_calls, retention):
+    setup, menu, pop = packaged
+    run_pipeline("RAR", menu, setup.types, setup.cfg, pop, retention=retention)
+    assert len(per_type_calls) == 1
 
 
 def test_forced_all_mode_retains_every_revoker(rng):

@@ -8,6 +8,7 @@ from fedincentives.model import (
     ContractItem,
     GameConfig,
     Population,
+    UserTerms,
     UserTypeSpec,
     aggregated_marginal_cost,
     cost_coefficients,
@@ -173,10 +174,11 @@ def test_stage3_revoker_payoff_is_sunk_cost(rng):
     t = types[0]
     d = contract.per_type()[0][0]
     expect = -t.theta * d * cfg.T
+    terms = UserTerms.of(pop, contract, types)
     # a revoker's payoff never depends on anyone else
     for other in (False, True):
         x[1] = other
-        assert stage3_payoff(0, x, pop, contract, types, cfg, 0.5) == pytest.approx(expect)
+        assert stage3_payoff(0, x, terms, cfg, 0.5) == pytest.approx(expect)
 
 
 def test_stage3_stayer_with_zero_loss_no_revokers():
@@ -188,9 +190,8 @@ def test_stage3_stayer_with_zero_loss_no_revokers():
     x = np.array([False, False])
     t = types[0]
     d, r = (a[0] for a in contract.per_type())
-    assert stage3_payoff(0, x, pop, contract, types, cfg, 0.5) == pytest.approx(
-        r - t.theta * d * cfg.T
-    )
+    terms = UserTerms.of(pop, contract, types)
+    assert stage3_payoff(0, x, terms, cfg, 0.5) == pytest.approx(r - t.theta * d * cfg.T)
 
 
 def test_stage1_identity_with_closed_form_rewards(rng):
@@ -251,7 +252,7 @@ def test_stage4_no_revokers():
     contract = design_contract(types, cfg)
     pop = _two_user_population()
     pop.shapley = np.array([0.3, -0.1])
-    total, parts = stage4_realized_cost(pop, contract, types, cfg)
+    total, parts = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg)
     rl = sum(contract.per_type()[1][i] for i in (0, 1))
     assert total == pytest.approx(0.2 + cfg.gamma * rl)
     assert parts["retention_rewards"] == 0.0
@@ -263,7 +264,7 @@ def test_stage4_empty_population():
     cfg = GameConfig()
     contract = design_contract(types, cfg)
     pop = Population(type_idx=np.array([], dtype=int), loss=np.array([]), shapley=np.array([]))
-    total, _ = stage4_realized_cost(pop, contract, types, cfg)
+    total, _ = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg)
     assert total == 0.0
 
 
@@ -285,16 +286,17 @@ def test_stage4_difference_equals_retention_objective(rng):
     pop.revoke[[2, 5, 7, 9]] = True
     revokers = np.flatnonzero(pop.revoke)
     pop.retained = np.zeros(n, dtype=bool)
-    base, _ = stage4_realized_cost(pop, contract, types, cfg)
+    terms = UserTerms.of(pop, contract, types)
+    base, _ = stage4_realized_cost(pop, terms, cfg)
     for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
         pop.retained = np.zeros(n, dtype=bool)
         pop.retained[subset] = True
-        inc_map = retention_incentives(subset, revokers, pop, contract, types, cfg)
+        inc_map = retention_incentives(subset, revokers, pop, terms, cfg)
         vec = np.zeros(n)
         for uid, val in inc_map.items():
             vec[uid] = val
-        total, _ = stage4_realized_cost(pop, contract, types, cfg, incentives=vec)
-        f = retention_objective(subset, revokers, pop, contract, types, cfg)
+        total, _ = stage4_realized_cost(pop, terms, cfg, incentives=vec)
+        f = retention_objective(subset, revokers, pop, terms, cfg)
         assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
 
 

@@ -4,7 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fedincentives.model import Contract, ContractItem, GameConfig, Population, UserTypeSpec
+from fedincentives.model import (
+    Contract,
+    ContractItem,
+    GameConfig,
+    Population,
+    UserTerms,
+    UserTypeSpec,
+)
 from fedincentives.retention import (
     EXACT_MAX_REVOKERS,
     RetentionSizeError,
@@ -38,7 +45,7 @@ def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
     )
     pop.revoke = np.ones(n, dtype=bool)
     cfg = GameConfig(T=10.0, lam=lam, gamma=gamma)
-    return pop, contract, types, cfg
+    return pop, UserTerms.of(pop, contract, types), cfg
 
 
 def _spec_instance():
@@ -47,9 +54,9 @@ def _spec_instance():
 
 
 def test_objective_worked_example():
-    pop, contract, types, cfg = _spec_instance()
+    pop, terms, cfg = _spec_instance()
     rev = [0, 1]
-    f = lambda s: retention_objective(s, rev, pop, contract, types, cfg)
+    f = lambda s: retention_objective(s, rev, pop, terms, cfg)
     assert f([]) == 0.0
     assert f([0]) == pytest.approx(1.0)
     assert f([1]) == pytest.approx(3.0)
@@ -57,29 +64,29 @@ def test_objective_worked_example():
 
 
 def test_objective_full_subset_drops_externality():
-    pop, contract, types, cfg = _spec_instance()
+    pop, terms, cfg = _spec_instance()
     rev = [0, 1]
     # retaining everyone leaves nobody to unlearn
     expect = np.sum(pop.shapley) + cfg.gamma * (2.0 + 1.0)
-    assert retention_objective(rev, rev, pop, contract, types, cfg) == pytest.approx(expect)
+    assert retention_objective(rev, rev, pop, terms, cfg) == pytest.approx(expect)
 
 
 def test_objective_rejects_non_revokers():
-    pop, contract, types, cfg = _spec_instance()
+    pop, terms, cfg = _spec_instance()
     with pytest.raises(ValueError):
-        retention_objective([5], [0, 1], pop, contract, types, cfg)
+        retention_objective([5], [0, 1], pop, terms, cfg)
 
 
 def test_objective_invariant_to_revoker_order():
-    pop, contract, types, cfg = _spec_instance()
-    a = retention_objective([1], [0, 1], pop, contract, types, cfg)
-    b = retention_objective([1], [1, 0], pop, contract, types, cfg)
+    pop, terms, cfg = _spec_instance()
+    a = retention_objective([1], [0, 1], pop, terms, cfg)
+    b = retention_objective([1], [1, 0], pop, terms, cfg)
     assert a == b
 
 
 def test_exact_worked_example():
-    pop, contract, types, cfg = _spec_instance()
-    res = optimal_retention_exact([0, 1], pop, contract, types, cfg)
+    pop, terms, cfg = _spec_instance()
+    res = optimal_retention_exact([0, 1], pop, terms, cfg)
     assert sorted(res.retained.tolist()) == [0, 1]
     assert res.objective == pytest.approx(-1.0)
     assert res.method == "exact"
@@ -87,33 +94,33 @@ def test_exact_worked_example():
 
 
 def test_exact_keeps_nobody_when_costly():
-    pop, contract, types, cfg = _setup(
+    pop, terms, cfg = _setup(
         v=[3.0, 5.0], xi=[1.0, 1.0], losses=[0.5, 0.5], lam=0.0, gamma=10.0
     )
-    res = optimal_retention_exact([0, 1], pop, contract, types, cfg)
+    res = optimal_retention_exact([0, 1], pop, terms, cfg)
     assert res.retained.size == 0
     assert res.objective == 0.0
     assert res.incentives == {}
 
 
 def test_exact_single_negative_revoker():
-    pop, contract, types, cfg = _setup(v=[-1.0], xi=[0.1], losses=[1.0], lam=0.0)
-    res = optimal_retention_exact([0], pop, contract, types, cfg)
+    pop, terms, cfg = _setup(v=[-1.0], xi=[0.1], losses=[1.0], lam=0.0)
+    res = optimal_retention_exact([0], pop, terms, cfg)
     assert res.retained.tolist() == [0]
 
 
 def test_exact_size_guard():
     n = EXACT_MAX_REVOKERS + 1
-    pop, contract, types, cfg = _setup(
+    pop, terms, cfg = _setup(
         v=[0.0] * n, xi=[1.0] * n, losses=[0.5] * n
     )
     with pytest.raises(RetentionSizeError):
-        optimal_retention_exact(list(range(n)), pop, contract, types, cfg)
+        optimal_retention_exact(list(range(n)), pop, terms, cfg)
 
 
 def test_exact_empty_revoker_set():
-    pop, contract, types, cfg = _spec_instance()
-    res = optimal_retention_exact([], pop, contract, types, cfg)
+    pop, terms, cfg = _spec_instance()
+    res = optimal_retention_exact([], pop, terms, cfg)
     assert res.retained.size == 0 and res.objective == 0.0
 
 
@@ -131,25 +138,25 @@ def _random_retention_instance(rng, n):
 def test_exact_equals_itertools_oracle(rng):
     for _ in range(150):
         n = int(rng.integers(1, 9))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
+        pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        res = optimal_retention_exact(rev, pop, contract, types, cfg)
+        res = optimal_retention_exact(rev, pop, terms, cfg)
         best, best_set = 0.0, ()
         for k in range(n + 1):
             for s in itertools.combinations(rev, k):
-                val = retention_objective(list(s), rev, pop, contract, types, cfg)
+                val = retention_objective(list(s), rev, pop, terms, cfg)
                 if val < best - 1e-15:
                     best, best_set = val, s
         assert res.objective == pytest.approx(best, abs=1e-12)
-        assert retention_objective(res.retained, rev, pop, contract, types, cfg) == pytest.approx(best, abs=1e-12)
+        assert retention_objective(res.retained, rev, pop, terms, cfg) == pytest.approx(best, abs=1e-12)
 
 
 def test_exact_tie_breaks_smaller_cardinality():
     # three zero-value users, no externality: every subset ties at 0
-    pop, contract, types, cfg = _setup(
+    pop, terms, cfg = _setup(
         v=[0.0, 0.0, 0.0], xi=[1.0] * 3, losses=[0.0] * 3, lam=0.0, gamma=1e-12
     )
-    res = optimal_retention_exact([0, 1, 2], pop, contract, types, cfg)
+    res = optimal_retention_exact([0, 1, 2], pop, terms, cfg)
     assert res.retained.size == 0
 
 
@@ -178,24 +185,24 @@ def test_tie_policy_cardinality_then_lexicographic():
 def test_heuristic_degenerate_bucketing_matches_exact(rng):
     for _ in range(100):
         n = int(rng.integers(1, 11))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
+        pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        exact = optimal_retention_exact(rev, pop, contract, types, cfg)
-        heur = optimal_retention_heuristic(rev, pop, contract, types, cfg, categories=n)
+        exact = optimal_retention_exact(rev, pop, terms, cfg)
+        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=n)
         assert heur.method == "heuristic"
         assert heur.objective == pytest.approx(exact.objective, abs=1e-10)
 
 
 def test_heuristic_identical_revokers_exact(rng):
     for n in (4, 9, 30):
-        pop, contract, types, cfg = _setup(
+        pop, terms, cfg = _setup(
             v=[-0.5] * n, xi=[1.0] * n, losses=[0.8] * n, lam=0.2, gamma=0.5
         )
         rev = list(range(n))
-        heur = optimal_retention_heuristic(rev, pop, contract, types, cfg, categories=3)
+        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=3)
         # symmetric instance: scan all symmetric sizes for the optimum
         best = min(
-            retention_objective(rev[:k], rev, pop, contract, types, cfg)
+            retention_objective(rev[:k], rev, pop, terms, cfg)
             for k in range(n + 1)
         )
         assert heur.objective == pytest.approx(best, abs=1e-12)
@@ -204,9 +211,9 @@ def test_heuristic_identical_revokers_exact(rng):
 def test_heuristic_never_worse_than_empty(rng):
     for _ in range(50):
         n = int(rng.integers(1, 40))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
+        pop, terms, cfg = _random_retention_instance(rng, n)
         heur = optimal_retention_heuristic(
-            list(range(n)), pop, contract, types, cfg, categories=6
+            list(range(n)), pop, terms, cfg, categories=6
         )
         assert heur.objective <= 0.0
 
@@ -216,10 +223,10 @@ def test_heuristic_soft_quality_report(rng, capsys):
     worst = 0.0
     for _ in range(60):
         n = int(rng.integers(2, 16))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
+        pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        exact = optimal_retention_exact(rev, pop, contract, types, cfg)
-        heur = optimal_retention_heuristic(rev, pop, contract, types, cfg, categories=8)
+        exact = optimal_retention_exact(rev, pop, terms, cfg)
+        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=8)
         if exact.objective < -1e-9:
             worst = max(worst, (heur.objective - exact.objective) / abs(exact.objective))
     print(f"heuristic worst relative excess over exact: {worst:.4%}")
@@ -227,33 +234,33 @@ def test_heuristic_soft_quality_report(rng, capsys):
 
 
 def test_heuristic_category_guard():
-    pop, contract, types, cfg = _spec_instance()
+    pop, terms, cfg = _spec_instance()
     with pytest.raises(ValueError):
-        optimal_retention_heuristic([0, 1], pop, contract, types, cfg, categories=17)
+        optimal_retention_heuristic([0, 1], pop, terms, cfg, categories=17)
     with pytest.raises(ValueError):
-        optimal_retention_heuristic([0, 1], pop, contract, types, cfg, categories=0)
+        optimal_retention_heuristic([0, 1], pop, terms, cfg, categories=0)
 
 
 def test_incentives_worked_example():
     # theta*d*lam*sum_leave(l^2)=4, xi*l*d=2, rl=3 -> rU=3
-    pop, contract, types, cfg = _setup(
+    pop, terms, cfg = _setup(
         v=[0.0, 0.0], xi=[2.0, 1.0], losses=[1.0, 2.0], rl=[3.0, 0.0]
     )
-    inc = retention_incentives([0], [0, 1], pop, contract, types, cfg)
+    inc = retention_incentives([0], [0, 1], pop, terms, cfg)
     assert inc == {0: pytest.approx(4.0 + 2.0 - 3.0)}
 
 
 def test_incentives_zero_loss_negative_reward():
-    pop, contract, types, cfg = _setup(v=[0.0], xi=[1.0], losses=[0.0], rl=[5.0])
-    inc = retention_incentives([0], [0], pop, contract, types, cfg)
+    pop, terms, cfg = _setup(v=[0.0], xi=[1.0], losses=[0.0], rl=[5.0])
+    inc = retention_incentives([0], [0], pop, terms, cfg)
     assert inc == {0: pytest.approx(-5.0)}
 
 
 def test_incentives_full_retention_no_externality():
-    pop, contract, types, cfg = _setup(
+    pop, terms, cfg = _setup(
         v=[0.0, 0.0], xi=[2.0, 1.0], losses=[1.0, 2.0], rl=[3.0, 1.0]
     )
-    inc = retention_incentives([0, 1], [0, 1], pop, contract, types, cfg)
+    inc = retention_incentives([0, 1], [0, 1], pop, terms, cfg)
     assert inc[0] == pytest.approx(2.0 - 3.0)
     assert inc[1] == pytest.approx(2.0 - 1.0)
 
@@ -263,23 +270,22 @@ def test_retained_users_indifferent(rng):
     rl + rU - privacy - unlearning burden = 0 on top of the sunk cost."""
     for _ in range(100):
         n = int(rng.integers(2, 10))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
+        pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        res = optimal_retention_exact(rev, pop, contract, types, cfg)
+        res = optimal_retention_exact(rev, pop, terms, cfg)
         leave = set(rev) - set(res.retained.tolist())
         burden_mass = sum(pop.loss[k] ** 2 for k in leave)
         for uid, ru in res.incentives.items():
-            t = types[pop.type_idx[uid]]
-            d, r = (a[pop.type_idx[uid]] for a in contract.per_type())
+            d, r = terms.d[uid], terms.r[uid]
             slack = (r + ru
-                     - t.xi * pop.loss[uid] * d
-                     - t.theta * d * cfg.lam * burden_mass)
+                     - terms.xi[uid] * pop.loss[uid] * d
+                     - terms.theta[uid] * d * cfg.lam * burden_mass)
             assert abs(slack) < 1e-9 * max(1.0, abs(r) + abs(ru))
 
 
 def test_exact_dominates_empty(rng):
     for _ in range(80):
         n = int(rng.integers(1, 11))
-        pop, contract, types, cfg = _random_retention_instance(rng, n)
-        res = optimal_retention_exact(list(range(n)), pop, contract, types, cfg)
+        pop, terms, cfg = _random_retention_instance(rng, n)
+        res = optimal_retention_exact(list(range(n)), pop, terms, cfg)
         assert res.objective <= 0.0

@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 from fedincentives.contract import design_contract
-from fedincentives.model import Contract, ContractItem, GameConfig, Population, stage3_payoff
+from fedincentives.model import (
+    Contract,
+    ContractItem,
+    GameConfig,
+    Population,
+    UserTerms,
+    stage3_payoff,
+)
 from fedincentives.revocation import lower_equilibrium, upper_equilibrium, verify_nash
 
 from conftest import random_cfg, random_types
@@ -36,7 +43,7 @@ def _manual_setup(rl, xi, losses, theta=None, lam=1.0, q_bar=0.0):
         shapley=np.zeros(n),
     )
     cfg = GameConfig(T=10.0, lam=lam)
-    return pop, contract, types, cfg, q_bar
+    return UserTerms.of(pop, contract, types), cfg, q_bar
 
 
 def _cascade_instance():
@@ -46,25 +53,24 @@ def _cascade_instance():
 
 
 def test_cascade_reaches_all_revoke():
-    pop, contract, types, cfg, q_bar = _cascade_instance()
-    low = lower_equilibrium(pop, contract, types, cfg, q_bar)
+    terms, cfg, q_bar = _cascade_instance()
+    low = lower_equilibrium(terms, cfg, q_bar)
     assert low.x.tolist() == [True, True]
     assert low.converged_from == "all-zero"
     # sweep 1 flips u2 only, sweep 2 flips u1, sweep 3 confirms
     assert low.iterations == 3
-    up = upper_equilibrium(pop, contract, types, cfg, q_bar)
+    up = upper_equilibrium(terms, cfg, q_bar)
     assert up.x.tolist() == [True, True]
-    eqs = all_equilibria(pop, contract, types, cfg, q_bar)
+    eqs = all_equilibria(terms, cfg, q_bar)
     assert len(eqs) == 1
 
 
 def test_cascade_profile_payoffs_enumerated():
     """strategic-complement structure visible in raw payoffs: u1 prefers to
     stay alone but follows once u2 leaves."""
-    pop, contract, types, cfg, q_bar = _cascade_instance()
+    terms, cfg, q_bar = _cascade_instance()
     theta_d_T = 1.0 * 1.0 * cfg.T
-    payoff = lambda i, x: stage3_payoff(i, np.asarray(x, bool), pop, contract,
-                                        types, cfg, q_bar)
+    payoff = lambda i, x: stage3_payoff(i, np.asarray(x, bool), terms, cfg, q_bar)
     assert payoff(0, [True, False]) == pytest.approx(-theta_d_T)
     assert payoff(0, [True, True]) == pytest.approx(-theta_d_T)
     assert payoff(0, [False, False]) == pytest.approx(10.0 - theta_d_T - 8.0)
@@ -73,13 +79,13 @@ def test_cascade_profile_payoffs_enumerated():
 
 
 def test_no_profitable_first_flip_stays_all_zero():
-    pop, contract, types, cfg, q_bar = _manual_setup(
+    terms, cfg, q_bar = _manual_setup(
         rl=[30.0, 30.0], xi=[8.0, 1.0], losses=[1.0, 2.0]
     )
-    low = lower_equilibrium(pop, contract, types, cfg, q_bar)
+    low = lower_equilibrium(terms, cfg, q_bar)
     assert not low.x.any()
     assert low.iterations == 1
-    up = upper_equilibrium(pop, contract, types, cfg, q_bar)
+    up = upper_equilibrium(terms, cfg, q_bar)
     assert not up.x.any()
 
 
@@ -94,8 +100,9 @@ def test_lambda_zero_decouples(rng):
             loss=rng.uniform(0.0, 1.0, size=n),
             shapley=np.zeros(n),
         )
-        low = lower_equilibrium(pop, contract, types, cfg, 0.5)
-        up = upper_equilibrium(pop, contract, types, cfg, 0.5)
+        terms = UserTerms.of(pop, contract, types)
+        low = lower_equilibrium(terms, cfg, 0.5)
+        up = upper_equilibrium(terms, cfg, 0.5)
         assert np.array_equal(low.x, up.x)
         for i in range(n):
             t = types[pop.type_idx[i]]
@@ -106,32 +113,32 @@ def test_lambda_zero_decouples(rng):
 def test_coordination_instance_upper_differs():
     # each user stays iff the other stays: staying margin +1/+3 with no
     # revokers, -1/-1 once the other has revoked
-    pop, contract, types, cfg, q_bar = _manual_setup(
+    terms, cfg, q_bar = _manual_setup(
         rl=[5.0, 5.0], xi=[4.0, 1.0], losses=[1.0, 2.0],
         theta=[0.5, 4.0],
     )
-    low = lower_equilibrium(pop, contract, types, cfg, q_bar)
-    up = upper_equilibrium(pop, contract, types, cfg, q_bar)
+    low = lower_equilibrium(terms, cfg, q_bar)
+    up = upper_equilibrium(terms, cfg, q_bar)
     assert not low.x.any()
     assert up.x.all()
-    assert verify_nash(low.x, pop, contract, types, cfg, q_bar)
-    assert verify_nash(up.x, pop, contract, types, cfg, q_bar)
-    assert not verify_nash(np.array([True, False]), pop, contract, types, cfg, q_bar)
+    assert verify_nash(low.x, terms, cfg, q_bar)
+    assert verify_nash(up.x, terms, cfg, q_bar)
+    assert not verify_nash(np.array([True, False]), terms, cfg, q_bar)
 
 
 def test_verify_nash_rejects_all_zero_in_cascade():
-    pop, contract, types, cfg, q_bar = _cascade_instance()
-    assert not verify_nash(np.array([False, False]), pop, contract, types, cfg, q_bar)
+    terms, cfg, q_bar = _cascade_instance()
+    assert not verify_nash(np.array([False, False]), terms, cfg, q_bar)
 
 
 def test_single_user_threshold_rule():
     for rl, expect in ((0.5, True), (2.0, False), (1.0, False)):  # tie stays
-        pop, contract, types, cfg, q_bar = _manual_setup(
+        terms, cfg, q_bar = _manual_setup(
             rl=[rl], xi=[1.0], losses=[1.0]
         )
-        low = lower_equilibrium(pop, contract, types, cfg, q_bar)
+        low = lower_equilibrium(terms, cfg, q_bar)
         assert bool(low.x[0]) is expect
-        assert verify_nash(low.x, pop, contract, types, cfg, q_bar)
+        assert verify_nash(low.x, terms, cfg, q_bar)
 
 
 def _random_instance(rng, n):
@@ -151,16 +158,16 @@ def _random_instance(rng, n):
     shrink = float(rng.uniform(0.3, 1.0))
     contract.items = [ContractItem(it.d, it.r_learn * shrink) for it in contract.items]
     q_bar = float(rng.uniform(0.0, 1.0))
-    return pop, contract, types, cfg, q_bar
+    return UserTerms.of(pop, contract, types), cfg, q_bar
 
 
 def test_lower_equilibrium_certified_on_random_instances(rng):
     some_revoke = 0
     for _ in range(1000):
         n = int(rng.integers(1, 51))
-        pop, contract, types, cfg, q_bar = _random_instance(rng, n)
-        low = lower_equilibrium(pop, contract, types, cfg, q_bar)
-        assert verify_nash(low.x, pop, contract, types, cfg, q_bar)
+        terms, cfg, q_bar = _random_instance(rng, n)
+        low = lower_equilibrium(terms, cfg, q_bar)
+        assert verify_nash(low.x, terms, cfg, q_bar)
         assert low.iterations <= n + 1
         some_revoke += int(low.x.any())
     assert some_revoke > 100  # the family is not degenerate
@@ -169,18 +176,18 @@ def test_lower_equilibrium_certified_on_random_instances(rng):
 def test_lower_matches_exhaustive_least_ne(rng):
     for _ in range(300):
         n = int(rng.integers(1, 13))
-        pop, contract, types, cfg, q_bar = _random_instance(rng, n)
-        low = lower_equilibrium(pop, contract, types, cfg, q_bar)
-        oracle = least_equilibrium_oracle(pop, contract, types, cfg, q_bar)
+        terms, cfg, q_bar = _random_instance(rng, n)
+        low = lower_equilibrium(terms, cfg, q_bar)
+        oracle = least_equilibrium_oracle(terms, cfg, q_bar)
         assert np.array_equal(low.x, oracle)
 
 
 def test_lower_subset_of_upper(rng):
     for _ in range(200):
         n = int(rng.integers(1, 40))
-        pop, contract, types, cfg, q_bar = _random_instance(rng, n)
-        low = lower_equilibrium(pop, contract, types, cfg, q_bar)
-        up = upper_equilibrium(pop, contract, types, cfg, q_bar)
+        terms, cfg, q_bar = _random_instance(rng, n)
+        low = lower_equilibrium(terms, cfg, q_bar)
+        up = upper_equilibrium(terms, cfg, q_bar)
         assert not np.any(low.x & ~up.x)
 
 
@@ -189,27 +196,27 @@ def test_monotone_in_lambda_and_qbar(rng):
     revokers at the least equilibrium."""
     for _ in range(60):
         n = int(rng.integers(2, 30))
-        pop, contract, types, cfg, q_bar = _random_instance(rng, n)
+        terms, cfg, q_bar = _random_instance(rng, n)
         lams = sorted(rng.uniform(0.0, 0.5, size=3))
         prev = None
         for lam in lams:
             c = GameConfig(T=cfg.T, lam=lam, rho=cfg.rho, gamma=cfg.gamma)
-            x = lower_equilibrium(pop, contract, types, c, q_bar).x
+            x = lower_equilibrium(terms, c, q_bar).x
             if prev is not None:
                 assert not np.any(prev & ~x)
             prev = x
         qs = sorted(rng.uniform(0.0, 1.0, size=3), reverse=True)
         prev = None
         for q in qs:
-            x = lower_equilibrium(pop, contract, types, cfg, q).x
+            x = lower_equilibrium(terms, cfg, q).x
             if prev is not None:
                 assert not np.any(prev & ~x)
             prev = x
 
 
 def test_all_equilibria_rejects_large():
-    pop, contract, types, cfg, q_bar = _manual_setup(
+    terms, cfg, q_bar = _manual_setup(
         rl=[1.0] * 17, xi=[1.0] * 17, losses=[0.5] * 17
     )
     with pytest.raises(ValueError):
-        all_equilibria(pop, contract, types, cfg, q_bar)
+        all_equilibria(terms, cfg, q_bar)

@@ -5,7 +5,7 @@ import pytest
 
 from fedincentives.contract import design_contract
 from fedincentives.experiments import _realized_payoffs
-from fedincentives.model import Population, stage3_payoff, stage4_realized_cost
+from fedincentives.model import Population, UserTerms, stage3_payoff, stage4_realized_cost
 from fedincentives.retention import retention_incentives
 
 from conftest import random_cfg, random_types
@@ -47,16 +47,17 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
     rewards = 0.0
     for i in np.flatnonzero(~pop.revoke | pop.retained):
         rewards += contract.items[contract.order.index(pop.type_idx[i])].r_learn
-    _, parts = stage4_realized_cost(pop, contract, types, cfg)
+    terms = UserTerms.of(pop, contract, types)
+    _, parts = stage4_realized_cost(pop, terms, cfg)
     assert parts["learning_rewards"] == rewards * cfg.gamma
 
     # realized payoffs are Stage-III payoffs at x = the final leavers, q_bar = 0
-    payoffs = _realized_payoffs(pop, contract, types, cfg)
+    payoffs = _realized_payoffs(pop, terms, cfg)
     for i in np.flatnonzero(~pop.retained):
-        assert payoffs[i] == stage3_payoff(i, leavers, pop, contract, types, cfg, 0.0)
+        assert payoffs[i] == stage3_payoff(i, leavers, terms, cfg, 0.0)
 
     # the retention payment is minus the stay margin at the final leaver mass
-    incentives = retention_incentives(retained, revokers, pop, contract, types, cfg)
+    incentives = retention_incentives(retained, revokers, pop, terms, cfg)
     assert sorted(incentives) == retained.tolist()
     for i in retained:
         t = types[pop.type_idx[i]]
