@@ -42,15 +42,11 @@ from .model import (
     ContractItem,
     GameConfig,
     Population,
+    TypeRates,
     UserTerms,
     UserTypeSpec,
-    aggregated_marginal_cost,
-    cost_coefficients,
-    expected_unlearning_load,
     mean_retention_rate,
-    retention_discounted_cost,
     stage1_expected_cost,
-    stage2_expected_payoff,
     stage3_payoff,
     stage4_realized_cost,
     truncated_normal_moments,
@@ -92,16 +88,14 @@ __all__ = [
     "StationarySearch",
     "StepSchedule",
     "TrainTrace",
+    "TypeRates",
     "UnlearnSpec",
     "UserTerms",
     "UserTypeSpec",
-    "aggregated_marginal_cost",
     "check_gap_bound",
     "compare_costs",
-    "cost_coefficients",
     "default_config_path",
     "design_contract",
-    "expected_unlearning_load",
     "federated_shapley_exact",
     "find_stationary_rates",
     "load_config",
@@ -115,14 +109,12 @@ __all__ = [
     "optimal_rewards",
     "realized_rates",
     "restrict_problem",
-    "retention_discounted_cost",
     "retention_incentives",
     "retention_objective",
     "run_pipeline",
     "sample_population",
     "scaffold_train",
     "stage1_expected_cost",
-    "stage2_expected_payoff",
     "stage3_payoff",
     "stage4_realized_cost",
     "training_loss_metric",

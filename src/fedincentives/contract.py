@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Contract,
-    ContractItem,
-    GameConfig,
-    UserTypeSpec,
-    aggregated_marginal_cost,
-    cost_coefficients,
-    expected_unlearning_load,
-    retention_discounted_cost,
-)
+from .model import Contract, ContractItem, GameConfig, TypeRates, UserTypeSpec
 
 __all__ = [
     "PoolingSolution",
@@ -145,29 +136,22 @@ def verify_ir_ic(
     Types are given in original order and the report is indexed by menu
     position.  Each type pays its true cost rate kappa under cfg, not the
     rate the menu was priced at (LLA's lambda = 0).  Slacks are expected
-    payoffs (IR) and own-item minus other-item payoffs (IC); a violation is
+    payoffs (IR, the diagonal of TypeRates.payoffs) and own-item minus
+    other-item payoffs (IC, the diagonal minus the matrix); a violation is
     any slack below -cfg.tol * scale.
     """
-    J = len(types)
     d = np.array([it.d for it in contract.items])
     r = np.array([it.r_learn for it in contract.items])
     scale = max(1.0, float(np.max(np.abs(r))))
-
-    ir = np.empty(J)
-    ic = np.zeros((J, J))
+    payoffs = TypeRates.of(types, cfg).take(contract.order).payoffs(d, r)
+    ir = np.diagonal(payoffs).copy()
+    ic = ir[:, None] - payoffs
+    floor = -cfg.tol * scale
     violations: list[tuple[str, int, int]] = []
-    for j, orig in enumerate(contract.order):
-        t = types[orig]
-        kappa = retention_discounted_cost(t, types, cfg)
-        own = (1.0 - t.p) * r[j] - kappa * d[j]
-        ir[j] = own
-        if own < -cfg.tol * scale:
+    for j in range(len(ir)):
+        if ir[j] < floor:
             violations.append(("IR", j, j))
-        for m in range(J):
-            other = (1.0 - t.p) * r[m] - kappa * d[m]
-            ic[j, m] = own - other
-            if ic[j, m] < -cfg.tol * scale:
-                violations.append(("IC", j, m))
+        violations += [("IC", j, m) for m in np.flatnonzero(ic[j] < floor).tolist()]
     return IRICReport(
         ir_slack=ir,
         ic_slack=ic,
@@ -193,27 +177,22 @@ def design_contract(
     """
     for t in types:
         t.validate()
-    pis = [aggregated_marginal_cost(t, types, cfg) for t in types]
-    order = sorted(range(len(types)), key=lambda i: pis[i])
-    sorted_types = [types[i] for i in order]
-    pi = [pis[i] for i in order]
-    kappa = [retention_discounted_cost(types[i], types, cfg) for i in order]
-    A, B = cost_coefficients(sorted_types, cfg)
+    rates = TypeRates.of(types, cfg)
+    order = sorted(range(len(types)), key=lambda i: rates.pi[i])
+    menu = rates.take(order)
+    A, B = menu.cost_coefficients(cfg)
     if drop_expected_retention:
-        alpha = expected_unlearning_load(sorted_types, cfg)
-        for j, t in enumerate(sorted_types):
-            B[j] -= cfg.gamma * t.count * t.p * t.q * (
-                alpha * t.theta + t.xi * t.loss_mean
-            )
+        B -= cfg.gamma * menu.count * menu.p * menu.q * menu.X
     pooling = optimal_data_sizes(A, B)
+    pi = menu.pi.tolist()
     rewards = optimal_rewards(pooling.d, pi, tol=cfg.tol)
     items = [ContractItem(d=dj, r_learn=rj) for dj, rj in zip(pooling.d, rewards)]
     contract = Contract(
         items=items,
         pi=pi,
-        kappa=kappa,
-        A=list(map(float, A)),
-        B=list(map(float, B)),
+        kappa=menu.kappa.tolist(),
+        A=A.tolist(),
+        B=B.tolist(),
         blocks=pooling.blocks,
         order=order,
     )

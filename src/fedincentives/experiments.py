@@ -146,10 +146,10 @@ def run_pipeline(
     retention_result: RetentionResult | None = None
     if mode == "none" or len(revokers) == 0:
         retained_ids = np.array([], dtype=int)
-        incentive_map: dict[int, float] = {}
+        payments = np.zeros(0)
     elif mode == "all":
         retained_ids = revokers
-        incentive_map = retention_incentives(retained_ids, revokers, population, terms, cfg)
+        payments = retention_incentives(retained_ids, revokers, population, terms, cfg)
     else:
         if len(revokers) <= EXACT_MAX_REVOKERS:
             solve = optimal_retention_exact
@@ -157,13 +157,12 @@ def run_pipeline(
             solve = optimal_retention_heuristic
         retention_result = solve(revokers, population, terms, cfg)
         retained_ids = retention_result.retained
-        incentive_map = retention_result.incentives
+        payments = retention_result.incentives
 
     population.retained[:] = False
     population.retained[retained_ids] = True
     incentives = np.zeros(len(population))
-    for uid, ru in incentive_map.items():
-        incentives[uid] = ru
+    incentives[retained_ids] = payments
 
     cost, parts = stage4_realized_cost(population, terms, cfg, incentives)
     payoffs = _realized_payoffs(population, terms, cfg)

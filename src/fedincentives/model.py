@@ -24,11 +24,7 @@ __all__ = [
     "Contract",
     "Population",
     "UserTerms",
-    "aggregated_marginal_cost",
-    "retention_discounted_cost",
-    "expected_unlearning_load",
-    "cost_coefficients",
-    "stage2_expected_payoff",
+    "TypeRates",
     "stage3_payoff",
     "stage1_expected_cost",
     "stage4_realized_cost",
@@ -233,97 +229,85 @@ def mean_retention_rate(types: list[UserTypeSpec]) -> float:
     return sum(t.count * t.q for t in types) / total
 
 
-def expected_unlearning_load(types: list[UserTypeSpec], cfg: GameConfig) -> float:
-    """Expected unlearning-round mass alpha.
+def _running_sum(values: np.ndarray) -> float:
+    """Sum in index order: np.sum adds pairwise and rounds differently, and
+    every CLI output's bytes depend on the order."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
-    alpha = lam * sum_j I_j p_j (1 - q_j) (E[l_j]^2 + Var[l_j]): the expected
-    number of extra rounds per unit of theta*d caused by users who revoke and
-    are not retained.
+
+@dataclass(frozen=True)
+class TypeRates:
+    """Stage I's one-dimensional metrics per type, formed once per design.
+
+    alpha = lam sum_j I_j p_j (1 - q_j) (E[l_j]^2 + Var[l_j]) is the expected
+    unlearning load per unit of theta*d.  Per type:
+    pi = xi E[l] + theta T / (1 - p) + theta alpha, the aggregated marginal
+    cost that orders the menu; kappa = (1 - p) pi, written expanded, the
+    participation cost rate; A = rho I (1 - p + p q) / T, the accuracy
+    weight; X = alpha theta + xi E[l], the per-unit rate of the expected
+    retention payment, weighted by p q where used.
     """
-    acc = 0.0
-    for t in types:
-        acc += t.count * t.p * (1.0 - t.q) * (t.loss_mean ** 2 + t.loss_var)
-    return cfg.lam * acc
 
+    alpha: float
+    pi: np.ndarray
+    kappa: np.ndarray
+    A: np.ndarray
+    X: np.ndarray
+    count: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
 
-def aggregated_marginal_cost(
-    type_spec: UserTypeSpec, types: list[UserTypeSpec], cfg: GameConfig
-) -> float:
-    """Per-data-unit cost rate pi_j used to price rewards.
-
-    pi_j = xi_j E[l_j] + theta_j T / (1 - p_j) + theta_j * alpha, where alpha
-    aggregates the expected unlearning load over all types.  Types are indexed
-    in ascending order of this quantity before contract design.
-    """
-    if type_spec.p >= 1.0:
-        raise ZeroDivisionError("p = 1 means the type always revokes; cost rate undefined")
-    alpha = expected_unlearning_load(types, cfg)
-    return (
-        type_spec.xi * type_spec.loss_mean
-        + type_spec.theta * cfg.T / (1.0 - type_spec.p)
-        + type_spec.theta * alpha
-    )
-
-
-def retention_discounted_cost(
-    type_spec: UserTypeSpec, types: list[UserTypeSpec], cfg: GameConfig
-) -> float:
-    """Participation cost rate kappa_j = (1 - p_j) * pi_j.
-
-    Expanded: (1-p_j) xi_j E[l_j] + theta_j T + theta_j (1-p_j) alpha.  The
-    individual-rationality constraint is (1-p_j) r_j >= kappa_j d_j.
-    """
-    alpha = expected_unlearning_load(types, cfg)
-    return (
-        (1.0 - type_spec.p) * type_spec.xi * type_spec.loss_mean
-        + type_spec.theta * cfg.T
-        + type_spec.theta * (1.0 - type_spec.p) * alpha
-    )
-
-
-def cost_coefficients(
-    types: list[UserTypeSpec], cfg: GameConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (A_j, B_j) of the reduced server cost sum_j A_j/d_j + B_j d_j.
-
-    Requires types already sorted by ascending aggregated marginal cost.
-    A_j = rho I_j (1 - p_j + p_j q_j) / T weights model accuracy; B_j collects
-    the reward and expected retention-incentive terms:
-
-        B_j = gamma I_j (p_j q_j (alpha theta_j + xi_j E[l_j]) + (1-p_j) pi_j)
-              + sum_{m<j} gamma I_m (1-p_m) (pi_j - pi_{j-1})
-    """
-    J = len(types)
-    alpha = expected_unlearning_load(types, cfg)
-    pis = [aggregated_marginal_cost(t, types, cfg) for t in types]
-    for a, b in zip(pis, pis[1:]):
-        if b < a - cfg.tol * max(1.0, abs(a)):
-            raise ValueError("types must be sorted by ascending aggregated marginal cost")
-    A = np.empty(J)
-    B = np.empty(J)
-    for j, t in enumerate(types):
-        A[j] = cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / cfg.T
-        own = cfg.gamma * t.count * (
-            t.p * t.q * (alpha * t.theta + t.xi * t.loss_mean)
-            + (1.0 - t.p) * pis[j]
+    @classmethod
+    def of(cls, types: list[UserTypeSpec], cfg: GameConfig) -> "TypeRates":
+        """The rates of `types` under cfg, in the order given."""
+        theta, xi, count, p, q, loss_mean, loss_var = (
+            np.array([getattr(t, f.name) for t in types], dtype=float)
+            for f in fields(UserTypeSpec)
         )
-        cross = 0.0
-        for m in range(j):
-            cross += cfg.gamma * types[m].count * (1.0 - types[m].p) * (pis[j] - pis[j - 1])
-        B[j] = own + cross
-    return A, B
+        if np.any(p >= 1.0):
+            raise ZeroDivisionError("p = 1 means the type always revokes; cost rate undefined")
+        alpha = cfg.lam * _running_sum(count * p * (1.0 - q) * (loss_mean ** 2 + loss_var))
+        return cls(
+            alpha=alpha,
+            pi=xi * loss_mean + theta * cfg.T / (1.0 - p) + theta * alpha,
+            kappa=(1.0 - p) * xi * loss_mean + theta * cfg.T + theta * (1.0 - p) * alpha,
+            A=cfg.rho * count * (1.0 - p + p * q) / cfg.T,
+            X=alpha * theta + xi * loss_mean,
+            count=count,
+            p=p,
+            q=q,
+        )
+
+    def take(self, order) -> "TypeRates":
+        """The rates in menu order: entry k is type order[k]."""
+        return TypeRates(self.alpha, *(getattr(self, f.name)[order] for f in fields(self)[1:]))
+
+    def payoffs(self, d, r) -> np.ndarray:
+        """Expected payoffs (1 - p_j) r_m - kappa_j d_m of type j taking item
+        m, for items (d, r) in the same order as the rates."""
+        return (1.0 - self.p)[:, None] * np.asarray(r) - self.kappa[:, None] * np.asarray(d)
+
+    def cost_coefficients(self, cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (A_j, B_j) of the reduced server cost
+        sum_j A_j/d_j + B_j d_j, for rates in ascending pi order.
+
+        B_j collects the reward and expected retention-incentive terms:
+
+            B_j = gamma I_j (p_j q_j X_j + (1-p_j) pi_j)
+                  + sum_{m<j} gamma I_m (1-p_m) (pi_j - pi_{j-1})
+        """
+        pi = self.pi
+        for a, b in zip(pi, pi[1:]):
+            if b < a - cfg.tol * max(1.0, abs(a)):
+                raise ValueError("types must be sorted by ascending aggregated marginal cost")
+        B = cfg.gamma * self.count * (self.p * self.q * self.X + (1.0 - self.p) * pi)
+        rent = cfg.gamma * self.count * (1.0 - self.p)
+        for j in range(1, len(pi)):
+            B[j] += _running_sum(rent[:j] * (pi[j] - pi[j - 1]))
+        return self.A, B
 
 
 # --- stage payoffs and costs ---
-
-
-def stage2_expected_payoff(
-    type_spec: UserTypeSpec, item: ContractItem, types: list[UserTypeSpec], cfg: GameConfig
-) -> float:
-    """Expected payoff of a type accepting a menu item:
-    (1 - p_j) r - kappa_j d."""
-    kap = retention_discounted_cost(type_spec, types, cfg)
-    return (1.0 - type_spec.p) * item.r_learn - kap * item.d
 
 
 def stage3_payoff(
@@ -355,15 +339,14 @@ def stage1_expected_cost(
     contract: Contract, types_sorted: list[UserTypeSpec], cfg: GameConfig
 ) -> float:
     """Expected server cost of a contract (accuracy + rewards + expected
-    retention incentives), for types in the contract's pi order."""
-    alpha = expected_unlearning_load(types_sorted, cfg)
+    retention incentives), for types in the contract's pi order, summed term
+    by term: the reference the reduced form sum_j A_j/d_j + B_j d_j meets."""
+    X = TypeRates.of(types_sorted, cfg).X
     total = 0.0
-    for t, item in zip(types_sorted, contract.items):
+    for t, x, item in zip(types_sorted, X, contract.items):
         total += cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / (cfg.T * item.d)
         total += cfg.gamma * t.count * (1.0 - t.p) * item.r_learn
-        total += cfg.gamma * t.count * t.p * t.q * (
-            alpha * t.theta + t.xi * t.loss_mean
-        ) * item.d
+        total += cfg.gamma * t.count * t.p * t.q * x * item.d
     return total
 
 
@@ -382,9 +365,7 @@ def stage4_realized_cost(
     """
     stay = ~population.revoke | population.retained
     accuracy = float(np.sum(population.shapley[stay]))
-    # a running sum in user order: np.sum adds pairwise and rounds differently
-    running = np.cumsum(np.append(0.0, terms.r[stay]))
-    rewards = cfg.gamma * float(running[-1])
+    rewards = cfg.gamma * _running_sum(terms.r[stay])
     retention = 0.0
     if incentives is not None and population.retained.any():
         retention = cfg.gamma * float(np.sum(incentives[population.retained]))

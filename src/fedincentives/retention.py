@@ -40,16 +40,12 @@ class RetentionSizeError(ValueError):
 
 @dataclass
 class RetentionResult:
+    """The retained revokers' ids and their payments, aligned."""
+
     retained: np.ndarray
-    incentives: dict[int, float]
+    incentives: np.ndarray
     objective: float
     method: str
-
-    def validate(self) -> None:
-        if self.method not in ("exact", "heuristic"):
-            raise ValueError("unknown method")
-        if sorted(self.incentives) != sorted(int(i) for i in self.retained):
-            raise ValueError("incentives must cover exactly the retained users")
 
 
 @dataclass
@@ -106,12 +102,11 @@ class _Revokers:
         leave = self.e_tot - float(np.sum(self.e[sel]))
         return float(np.sum(self.c[sel]) + self.cfg.gamma * np.sum(self.tg[sel]) * leave)
 
-    def incentives(self, sel: np.ndarray) -> dict[int, float]:
-        """Payments of the selected revokers, keyed by user id, at the leaver
-        mass of the unselected ones.  That mass is summed over them, not
-        taken as e_tot minus the selected: the output bytes depend on it."""
-        ru = self.payments(float(np.sum(self.e[~sel])))
-        return {int(self.ids[k]): float(ru[k]) for k in np.flatnonzero(sel)}
+    def incentives(self, sel: np.ndarray) -> np.ndarray:
+        """Payments of the selected revokers, aligned with ids[sel], at the
+        leaver mass of the unselected ones.  That mass is summed over them,
+        not taken as e_tot minus the selected: the output bytes depend on it."""
+        return self.payments(float(np.sum(self.e[~sel])))[sel]
 
     def result(self, sel: np.ndarray, objective: float, method: str) -> RetentionResult:
         return RetentionResult(
@@ -264,8 +259,9 @@ def retention_incentives(
     population: Population,
     terms: UserTerms,
     cfg: GameConfig,
-) -> dict[int, float]:
-    """Indifference payments for the retained users.
+) -> np.ndarray:
+    """Indifference payments for the retained users, in the order they hold
+    among `revokers`.
 
     rU_i = theta_i d_i lam * sum_{k leaves} l_k^2 + xi_i l_i d_i - rL_i,
     where the sum covers revokers neither retained nor equal to i.  Values

@@ -30,12 +30,6 @@ class RevocationProfile:
     iterations: int
     converged_from: str
 
-    def validate(self) -> None:
-        if self.x.dtype != np.bool_:
-            raise ValueError("x must be boolean")
-        if self.converged_from not in ("all-zero", "all-one"):
-            raise ValueError("unknown start profile")
-
 
 def _sweep_profile(terms, cfg, q_bar, start_high: bool) -> RevocationProfile:
     w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)

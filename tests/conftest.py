@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedincentives.model import Contract, GameConfig, UserTypeSpec
+from fedincentives.model import Contract, GameConfig, TypeRates, UserTypeSpec
 
 
 def random_types(rng, J=None, count_hi=2000):
@@ -52,4 +52,19 @@ def per_type_calls(monkeypatch):
         return per_type(self)
 
     monkeypatch.setattr(Contract, "per_type", counted)
+    return calls
+
+
+@pytest.fixture
+def type_rates_calls(monkeypatch):
+    """Every TypeRates.of call, counted: Stage I forms its rates, alpha
+    among them, once per design and once per IR/IC check."""
+    calls = []
+    of = TypeRates.of.__func__
+
+    def counted(cls, types, cfg):
+        calls.append(types)
+        return of(cls, types, cfg)
+
+    monkeypatch.setattr(TypeRates, "of", classmethod(counted))
     return calls

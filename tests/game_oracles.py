@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 
-from fedincentives.contract import PoolingSolution, _canonical_blocks, _ratio_greater
+from fedincentives.contract import PoolingSolution
 from fedincentives.revocation import verify_nash
+
+# relative slack of the oracle's own comparisons, set apart from the
+# optimizer's so that a change to the optimizer's tolerance shows as a mismatch
+ORACLE_TOL = 1e-12
 
 
 def reduced_cost(d, A, B) -> float:
@@ -55,8 +59,8 @@ def brute_force_pooling_oracle(A, B) -> PoolingSolution:
             sa = prefA[end] - prefA[start]
             sb = prefB[end] - prefB[start]
             ratio = sa / sb
-            if _ratio_greater(ratio, prev_ratio):
-                continue
+            if ratio > prev_ratio * (1.0 + ORACLE_TOL):
+                continue  # block sizes would increase
             block_d = math.sqrt(ratio)
             stack.append(
                 (end, ratio, cost + 2.0 * math.sqrt(sa * sb), d_acc + [block_d] * (end - start))
@@ -64,7 +68,19 @@ def brute_force_pooling_oracle(A, B) -> PoolingSolution:
     if best_d is None:
         # cannot happen: the single all-in-one block is always feasible
         raise RuntimeError("no feasible partition found")
-    return _canonical_blocks(best_d)
+    return _equal_runs(best_d)
+
+
+def _equal_runs(d) -> PoolingSolution:
+    """Positions grouped into maximal runs of equal d, to ORACLE_TOL."""
+    blocks = [[0]]
+    for j in range(1, len(d)):
+        if abs(d[j] - d[j - 1]) <= ORACLE_TOL * max(1.0, abs(d[j])):
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+    pooled = [len(blk) > 1 for blk in blocks for _ in blk]
+    return PoolingSolution(blocks=blocks, d=list(d), pooled=pooled)
 
 
 def all_equilibria(terms, cfg, q_bar) -> np.ndarray:

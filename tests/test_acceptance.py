@@ -193,7 +193,7 @@ def test_criterion_04_retention_optimality(shipped):
         pop = outcome.population
         leavers = pop.revoke & ~pop.retained
         leave_mass = float(np.sum(pop.loss[leavers] ** 2))
-        for i, ru in outcome.retention.incentives.items():
+        for i, ru in zip(outcome.retention.retained, outcome.retention.incentives):
             t = shipped.types[pop.type_idx[i]]
             d, rl = (a[pop.type_idx[i]] for a in outcome.contract.per_type())
             benefit = t.theta * d * shipped.cfg.lam * leave_mass + t.xi * pop.loss[i] * d

@@ -188,6 +188,33 @@ def test_harness_bytes_are_pinned(cfg_path, tmp_path, command):
         assert hashlib.sha256(fh.read()).hexdigest() == SMALL_HARNESS_SHA256[command]
 
 
+# contract.csv and the participation line of each mechanism's menu at the
+# packaged default.  LLA's menu, priced as if unlearning were free, fails
+# IR/IC at the true cost rates, hence exit 2.
+DEFAULT_CONTRACT = {
+    "RAR": (0, "8e7b0c687f5d2bfddce9c07627ea42b80de19ca1f50204cdfbe56c4cc300cdbe",
+            "participation check: worst IR slack 0, worst IC slack -1.16415e-10, "
+            "no violations"),
+    "NRI": (0, "eb01e8e0265147b6d027a133d199e9dee81bea398c7d6ca20ba843358fc174e2",
+            "participation check: worst IR slack 119.936, worst IC slack -5.82077e-11, "
+            "no violations"),
+    "LLA": (2, "be980675a32edb774046a6488b23236a3401c072c0b2cbc71e55cc618e444ba0",
+            "participation check: worst IR slack -120.033, worst IC slack -26.5078, "
+            "5 violations"),
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(DEFAULT_CONTRACT))
+def test_default_contract_is_pinned(tmp_path, capsys, type_rates_calls, mechanism):
+    code, digest, check = DEFAULT_CONTRACT[mechanism]
+    out = str(tmp_path / mechanism)
+    assert _run(["contract", "--mechanism", mechanism, "--out-dir", out]) == code
+    with open(os.path.join(out, "contract.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines()[1] == check
+    assert len(type_rates_calls) == 2  # one design, one IR/IC check
+
+
 def test_verify_bounds_strict_failure_exit_3(tmp_path, capsys):
     """Batches pinned at 1 by rounding cannot halve the noise floor, so the
     doubling check honestly fails and strict mode reports it."""

@@ -10,7 +10,7 @@ from fedincentives.contract import (
     optimal_rewards,
     verify_ir_ic,
 )
-from fedincentives.model import ContractItem, GameConfig, stage2_expected_payoff
+from fedincentives.model import ContractItem, GameConfig
 
 from conftest import random_cfg, random_types
 from game_oracles import brute_force_pooling_oracle, reduced_cost
@@ -137,11 +137,17 @@ def test_verify_ir_ic_clean_contract(rng):
         report = verify_ir_ic(c, types, cfg)
         assert report.ok
         assert report.violations == []
-        # boundary type earns exactly zero
-        srt = [types[i] for i in c.order]
-        assert stage2_expected_payoff(srt[-1], c.items[-1], types, cfg) == pytest.approx(
-            0.0, abs=1e-6 * max(1.0, c.items[-1].r_learn)
+        # boundary type earns exactly zero: (1 - p) r - kappa d, with kappa
+        # = (1 - p) xi E[l] + theta T + theta (1 - p) alpha written out
+        t, item = types[c.order[-1]], c.items[-1]
+        alpha = cfg.lam * sum(
+            u.count * u.p * (1.0 - u.q) * (u.loss_mean ** 2 + u.loss_var) for u in types
         )
+        kappa = (1.0 - t.p) * t.xi * t.loss_mean + t.theta * cfg.T + t.theta * (1.0 - t.p) * alpha
+        assert (1.0 - t.p) * item.r_learn - kappa * item.d == pytest.approx(
+            0.0, abs=1e-6 * max(1.0, item.r_learn)
+        )
+        assert report.ir_slack[-1] == pytest.approx(0.0, abs=1e-6 * max(1.0, item.r_learn))
 
 
 def test_verify_ir_ic_detects_perturbation(rng):
@@ -175,6 +181,16 @@ def test_design_contract_shapes_and_validation(rng):
         assert all(x > 0 for x in d)
         assert all(a >= b - 1e-12 * abs(a) for a, b in zip(d, d[1:]))
         assert all(it.r_learn >= 0 for it in c.items)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_rates_formed_once_per_design_and_per_check(rng, type_rates_calls, drop):
+    types = random_types(rng, J=5)
+    cfg = random_cfg(rng)
+    c = design_contract(types, cfg, drop_expected_retention=drop)
+    assert len(type_rates_calls) == 1
+    verify_ir_ic(c, types, cfg)
+    assert len(type_rates_calls) == 2
 
 
 def test_pi_ties_keep_original_type_order():

@@ -74,7 +74,10 @@ def test_outcome_bookkeeping(rng):
         assert out.payoffs.shape == (n,)
         assert (out.p_hat, out.q_hat) == realized_rates(pop)
         if out.retention is not None:
-            assert sorted(out.retention.incentives) == sorted(pop.retained.nonzero()[0])
+            assert out.retention.retained.tolist() == pop.retained.nonzero()[0].tolist()
+            assert out.incentives[out.retention.retained].tolist() == (
+                out.retention.incentives.tolist()
+            )
 
 
 def test_nri_never_pays_retention(rng):

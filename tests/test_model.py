@@ -8,14 +8,10 @@ from fedincentives.model import (
     ContractItem,
     GameConfig,
     Population,
+    TypeRates,
     UserTerms,
     UserTypeSpec,
-    aggregated_marginal_cost,
-    cost_coefficients,
-    expected_unlearning_load,
-    retention_discounted_cost,
     stage1_expected_cost,
-    stage2_expected_payoff,
     stage3_payoff,
     stage4_realized_cost,
     truncated_normal_moments,
@@ -30,72 +26,97 @@ def _spec(**kw):
     return UserTypeSpec(**base)
 
 
+def _alpha(types, cfg):
+    """Expected unlearning load lam sum_j I_j p_j (1 - q_j) (E[l_j]^2 + Var[l_j])."""
+    return cfg.lam * sum(
+        t.count * t.p * (1.0 - t.q) * (t.loss_mean ** 2 + t.loss_var) for t in types
+    )
+
+
+def _pi(t, types, cfg):
+    """Aggregated marginal cost xi E[l] + theta T / (1 - p) + theta alpha."""
+    return t.xi * t.loss_mean + t.theta * cfg.T / (1.0 - t.p) + t.theta * _alpha(types, cfg)
+
+
 def test_aggregated_marginal_cost_worked_example():
     cfg = GameConfig(T=10.0, lam=0.0)
     t = _spec()
-    assert aggregated_marginal_cost(t, [t], cfg) == pytest.approx(21.0)
+    assert TypeRates.of([t], cfg).pi[0] == pytest.approx(21.0)
 
 
 def test_aggregated_marginal_cost_zero_theta():
     cfg = GameConfig(T=50.0, lam=3.0)
     t = _spec(theta=0.0, xi=7.0, loss_mean=0.3)
     # training-cost terms vanish; only the privacy term survives
-    assert aggregated_marginal_cost(t, [t], cfg) == pytest.approx(7.0 * 0.3)
+    assert TypeRates.of([t], cfg).pi[0] == pytest.approx(7.0 * 0.3)
 
 
 def test_aggregated_marginal_cost_p_one_degenerate():
     cfg = GameConfig()
-    # validate() rejects p=1, but the formula must still refuse it explicitly
+    # validate() rejects p=1, but the rates must still refuse it explicitly
     t = UserTypeSpec(theta=1.0, xi=2.0, count=1, p=1.0, q=0.5, loss_mean=0.5, loss_var=0.0)
     with pytest.raises(ZeroDivisionError):
-        aggregated_marginal_cost(t, [t], cfg)
+        TypeRates.of([_spec(), t], cfg)
 
 
 def test_kappa_worked_example_and_identity():
     cfg = GameConfig(T=10.0, lam=0.0)
     t = _spec()
-    kap = retention_discounted_cost(t, [t], cfg)
+    kap = TypeRates.of([t], cfg).kappa[0]
     assert kap == pytest.approx(10.5)
     assert kap / (1.0 - t.p) == pytest.approx(21.0)
 
 
 def test_kappa_reduces_to_pi_at_p_zero():
     cfg = GameConfig(T=30.0, lam=0.02)
-    t = _spec(p=0.0)
-    assert retention_discounted_cost(t, [t], cfg) == pytest.approx(
-        aggregated_marginal_cost(t, [t], cfg)
-    )
+    rates = TypeRates.of([_spec(p=0.0)], cfg)
+    assert rates.kappa[0] == pytest.approx(rates.pi[0])
 
 
 def test_kappa_only_privacy_term():
     cfg = GameConfig(T=1e-12, lam=0.0)
     t = _spec(p=0.0, xi=11.0, loss_mean=0.25)
     # T=0 is rejected by validate, so use a negligible T instead
-    assert retention_discounted_cost(t, [t], cfg) == pytest.approx(11.0 * 0.25, rel=1e-9)
+    assert TypeRates.of([t], cfg).kappa[0] == pytest.approx(11.0 * 0.25, rel=1e-9)
 
 
 def test_unlearning_load_examples():
     t = _spec(count=2, p=0.5, q=0.5, loss_mean=1.0, loss_var=0.0)
-    assert expected_unlearning_load([t], GameConfig(lam=4.0)) == pytest.approx(2.0)
-    assert expected_unlearning_load([t], GameConfig(lam=0.0)) == 0.0
+    assert TypeRates.of([t], GameConfig(lam=4.0)).alpha == pytest.approx(2.0)
+    assert TypeRates.of([t], GameConfig(lam=0.0)).alpha == 0.0
     everyone_retained = _spec(count=9, q=1.0)
-    assert expected_unlearning_load([everyone_retained], GameConfig(lam=4.0)) == 0.0
+    assert TypeRates.of([everyone_retained], GameConfig(lam=4.0)).alpha == 0.0
 
 
 def test_pi_kappa_identity_random(rng):
     for _ in range(300):
         types = random_types(rng)
         cfg = random_cfg(rng)
-        for t in types:
-            pi = aggregated_marginal_cost(t, types, cfg)
-            kap = retention_discounted_cost(t, types, cfg)
-            assert kap == pytest.approx((1.0 - t.p) * pi, rel=1e-12)
+        rates = TypeRates.of(types, cfg)
+        assert rates.alpha == pytest.approx(_alpha(types, cfg), rel=1e-12, abs=0.0)
+        for j, t in enumerate(types):
+            assert rates.pi[j] == pytest.approx(_pi(t, types, cfg), rel=1e-12)
+            assert rates.kappa[j] == pytest.approx((1.0 - t.p) * rates.pi[j], rel=1e-12)
+            assert rates.X[j] == pytest.approx(
+                rates.alpha * t.theta + t.xi * t.loss_mean, rel=1e-12
+            )
+
+
+def test_take_reorders_every_rate(rng):
+    types = random_types(rng, J=5)
+    cfg = random_cfg(rng)
+    rates = TypeRates.of(types, cfg)
+    order = [3, 0, 4, 2, 1]
+    taken = rates.take(order)
+    assert taken.alpha == rates.alpha
+    for name in ("pi", "kappa", "A", "X", "count", "p", "q"):
+        assert getattr(taken, name).tolist() == [getattr(rates, name)[i] for i in order]
 
 
 def test_cost_coefficient_a_worked_example():
     cfg = GameConfig(T=100.0, rho=1.0, lam=0.0)
     t = _spec(count=1000, p=0.0028, q=0.5)
-    A, _ = cost_coefficients([t], cfg)
+    A, _ = TypeRates.of([t], cfg).cost_coefficients(cfg)
     assert A[0] == pytest.approx(10.0 * (1.0 - 0.0014))
 
 
@@ -103,7 +124,8 @@ def test_cost_coefficient_a_decreasing_in_t():
     t = _spec(count=100, p=0.1, q=0.5)
     prev = np.inf
     for T in (10.0, 50.0, 250.0):
-        A, _ = cost_coefficients([t], GameConfig(T=T))
+        cfg = GameConfig(T=T)
+        A, _ = TypeRates.of([t], cfg).cost_coefficients(cfg)
         assert A[0] < prev
         prev = A[0]
 
@@ -113,17 +135,16 @@ def test_cost_coefficients_require_sorted_pi():
     hi = _spec(theta=5.0, xi=2000.0, p=0.0)
     lo = _spec(theta=1.0, xi=100.0, p=0.0)
     with pytest.raises(ValueError):
-        cost_coefficients([hi, lo], cfg)
+        TypeRates.of([hi, lo], cfg).cost_coefficients(cfg)
 
 
 def test_b_single_type_has_no_cross_term():
     cfg = GameConfig(T=100.0)
     t = _spec(count=50, p=0.1)
-    _, B = cost_coefficients([t], cfg)
-    pi = aggregated_marginal_cost(t, [t], cfg)
-    alpha = expected_unlearning_load([t], cfg)
+    _, B = TypeRates.of([t], cfg).cost_coefficients(cfg)
+    alpha = _alpha([t], cfg)
     own = cfg.gamma * t.count * (
-        t.p * t.q * (alpha * t.theta + t.xi * t.loss_mean) + (1 - t.p) * pi
+        t.p * t.q * (alpha * t.theta + t.xi * t.loss_mean) + (1 - t.p) * _pi(t, [t], cfg)
     )
     assert B[0] == pytest.approx(own, rel=1e-12)
 
@@ -131,16 +152,30 @@ def test_b_single_type_has_no_cross_term():
 def test_stage2_payoff_binding_ir():
     cfg = GameConfig(T=10.0, lam=0.0)
     t = _spec()
-    kap = retention_discounted_cost(t, [t], cfg)
+    kap = 10.5  # (1 - p) xi E[l] + theta T at lam = 0
     d = 3.0
-    item = ContractItem(d=d, r_learn=kap * d / (1.0 - t.p))
-    assert stage2_expected_payoff(t, item, [t], cfg) == pytest.approx(0.0, abs=1e-12)
+    payoff = TypeRates.of([t], cfg).payoffs([d], [kap * d / (1.0 - t.p)])
+    assert payoff.shape == (1, 1)
+    assert payoff[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stage2_payoff_zero_contract():
     cfg = GameConfig()
     t = _spec()
-    assert stage2_expected_payoff(t, ContractItem(d=1e-300, r_learn=0.0), [t], cfg) == pytest.approx(0.0)
+    assert TypeRates.of([t], cfg).payoffs([1e-300], [0.0])[0, 0] == pytest.approx(0.0)
+
+
+def test_stage2_payoff_matrix_pairs_every_type_with_every_item(rng):
+    """Entry (j, m) is (1 - p_j) r_m - kappa_j d_m, type j taking item m."""
+    types = random_types(rng, J=4)
+    cfg = random_cfg(rng)
+    rates = TypeRates.of(types, cfg)
+    d, r = rng.uniform(1.0, 50.0, size=4), rng.uniform(1e3, 1e5, size=4)
+    payoffs = rates.payoffs(d, r)
+    for j, t in enumerate(types):
+        kappa = (1.0 - t.p) * _pi(t, types, cfg)
+        for m in range(4):
+            assert payoffs[j, m] == pytest.approx((1.0 - t.p) * r[m] - kappa * d[m], rel=1e-9)
 
 
 def test_stage2_information_rent_two_types(rng):
@@ -150,9 +185,10 @@ def test_stage2_information_rent_two_types(rng):
         types = random_types(rng, J=2)
         cfg = random_cfg(rng)
         c = design_contract(types, cfg)
-        srt = [types[i] for i in c.order]
-        payoff = stage2_expected_payoff(srt[0], c.items[0], types, cfg)
-        rent = (1.0 - srt[0].p) * (c.pi[1] - c.pi[0]) * c.items[1].d
+        t = types[c.order[0]]
+        kappa = (1.0 - t.p) * _pi(t, types, cfg)
+        payoff = (1.0 - t.p) * c.items[0].r_learn - kappa * c.items[0].d
+        rent = (1.0 - t.p) * (c.pi[1] - c.pi[0]) * c.items[1].d
         assert payoff == pytest.approx(rent, rel=1e-9, abs=1e-12)
 
 
@@ -214,19 +250,17 @@ def test_stage1_identity_for_any_monotone_d(rng):
     for _ in range(200):
         types = random_types(rng)
         cfg = random_cfg(rng)
-        pis = sorted(
-            range(len(types)),
-            key=lambda i: aggregated_marginal_cost(types[i], types, cfg),
-        )
+        pis = sorted(range(len(types)), key=lambda i: _pi(types[i], types, cfg))
         srt = [types[i] for i in pis]
-        A, B = cost_coefficients(srt, cfg)
+        rates = TypeRates.of(srt, cfg)
+        A, B = rates.cost_coefficients(cfg)
         d = np.sort(rng.uniform(1.0, 500.0, size=len(types)))[::-1]
-        pi = [aggregated_marginal_cost(t, types, cfg) for t in srt]
+        pi = rates.pi.tolist()
         r = optimal_rewards(d, pi)
         c = Contract(
             items=[ContractItem(d=float(di), r_learn=float(ri)) for di, ri in zip(d, r)],
             pi=pi,
-            kappa=[retention_discounted_cost(t, types, cfg) for t in srt],
+            kappa=rates.kappa.tolist(),
             A=list(A),
             B=list(B),
             blocks=_canonical_blocks(d),
@@ -291,10 +325,8 @@ def test_stage4_difference_equals_retention_objective(rng):
     for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
         pop.retained = np.zeros(n, dtype=bool)
         pop.retained[subset] = True
-        inc_map = retention_incentives(subset, revokers, pop, terms, cfg)
         vec = np.zeros(n)
-        for uid, val in inc_map.items():
-            vec[uid] = val
+        vec[subset] = retention_incentives(subset, revokers, pop, terms, cfg)
         total, _ = stage4_realized_cost(pop, terms, cfg, incentives=vec)
         f = retention_objective(subset, revokers, pop, terms, cfg)
         assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
@@ -303,9 +335,8 @@ def test_stage4_difference_equals_retention_objective(rng):
 def test_operations_are_pure(rng):
     types = random_types(rng, J=3)
     cfg = random_cfg(rng)
-    a1 = [aggregated_marginal_cost(t, types, cfg) for t in types]
-    a2 = [aggregated_marginal_cost(t, types, cfg) for t in types]
-    assert a1 == a2
+    r1, r2 = TypeRates.of(types, cfg), TypeRates.of(types, cfg)
+    assert r1.pi.tolist() == r2.pi.tolist() and r1.kappa.tolist() == r2.kappa.tolist()
     c1 = design_contract(types, cfg)
     c2 = design_contract(types, cfg)
     assert [it.d for it in c1.items] == [it.d for it in c2.items]

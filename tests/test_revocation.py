@@ -1,4 +1,6 @@
 """Stage-III revocation game: best-response sweeps and certification."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,30 @@ def test_monotone_in_lambda_and_qbar(rng):
             if prev is not None:
                 assert not np.any(prev & ~x)
             prev = x
+
+
+@pytest.mark.parametrize("field, rises", [("r", False), ("xi", True), ("loss", True)])
+def test_equilibria_grow_with_one_users_cost(rng, field, rises):
+    """Monotone comparative statics (Topkis 1998): when one user's reward
+    falls, or their xi or loss rises, the least and the greatest equilibrium
+    weakly grow as sets.  Users with high costs and large losses leave."""
+    grew = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 30))
+        terms, cfg, q_bar = _random_instance(rng, n)
+        i = int(rng.integers(n))
+        values = getattr(terms, field).copy()
+        step = float(rng.uniform(0.05, 0.9))
+        values[i] *= 1.0 + step if rises else 1.0 - step
+        moved = replace(terms, **{field: values})
+        for solve in (lower_equilibrium, upper_equilibrium):
+            before = solve(terms, cfg, q_bar).x
+            after = solve(moved, cfg, q_bar).x
+            # the inclusion says nothing unless both profiles are equilibria
+            assert verify_nash(after, moved, cfg, q_bar)
+            assert not np.any(before & ~after)
+            grew += int(np.any(after & ~before))
+    assert grew > 10  # the perturbations are not all idle
 
 
 def test_all_equilibria_rejects_large():

@@ -58,8 +58,8 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
 
     # the retention payment is minus the stay margin at the final leaver mass
     incentives = retention_incentives(retained, revokers, pop, terms, cfg)
-    assert sorted(incentives) == retained.tolist()
-    for i in retained:
+    assert len(incentives) == len(retained)
+    for i, ru in zip(retained, incentives):
         t = types[pop.type_idx[i]]
         item = contract.items[contract.order.index(pop.type_idx[i])]
         margin = (
@@ -67,4 +67,4 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
             - t.xi * pop.loss[i] * item.d
             - t.theta * item.d * cfg.lam * leave_mass
         )
-        assert incentives[int(i)] == -margin
+        assert ru == -margin
