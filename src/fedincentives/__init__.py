@@ -39,7 +39,6 @@ from .learning import (
 )
 from .model import (
     Contract,
-    ContractItem,
     GameConfig,
     Population,
     TypeRates,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "Contract",
-    "ContractItem",
     "ExperimentSetup",
     "GameConfig",
     "IRICReport",

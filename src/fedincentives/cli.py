@@ -71,24 +71,12 @@ def write_table(out_dir: str, name: str, columns: list[str], rows, fmt: str) -> 
 
 
 def _write_contract(args, contract) -> str:
-    block_of = {}
-    for b, blk in enumerate(contract.blocks):
-        for pos in blk:
-            block_of[pos] = b
-    rows = []
-    for pos, item in enumerate(contract.items):
-        rows.append(
-            [
-                contract.order[pos] + 1,
-                item.d,
-                item.r_learn,
-                contract.pi[pos],
-                contract.kappa[pos],
-                contract.A[pos],
-                contract.B[pos],
-                block_of[pos],
-            ]
-        )
+    block_of = [b for b, blk in enumerate(contract.blocks) for _ in blk]
+    columns = (contract.d, contract.r, contract.pi, contract.kappa, contract.A, contract.B)
+    rows = [
+        [int(t) + 1, *values, b]
+        for t, *values, b in zip(contract.order, *columns, block_of)
+    ]
     return write_table(
         args.out_dir,
         "contract",
@@ -109,15 +97,14 @@ def _write_equilibrium(args, population, revoke) -> str:
 
 
 def _write_retention(args, outcome) -> str:
-    population = outcome.population
     rows = [
         [
             int(u),
-            float(population.shapley[u]),
-            int(population.retained[u]),
+            float(outcome.population.shapley[u]),
+            int(outcome.retained[u]),
             float(outcome.incentives[u]),
         ]
-        for u in np.flatnonzero(population.revoke)
+        for u in np.flatnonzero(outcome.revoke)
     ]
     return write_table(
         args.out_dir, "retention", ["user", "shapley", "retained", "rU"], rows, args.format
@@ -129,10 +116,11 @@ def _cmd_contract(args, setup) -> int:
     report = verify_ir_ic(contract, setup.types, setup.cfg)
     path = _write_contract(args, contract)
     pooled = sum(1 for blk in contract.blocks if len(blk) > 1)
-    print(f"contract: {len(contract.items)} items, {len(contract.blocks)} blocks"
+    print(f"contract: {len(contract.d)} items, {len(contract.blocks)} blocks"
           f" ({pooled} pooled), written to {path}")
-    print(f"participation check: worst IR slack {report.worst_ir:.6g}, "
-          f"worst IC slack {report.worst_ic:.6g}, "
+    # a worst slack no larger than the violation floor is rounding noise
+    ir, ic = (0.0 if abs(s) <= -report.floor else s for s in (report.worst_ir, report.worst_ic))
+    print(f"participation check: worst IR slack {ir:.6g}, worst IC slack {ic:.6g}, "
           f"{'no violations' if report.ok else f'{len(report.violations)} violations'}")
     return 0 if report.ok else 2
 
@@ -162,10 +150,9 @@ def _pipeline(args, setup):
 
 def _cmd_retain(args, setup) -> int:
     outcome = _pipeline(args, setup)
-    population = outcome.population
     path = _write_retention(args, outcome)
-    n_kept = int(np.sum(population.retained))
-    n_rev = int(np.sum(population.revoke))
+    n_kept = int(np.sum(outcome.retained))
+    n_rev = int(np.sum(outcome.revoke))
     method = outcome.retention.method if outcome.retention else "none"
     negatives = int(np.sum(outcome.incentives < 0))
     print(f"retention ({method}): kept {n_kept}/{n_rev} revokers, written to {path}")
@@ -178,7 +165,7 @@ def _cmd_simulate(args, setup) -> int:
     outcome = _pipeline(args, setup)
     population = outcome.population
     _write_contract(args, outcome.contract)
-    _write_equilibrium(args, population, population.revoke)
+    _write_equilibrium(args, population, outcome.revoke)
     _write_retention(args, outcome)
     summary = {
         "mechanism": outcome.mechanism,

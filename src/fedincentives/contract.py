@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, ContractItem, GameConfig, TypeRates, UserTypeSpec
+from .model import Contract, GameConfig, TypeRates, UserTypeSpec
 
 __all__ = [
     "PoolingSolution",
@@ -34,12 +34,11 @@ class PoolingSolution:
     """Data sizes plus the block partition that produced them.
 
     blocks lists maximal runs of equal d as menu-position index lists, in
-    order; pooled flags positions that share their block with someone else.
+    order.
     """
 
     blocks: list[list[int]]
     d: list[float]
-    pooled: list[bool]
 
 
 @dataclass
@@ -50,6 +49,7 @@ class IRICReport:
     ic_slack: np.ndarray
     worst_ir: float
     worst_ic: float
+    floor: float  # -tol * scale: a slack below it is a violation
     violations: list[tuple[str, int, int]]
     ok: bool
 
@@ -120,12 +120,7 @@ def _canonical_blocks(d: list[float]) -> PoolingSolution:
             blocks[-1].append(j)
         else:
             blocks.append([j])
-    pooled = [False] * len(d)
-    for blk in blocks:
-        if len(blk) > 1:
-            for j in blk:
-                pooled[j] = True
-    return PoolingSolution(blocks=blocks, d=list(d), pooled=pooled)
+    return PoolingSolution(blocks=blocks, d=list(d))
 
 
 def verify_ir_ic(
@@ -140,10 +135,8 @@ def verify_ir_ic(
     other-item payoffs (IC, the diagonal minus the matrix); a violation is
     any slack below -cfg.tol * scale.
     """
-    d = np.array([it.d for it in contract.items])
-    r = np.array([it.r_learn for it in contract.items])
-    scale = max(1.0, float(np.max(np.abs(r))))
-    payoffs = TypeRates.of(types, cfg).take(contract.order).payoffs(d, r)
+    scale = max(1.0, float(np.max(np.abs(contract.r))))
+    payoffs = TypeRates.of(types, cfg).take(contract.order).payoffs(contract.d, contract.r)
     ir = np.diagonal(payoffs).copy()
     ic = ir[:, None] - payoffs
     floor = -cfg.tol * scale
@@ -157,6 +150,7 @@ def verify_ir_ic(
         ic_slack=ic,
         worst_ir=float(np.min(ir)),
         worst_ic=float(np.min(ic)),
+        floor=floor,
         violations=violations,
         ok=not violations,
     )
@@ -178,23 +172,15 @@ def design_contract(
     for t in types:
         t.validate()
     rates = TypeRates.of(types, cfg)
-    order = sorted(range(len(types)), key=lambda i: rates.pi[i])
+    order = np.argsort(rates.pi, kind="stable")
     menu = rates.take(order)
     A, B = menu.cost_coefficients(cfg)
     if drop_expected_retention:
         B -= cfg.gamma * menu.count * menu.p * menu.q * menu.X
     pooling = optimal_data_sizes(A, B)
-    pi = menu.pi.tolist()
-    rewards = optimal_rewards(pooling.d, pi, tol=cfg.tol)
-    items = [ContractItem(d=dj, r_learn=rj) for dj, rj in zip(pooling.d, rewards)]
     contract = Contract(
-        items=items,
-        pi=pi,
-        kappa=menu.kappa.tolist(),
-        A=A.tolist(),
-        B=B.tolist(),
-        blocks=pooling.blocks,
-        order=order,
+        d=np.array(pooling.d), r=np.array(optimal_rewards(pooling.d, menu.pi, tol=cfg.tol)),
+        pi=menu.pi, kappa=menu.kappa, A=A, B=B, order=order, blocks=pooling.blocks,
     )
     contract.validate(tol=cfg.tol)
     return contract

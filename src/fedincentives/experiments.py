@@ -78,6 +78,8 @@ class Outcome:
     mechanism: str
     contract: Contract
     population: Population
+    revoke: np.ndarray  # Stage III's equilibrium profile, per user
+    retained: np.ndarray  # Stage IV's choice, a subset of revoke
     q_bar: float
     retention: RetentionResult | None
     incentives: np.ndarray  # per-user retention payment, 0 off the retained set
@@ -116,29 +118,24 @@ def run_pipeline(
     population under a given menu (mechanism_contract prices it).
 
     Stage II is resolved once into the users' terms, which every later stage
-    reads.  The population is played on a copy with fresh outcome flags, so
-    one draw can be shared across mechanisms (common random numbers).  NRI
-    retains nobody, and RAR and LLA retain optimally, unless `retention`
-    forces a Stage-IV mode (optimal / none / all), which gives controlled
-    comparisons that differ in retention only.  Optimal retention enumerates
-    up to EXACT_MAX_REVOKERS revokers and runs the bucket heuristic beyond.
+    reads.  The population is only read: the play's revoke and retained masks
+    go on the Outcome, so one draw can be shared across mechanisms (common
+    random numbers).  NRI retains nobody, and RAR and LLA retain optimally,
+    unless `retention` forces a Stage-IV mode (optimal / none / all), which
+    gives controlled comparisons that differ in retention only.  Optimal
+    retention enumerates up to EXACT_MAX_REVOKERS revokers and runs the
+    bucket heuristic beyond.
     """
     mech = mechanism.upper()
     if mech not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     for t in types:
         t.validate()
-    population = Population(
-        type_idx=population.type_idx,
-        loss=population.loss,
-        shapley=population.shapley,
-    )
     terms = UserTerms.of(population, contract, types)
     q_bar = mean_retention_rate(types)
 
-    profile = lower_equilibrium(terms, cfg, q_bar)
-    population.revoke = profile.x
-    revokers = np.flatnonzero(profile.x)
+    revoke = lower_equilibrium(terms, cfg, q_bar).x
+    revokers = np.flatnonzero(revoke)
 
     mode = retention if retention is not None else ("none" if mech == "NRI" else "optimal")
     if mode not in ("none", "all", "optimal"):
@@ -159,18 +156,20 @@ def run_pipeline(
         retained_ids = retention_result.retained
         payments = retention_result.incentives
 
-    population.retained[:] = False
-    population.retained[retained_ids] = True
+    retained = np.zeros(len(population), dtype=bool)
+    retained[retained_ids] = True
     incentives = np.zeros(len(population))
     incentives[retained_ids] = payments
 
-    cost, parts = stage4_realized_cost(population, terms, cfg, incentives)
-    payoffs = _realized_payoffs(population, terms, cfg)
-    p_hat, q_hat = realized_rates(population)
+    cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
+    payoffs = _realized_payoffs(revoke, retained, terms, cfg)
+    p_hat, q_hat = realized_rates(revoke, retained)
     return Outcome(
         mechanism=mech,
         contract=contract,
         population=population,
+        revoke=revoke,
+        retained=retained,
         q_bar=q_bar,
         retention=retention_result,
         incentives=incentives,
@@ -182,18 +181,20 @@ def run_pipeline(
     )
 
 
-def _realized_payoffs(population: Population, terms: UserTerms, cfg: GameConfig) -> np.ndarray:
+def _realized_payoffs(
+    revoke: np.ndarray, retained: np.ndarray, terms: UserTerms, cfg: GameConfig
+) -> np.ndarray:
     """Per-user realized payoff given final leave/stay outcomes.
 
     Users who leave, and retained users (paid to indifference), end at the
     sunk training cost.  Stayers collect the reward net of training, privacy
     and the unlearning burden of those who actually left.
     """
-    leavers = population.revoke & ~population.retained
+    leavers = revoke & ~retained
     leave_mass = float(np.sum(terms.loss[leavers] ** 2))
     train_cost = terms.theta * terms.d * cfg.T
     return np.where(
-        population.revoke,
+        revoke,
         -train_cost,
         terms.stay_margin(terms.theta * terms.d * cfg.lam, leave_mass, sunk=train_cost),
     )
@@ -297,8 +298,8 @@ def find_stationary_rates(
         for population in populations:
             outcome = run_pipeline("RAR", contract, rated, cfg, population)
             users += len(population)
-            revoked += int(np.sum(outcome.population.revoke))
-            retained += int(np.sum(outcome.population.retained))
+            revoked += int(np.sum(outcome.revoke))
+            retained += int(np.sum(outcome.retained))
             cost_acc += outcome.cost
         p_hat = revoked / users if users else 0.0
         q_hat = retained / revoked if revoked else 0.0

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "UserTypeSpec",
     "GameConfig",
-    "ContractItem",
     "Contract",
     "Population",
     "UserTerms",
@@ -95,83 +94,65 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class ContractItem:
-    """Menu entry for one type: data size and learning reward."""
-
-    d: float
-    r_learn: float
-
-
-@dataclass
 class Contract:
     """Menu contract in ascending order of aggregated marginal cost.
 
-    order[k] is the index into the original type list of the k-th menu entry,
-    so order inverts the stable sort applied before pricing.  blocks lists
-    maximal runs of equal data size (pooled types share one block).
+    Entry k of every array is the k-th menu item: data size d, learning
+    reward r, and the rates pi, kappa, A, B it was priced at.  order[k] is
+    the index into the original type list of the k-th item, so order inverts
+    the stable sort applied before pricing.  blocks lists maximal runs of
+    equal data size (pooled types share one block).
     """
 
-    items: list[ContractItem]
-    pi: list[float]
-    kappa: list[float]
-    A: list[float]
-    B: list[float]
+    d: np.ndarray
+    r: np.ndarray
+    pi: np.ndarray
+    kappa: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    order: np.ndarray
     blocks: list[list[int]]
-    order: list[int]
 
     def per_type(self) -> tuple[np.ndarray, np.ndarray]:
         """Data sizes and learning rewards indexed by original type."""
-        d = np.empty(len(self.items))
-        r = np.empty(len(self.items))
-        d[self.order] = [it.d for it in self.items]
-        r[self.order] = [it.r_learn for it in self.items]
+        d = np.empty(len(self.d))
+        r = np.empty(len(self.r))
+        d[self.order] = self.d
+        r[self.order] = self.r
         return d, r
 
     def validate(self, tol: float = 1e-9) -> None:
-        J = len(self.items)
-        if not (len(self.pi) == len(self.kappa) == len(self.A) == len(self.B) == J):
+        d, pi, J = self.d, self.pi, len(self.d)
+        if any(len(a) != J for a in (self.r, pi, self.kappa, self.A, self.B)):
             raise ValueError("inconsistent contract arrays")
         if sorted(self.order) != list(range(J)):
             raise ValueError("order must be a permutation")
-        for a, b in zip(self.pi, self.pi[1:]):
-            if b < a - tol * max(1.0, abs(a)):
-                raise ValueError("pi must be non-decreasing")
-        d = [it.d for it in self.items]
-        if any(x <= 0 for x in d):
+        if np.any(pi[1:] < pi[:-1] - tol * np.maximum(1.0, np.abs(pi[:-1]))):
+            raise ValueError("pi must be non-decreasing")
+        if np.any(d <= 0):
             raise ValueError("data sizes must be positive")
-        for a, b in zip(d, d[1:]):
-            if b > a * (1 + tol):
-                raise ValueError("data sizes must be non-increasing in pi order")
-        flat = [j for blk in self.blocks for j in blk]
-        if flat != list(range(J)):
+        if np.any(d[1:] > d[:-1] * (1 + tol)):
+            raise ValueError("data sizes must be non-increasing in pi order")
+        if [j for blk in self.blocks for j in blk] != list(range(J)):
             raise ValueError("blocks must partition menu positions in order")
         for blk in self.blocks:
             base = d[blk[0]]
-            for j in blk[1:]:
-                if abs(d[j] - base) > tol * max(1.0, abs(base)):
-                    raise ValueError("data sizes inside a block must be equal")
+            if np.any(np.abs(d[blk] - base) > tol * max(1.0, abs(base))):
+                raise ValueError("data sizes inside a block must be equal")
         for left, right in zip(self.blocks, self.blocks[1:]):
             if not d[left[0]] > d[right[0]]:
                 raise ValueError("block data sizes must be strictly decreasing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Population:
-    """Realized users: per-user type index, loss, contribution score and
-    revocation / retention outcome flags."""
+    """Realized users as drawn: per-user type index, loss and contribution
+    score.  The game's outcome is held on experiments.Outcome, so one draw
+    can be played under any number of menus."""
 
     type_idx: np.ndarray
     loss: np.ndarray
     shapley: np.ndarray
-    revoke: np.ndarray = field(default=None)
-    retained: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        n = len(self.type_idx)
-        if self.revoke is None:
-            self.revoke = np.zeros(n, dtype=bool)
-        if self.retained is None:
-            self.retained = np.zeros(n, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.type_idx)
@@ -343,10 +324,10 @@ def stage1_expected_cost(
     by term: the reference the reduced form sum_j A_j/d_j + B_j d_j meets."""
     X = TypeRates.of(types_sorted, cfg).X
     total = 0.0
-    for t, x, item in zip(types_sorted, X, contract.items):
-        total += cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / (cfg.T * item.d)
-        total += cfg.gamma * t.count * (1.0 - t.p) * item.r_learn
-        total += cfg.gamma * t.count * t.p * t.q * x * item.d
+    for t, x, d, r in zip(types_sorted, X, contract.d, contract.r):
+        total += cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / (cfg.T * d)
+        total += cfg.gamma * t.count * (1.0 - t.p) * r
+        total += cfg.gamma * t.count * t.p * t.q * x * d
     return total
 
 
@@ -354,21 +335,23 @@ def stage4_realized_cost(
     population: Population,
     terms: UserTerms,
     cfg: GameConfig,
+    revoke: np.ndarray,
+    retained: np.ndarray,
     incentives: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Realized server cost after retention.
+    """Realized server cost after retention, for revoker and retained masks.
 
     Stayers are the users who did not revoke plus the retained revokers.  The
     cost is the sum of stayers' contribution scores (accuracy loss estimate)
     plus gamma-weighted learning rewards of stayers and retention incentives
     of retained users.  Returns (total, decomposition).
     """
-    stay = ~population.revoke | population.retained
+    stay = ~revoke | retained
     accuracy = float(np.sum(population.shapley[stay]))
     rewards = cfg.gamma * _running_sum(terms.r[stay])
     retention = 0.0
-    if incentives is not None and population.retained.any():
-        retention = cfg.gamma * float(np.sum(incentives[population.retained]))
+    if incentives is not None and retained.any():
+        retention = cfg.gamma * float(np.sum(incentives[retained]))
     total = accuracy + rewards + retention
     parts = {
         "accuracy": accuracy,

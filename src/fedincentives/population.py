@@ -1,4 +1,6 @@
-"""Sampling realized user populations and measuring their realized churn rates."""
+"""Sampling realized user populations.  A Population is the draw only; who
+revoked and who was retained in a play are the masks on experiments.Outcome,
+which realized_rates turns into churn rates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -79,10 +81,10 @@ def sample_population(
     return Population(type_idx=type_idx, loss=loss, shapley=shapley)
 
 
-def realized_rates(population: Population) -> tuple[float, float]:
+def realized_rates(revoke: np.ndarray, retained: np.ndarray) -> tuple[float, float]:
     """Fraction of users who revoked, and of revokers who were retained."""
-    n = len(population)
-    revoked = int(np.sum(population.revoke))
+    n = len(revoke)
+    revoked = int(np.sum(revoke))
     p_hat = revoked / n if n else 0.0
-    q_hat = float(np.sum(population.retained)) / revoked if revoked else 0.0
+    q_hat = float(np.sum(retained)) / revoked if revoked else 0.0
     return p_hat, q_hat

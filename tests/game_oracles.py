@@ -79,8 +79,7 @@ def _equal_runs(d) -> PoolingSolution:
             blocks[-1].append(j)
         else:
             blocks.append([j])
-    pooled = [len(blk) > 1 for blk in blocks for _ in blk]
-    return PoolingSolution(blocks=blocks, d=list(d), pooled=pooled)
+    return PoolingSolution(blocks=blocks, d=list(d))
 
 
 def all_equilibria(terms, cfg, q_bar) -> np.ndarray:

@@ -28,7 +28,6 @@ from fedincentives.learning import (
     unlearn_continue,
 )
 from fedincentives.model import (
-    ContractItem,
     GameConfig,
     Population,
     UserTerms,
@@ -97,10 +96,7 @@ def _micro_economy(rng, n_max=50):
     contract = design_contract(types, cfg)
     # shrink rewards so revocation is live instead of vanishingly rare
     shrink = float(rng.uniform(0.3, 1.0))
-    contract = replace(
-        contract,
-        items=[ContractItem(d=it.d, r_learn=it.r_learn * shrink) for it in contract.items],
-    )
+    contract = replace(contract, r=contract.r * shrink)
     pop = Population(
         type_idx=type_idx,
         loss=rng.uniform(0.0, 1.0, size=n),
@@ -133,7 +129,7 @@ def test_criterion_01_pooling_oracle():
 def test_criterion_02_participation_and_selection(shipped):
     contract = design_contract(shipped.types, shipped.cfg)
     report = verify_ir_ic(contract, shipped.types, shipped.cfg)
-    r_max = max(abs(it.r_learn) for it in contract.items)
+    r_max = float(np.max(np.abs(contract.r)))
     boundary = abs(report.ir_slack[-1])
     boundary_ok = boundary <= 1e-9 * max(1.0, r_max)
     ok = report.ok and boundary_ok
@@ -164,7 +160,6 @@ def test_criterion_04_retention_optimality(shipped):
     rng = np.random.default_rng(404)
     for _ in range(150):
         types, cfg, contract, pop, q_bar = _micro_economy(rng, n_max=12)
-        pop.revoke[:] = True
         revokers = np.arange(len(pop))
         terms = UserTerms.of(pop, contract, types)
         result = optimal_retention_exact(revokers, pop, terms, cfg)
@@ -191,7 +186,7 @@ def test_criterion_04_retention_optimality(shipped):
     n_ret = 0
     if outcome.retention is not None:
         pop = outcome.population
-        leavers = pop.revoke & ~pop.retained
+        leavers = outcome.revoke & ~outcome.retained
         leave_mass = float(np.sum(pop.loss[leavers] ** 2))
         for i, ru in zip(outcome.retention.retained, outcome.retention.incentives):
             t = shipped.types[pop.type_idx[i]]
@@ -210,20 +205,20 @@ def test_criterion_05_selection_patterns(benchmark_runs):
     loss_ok = loss_tot = 0
     shap_ok = shap_tot = 0
     for out in benchmark_runs["RAR"]:
-        pop = out.population
-        if pop.revoke.any():
+        pop, revoke, retained = out.population, out.revoke, out.retained
+        if revoke.any():
             loss_tot += 1
             good = True
-            for j in np.unique(pop.type_idx[pop.revoke]):
+            for j in np.unique(pop.type_idx[revoke]):
                 sel = pop.type_idx == j
-                rev, stay = sel & pop.revoke, sel & ~pop.revoke
+                rev, stay = sel & revoke, sel & ~revoke
                 if stay.any() and pop.loss[rev].mean() <= pop.loss[stay].mean():
                     good = False
             loss_ok += good
-        left = pop.revoke & ~pop.retained
-        if pop.retained.any() and left.any():
+        left = revoke & ~retained
+        if retained.any() and left.any():
             shap_tot += 1
-            shap_ok += pop.shapley[pop.retained].mean() < pop.shapley[left].mean()
+            shap_ok += pop.shapley[retained].mean() < pop.shapley[left].mean()
     loss_rate = loss_ok / loss_tot if loss_tot else 0.0
     shap_rate = shap_ok / shap_tot if shap_tot else 0.0
     ok = loss_tot >= 45 and shap_tot >= 45 and loss_rate >= 0.9 and shap_rate >= 0.9
@@ -237,8 +232,7 @@ def _paired_gap(runs_a, runs_b):
     of trials whose revocation and retention outcomes are identical."""
     gaps = np.array([a.cost - b.cost for a, b in zip(runs_a, runs_b)])
     same = sum(
-        np.array_equal(a.population.revoke, b.population.revoke)
-        and np.array_equal(a.population.retained, b.population.retained)
+        np.array_equal(a.revoke, b.revoke) and np.array_equal(a.retained, b.retained)
         for a, b in zip(runs_a, runs_b)
     )
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(len(gaps))), same

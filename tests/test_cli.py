@@ -193,10 +193,10 @@ def test_harness_bytes_are_pinned(cfg_path, tmp_path, command):
 # IR/IC at the true cost rates, hence exit 2.
 DEFAULT_CONTRACT = {
     "RAR": (0, "8e7b0c687f5d2bfddce9c07627ea42b80de19ca1f50204cdfbe56c4cc300cdbe",
-            "participation check: worst IR slack 0, worst IC slack -1.16415e-10, "
+            "participation check: worst IR slack 0, worst IC slack 0, "
             "no violations"),
     "NRI": (0, "eb01e8e0265147b6d027a133d199e9dee81bea398c7d6ca20ba843358fc174e2",
-            "participation check: worst IR slack 119.936, worst IC slack -5.82077e-11, "
+            "participation check: worst IR slack 119.936, worst IC slack 0, "
             "no violations"),
     "LLA": (2, "be980675a32edb774046a6488b23236a3401c072c0b2cbc71e55cc618e444ba0",
             "participation check: worst IR slack -120.033, worst IC slack -26.5078, "
@@ -213,6 +213,46 @@ def test_default_contract_is_pinned(tmp_path, capsys, type_rates_calls, mechanis
         assert hashlib.sha256(fh.read()).hexdigest() == digest
     assert capsys.readouterr().out.splitlines()[1] == check
     assert len(type_rates_calls) == 2  # one design, one IR/IC check
+
+
+# The JSON writers at the packaged default: each mechanism's contract.json,
+# and every table simulate writes at seed 7 (its contract.json is the menu's
+# own).  json cannot encode numpy integers, so a row that keeps one fails.
+DEFAULT_JSON_SHA256 = {
+    "RAR": {
+        "contract.json": "9c7f309b244181b352cd458d6692891b95a651e4e8849e3cf57671ab6ab6bb5f",
+        "equilibrium.json": "02996501e7395869c9bdbcec622f69453c747e3b91137af8b803da29af08737f",
+        "retention.json": "dc22daf15bd27259dcb6dff21b351cbc7787d4944c7a1f4612d6408715c8a44f",
+        "summary.json": "b42e8dc0443c1b70ea7e2e9ce12a042c2f3941a31ab53d6d815491ca631711da",
+    },
+    "NRI": {
+        "contract.json": "7ff026c58ee888e3fb68e7005a38957de59cd39fc2eb75e24b3debcce204429f",
+        "equilibrium.json": "02996501e7395869c9bdbcec622f69453c747e3b91137af8b803da29af08737f",
+        "retention.json": "261ccf5e8a03980d769ed0f0e727baf10f38cdceefab7fda0333d02c523a4710",
+        "summary.json": "19fc4b0632bdf10e94696861ffb4737dcfea5f77d71e5213ef1328b03922d6ea",
+    },
+    "LLA": {
+        "contract.json": "ebaa34c1d78992b52a75bcd3903a853b1732c8804cf7ce338cad761b12c7c9e8",
+        "equilibrium.json": "02996501e7395869c9bdbcec622f69453c747e3b91137af8b803da29af08737f",
+        "retention.json": "4c6c145fb820119acdfe1287757a3415afb591707d444e20b1f334695e5333f4",
+        "summary.json": "cb64ea18866315778c5ae3fcc7bdc9379dfbfe38a5978625348c94b437471711",
+    },
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(DEFAULT_JSON_SHA256))
+def test_default_json_is_pinned(tmp_path, mechanism):
+    digests = DEFAULT_JSON_SHA256[mechanism]
+    menu, play = str(tmp_path / "contract"), str(tmp_path / "simulate")
+    assert _run(["contract", "--mechanism", mechanism, "--format", "json",
+                 "--out-dir", menu]) == DEFAULT_CONTRACT[mechanism][0]
+    assert _run(["simulate", "--mechanism", mechanism, "--seed", "7", "--format", "json",
+                 "--out-dir", play]) == 0
+    written = {os.path.join(menu, "contract.json"): digests["contract.json"]}
+    written.update((os.path.join(play, name), digest) for name, digest in digests.items())
+    for path, digest in written.items():
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, path
 
 
 def test_verify_bounds_strict_failure_exit_3(tmp_path, capsys):

@@ -40,20 +40,25 @@ def _play(mechanism, types, cfg, model, seed, **kwargs):
     return run_pipeline(mechanism, contract, types, cfg, pop, **kwargs)
 
 
+def _same_menu(a, b):
+    """Equal items (d, r) in the same menu order."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("d", "r", "order"))
+
+
 def test_mechanism_contract_definitions(rng):
     for _ in range(10):
         types, cfg, _ = _economy(rng)
         rar = mechanism_contract("RAR", types, cfg)
         ref = design_contract(types, cfg)
-        assert rar.items == ref.items and rar.order == ref.order
+        assert _same_menu(rar, ref)
         nri = mechanism_contract("NRI", types, cfg)
         blind = [replace(t, q=0.0) for t in types]
         ref = design_contract(blind, cfg)
-        assert nri.items == ref.items and nri.order == ref.order
+        assert _same_menu(nri, ref)
         lla = mechanism_contract("LLA", types, cfg)
         myopic = replace(cfg, lam=0.0)
         ref = design_contract(types, myopic, drop_expected_retention=True)
-        assert lla.items == ref.items and lla.order == ref.order
+        assert _same_menu(lla, ref)
     with pytest.raises(ValueError):
         mechanism_contract("FOO", types, cfg)
 
@@ -62,19 +67,18 @@ def test_outcome_bookkeeping(rng):
     for trial in range(15):
         types, cfg, model = _economy(rng)
         out = _play("RAR", types, cfg, model, seed=trial)
-        pop = out.population
-        n = len(pop)
+        n = len(out.population)
         assert out.q_bar == pytest.approx(mean_retention_rate(types))
         # retained users are a subset of revokers
-        assert not np.any(pop.retained & ~pop.revoke)
+        assert not np.any(out.retained & ~out.revoke)
         parts = out.cost_parts
         total = parts["accuracy"] + parts["learning_rewards"] + parts["retention_rewards"]
         assert out.cost == pytest.approx(parts["total"], rel=1e-12, abs=1e-15)
         assert out.cost == pytest.approx(total, rel=1e-12, abs=1e-12)
         assert out.payoffs.shape == (n,)
-        assert (out.p_hat, out.q_hat) == realized_rates(pop)
+        assert (out.p_hat, out.q_hat) == realized_rates(out.revoke, out.retained)
         if out.retention is not None:
-            assert out.retention.retained.tolist() == pop.retained.nonzero()[0].tolist()
+            assert out.retention.retained.tolist() == out.retained.nonzero()[0].tolist()
             assert out.incentives[out.retention.retained].tolist() == (
                 out.retention.incentives.tolist()
             )
@@ -85,7 +89,7 @@ def test_nri_never_pays_retention(rng):
         types, cfg, model = _economy(rng)
         out = _play("NRI", types, cfg, model, seed=trial)
         assert out.retention is None
-        assert not out.population.retained.any()
+        assert not out.retained.any()
         assert out.cost_parts["retention_rewards"] == 0.0
 
 
@@ -103,7 +107,7 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
         none = run_pipeline("RAR", retention="none", **base)
         scale = max(1.0, abs(none.cost))
         assert opt.cost <= none.cost + 1e-9 * scale
-        n_rev = int(np.sum(opt.population.revoke))
+        n_rev = int(np.sum(opt.revoke))
         if 0 < n_rev <= EXACT_MAX_REVOKERS:
             allr = run_pipeline("RAR", retention="all", **base)
             assert opt.cost <= allr.cost + 1e-9 * scale
@@ -130,7 +134,7 @@ def test_stage4_solver_follows_revoker_count(n_rev, method):
         shapley=np.full(40, -1e-4),
     )
     out = run_pipeline("RAR", design_contract(types, cfg), types, cfg, pop)
-    assert int(np.sum(out.population.revoke)) == n_rev
+    assert int(np.sum(out.revoke)) == n_rev
     assert out.retention.method == method
 
 
@@ -147,7 +151,7 @@ def packaged():
 def test_outcome_books_every_retention_payment(packaged, retention):
     setup, menu, pop = packaged
     o = run_pipeline("RAR", menu, setup.types, setup.cfg, pop, retention=retention)
-    retained = o.population.retained
+    retained = o.retained
     assert retained.any()
     assert not o.incentives[~retained].any()
     booked = setup.cfg.gamma * float(np.sum(o.incentives[retained]))
@@ -166,8 +170,8 @@ def test_forced_all_mode_retains_every_revoker(rng):
     for trial in range(40):
         types, cfg, model = _economy(rng)
         out = _play("RAR", types, cfg, model, seed=trial, retention="all")
-        if out.population.revoke.any():
-            assert np.array_equal(out.population.retained, out.population.revoke)
+        if out.revoke.any():
+            assert np.array_equal(out.retained, out.revoke)
             assert out.q_hat == 1.0
             hits += 1
             if hits >= 3:
@@ -179,7 +183,7 @@ def test_lla_retention_mode_switch(rng):
     types, cfg, model = _economy(rng)
     for trial in range(10):
         out = _play("LLA", types, cfg, model, seed=trial, retention="none")
-        assert not out.population.retained.any()
+        assert not out.retained.any()
     with pytest.raises(ValueError):
         _play("RAR", types, cfg, model, seed=0, retention="sometimes")
     contract = design_contract(types, cfg)
@@ -191,12 +195,15 @@ def test_lla_retention_mode_switch(rng):
 def test_shared_population_input_not_mutated(rng):
     types, cfg, model = _economy(rng)
     pop = sample_population(types, model, seed=0)
+    drawn = [a.copy() for a in (pop.type_idx, pop.loss, pop.shapley)]
     contract = design_contract(types, cfg)
     out1 = run_pipeline("RAR", contract, types, cfg, pop)
-    assert not pop.revoke.any() and not pop.retained.any()
     out2 = run_pipeline("RAR", contract, types, cfg, pop)
+    for before, after in zip(drawn, (pop.type_idx, pop.loss, pop.shapley)):
+        assert np.array_equal(before, after)
     assert out2.cost == out1.cost
-    assert np.array_equal(out1.population.revoke, out2.population.revoke)
+    assert np.array_equal(out1.revoke, out2.revoke)
+    assert np.array_equal(out1.retained, out2.retained)
 
 
 def test_compare_costs_shares_draws_across_mechanisms(rng):
@@ -280,18 +287,18 @@ def test_realized_payoffs_sign_structure(rng):
         out = _play("RAR", types, cfg, model, seed=100 + trial)
         pop = out.population
         contract = out.contract
-        d_pos = {orig: contract.items[contract.order.index(orig)].d
-                 for orig in range(len(types))}
-        for i in np.flatnonzero(pop.revoke):
+        position = contract.order.tolist().index
+        d_pos = {orig: contract.d[position(orig)] for orig in range(len(types))}
+        for i in np.flatnonzero(out.revoke):
             t = types[pop.type_idx[i]]
             expect = -t.theta * d_pos[pop.type_idx[i]] * cfg.T
             assert out.payoffs[i] == pytest.approx(expect, rel=1e-12)
-        stayers = np.flatnonzero(~pop.revoke)
-        if len(stayers) and not pop.revoke.any():
+        stayers = np.flatnonzero(~out.revoke)
+        if len(stayers) and not out.revoke.any():
             # nobody left: no unlearning burden term remains
             i = stayers[0]
             t = types[pop.type_idx[i]]
-            item = contract.items[contract.order.index(pop.type_idx[i])]
-            expect = (item.r_learn - t.theta * item.d * cfg.T
-                      - t.xi * pop.loss[i] * item.d)
+            k = position(pop.type_idx[i])
+            d, r = contract.d[k], contract.r[k]
+            expect = r - t.theta * d * cfg.T - t.xi * pop.loss[i] * d
             assert out.payoffs[i] == pytest.approx(expect, rel=1e-12)

@@ -1,11 +1,12 @@
 """Closed-form cost and payoff formulas."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedincentives.contract import design_contract, optimal_rewards
 from fedincentives.model import (
     Contract,
-    ContractItem,
     GameConfig,
     Population,
     TypeRates,
@@ -187,8 +188,8 @@ def test_stage2_information_rent_two_types(rng):
         c = design_contract(types, cfg)
         t = types[c.order[0]]
         kappa = (1.0 - t.p) * _pi(t, types, cfg)
-        payoff = (1.0 - t.p) * c.items[0].r_learn - kappa * c.items[0].d
-        rent = (1.0 - t.p) * (c.pi[1] - c.pi[0]) * c.items[1].d
+        payoff = (1.0 - t.p) * c.r[0] - kappa * c.d[0]
+        rent = (1.0 - t.p) * (c.pi[1] - c.pi[0]) * c.d[1]
         assert payoff == pytest.approx(rent, rel=1e-9, abs=1e-12)
 
 
@@ -238,15 +239,12 @@ def test_stage1_identity_with_closed_form_rewards(rng):
         c = design_contract(types, cfg)
         srt = [types[i] for i in c.order]
         direct = stage1_expected_cost(c, srt, cfg)
-        reduced = float(np.sum(np.asarray(c.A) / [it.d for it in c.items])
-                        + np.sum(np.asarray(c.B) * [it.d for it in c.items]))
+        reduced = float(np.sum(c.A / c.d) + np.sum(c.B * c.d))
         assert direct == pytest.approx(reduced, rel=1e-9)
 
 
 def test_stage1_identity_for_any_monotone_d(rng):
     """The identity does not rely on the optimizer's d, only on the rewards."""
-    from fedincentives.contract import _canonical_blocks
-
     for _ in range(200):
         types = random_types(rng)
         cfg = random_cfg(rng)
@@ -255,17 +253,17 @@ def test_stage1_identity_for_any_monotone_d(rng):
         rates = TypeRates.of(srt, cfg)
         A, B = rates.cost_coefficients(cfg)
         d = np.sort(rng.uniform(1.0, 500.0, size=len(types)))[::-1]
-        pi = rates.pi.tolist()
-        r = optimal_rewards(d, pi)
         c = Contract(
-            items=[ContractItem(d=float(di), r_learn=float(ri)) for di, ri in zip(d, r)],
-            pi=pi,
-            kappa=rates.kappa.tolist(),
-            A=list(A),
-            B=list(B),
-            blocks=_canonical_blocks(d),
-            order=pis,
+            d=d,
+            r=np.array(optimal_rewards(d, rates.pi)),
+            pi=rates.pi,
+            kappa=rates.kappa,
+            A=A,
+            B=B,
+            order=np.array(pis),
+            blocks=[[j] for j in range(len(d))],  # distinct uniform draws: no pooling
         )
+        c.validate()
         direct = stage1_expected_cost(c, srt, cfg)
         reduced = float(np.sum(A / d) + np.sum(B * d))
         assert direct == pytest.approx(reduced, rel=1e-9)
@@ -276,7 +274,7 @@ def test_stage1_single_type_minimum_value():
     t = _spec(count=40, p=0.05)
     c = design_contract([t], cfg)
     A, B = c.A[0], c.B[0]
-    assert c.items[0].d == pytest.approx(np.sqrt(A / B), rel=1e-12)
+    assert c.d[0] == pytest.approx(np.sqrt(A / B), rel=1e-12)
     assert stage1_expected_cost(c, [t], cfg) == pytest.approx(2.0 * np.sqrt(A * B), rel=1e-9)
 
 
@@ -284,9 +282,9 @@ def test_stage4_no_revokers():
     types = [_spec(), _spec(theta=2.0)]
     cfg = GameConfig(T=10.0)
     contract = design_contract(types, cfg)
-    pop = _two_user_population()
-    pop.shapley = np.array([0.3, -0.1])
-    total, parts = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg)
+    pop = replace(_two_user_population(), shapley=np.array([0.3, -0.1]))
+    none = np.zeros(2, dtype=bool)
+    total, parts = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg, none, none)
     rl = sum(contract.per_type()[1][i] for i in (0, 1))
     assert total == pytest.approx(0.2 + cfg.gamma * rl)
     assert parts["retention_rewards"] == 0.0
@@ -298,7 +296,8 @@ def test_stage4_empty_population():
     cfg = GameConfig()
     contract = design_contract(types, cfg)
     pop = Population(type_idx=np.array([], dtype=int), loss=np.array([]), shapley=np.array([]))
-    total, _ = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg)
+    none = np.zeros(0, dtype=bool)
+    total, _ = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg, none, none)
     assert total == 0.0
 
 
@@ -316,18 +315,17 @@ def test_stage4_difference_equals_retention_objective(rng):
         loss=rng.uniform(0.1, 0.9, size=n),
         shapley=rng.normal(0.0, 1.0, size=n),
     )
-    pop.revoke = np.zeros(n, dtype=bool)
-    pop.revoke[[2, 5, 7, 9]] = True
-    revokers = np.flatnonzero(pop.revoke)
-    pop.retained = np.zeros(n, dtype=bool)
+    revoke = np.zeros(n, dtype=bool)
+    revoke[[2, 5, 7, 9]] = True
+    revokers = np.flatnonzero(revoke)
     terms = UserTerms.of(pop, contract, types)
-    base, _ = stage4_realized_cost(pop, terms, cfg)
+    base, _ = stage4_realized_cost(pop, terms, cfg, revoke, np.zeros(n, dtype=bool))
     for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
-        pop.retained = np.zeros(n, dtype=bool)
-        pop.retained[subset] = True
+        retained = np.zeros(n, dtype=bool)
+        retained[subset] = True
         vec = np.zeros(n)
         vec[subset] = retention_incentives(subset, revokers, pop, terms, cfg)
-        total, _ = stage4_realized_cost(pop, terms, cfg, incentives=vec)
+        total, _ = stage4_realized_cost(pop, terms, cfg, revoke, retained, incentives=vec)
         f = retention_objective(subset, revokers, pop, terms, cfg)
         assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
 
@@ -339,8 +337,8 @@ def test_operations_are_pure(rng):
     assert r1.pi.tolist() == r2.pi.tolist() and r1.kappa.tolist() == r2.kappa.tolist()
     c1 = design_contract(types, cfg)
     c2 = design_contract(types, cfg)
-    assert [it.d for it in c1.items] == [it.d for it in c2.items]
-    assert [it.r_learn for it in c1.items] == [it.r_learn for it in c2.items]
+    assert c1.d.tolist() == c2.d.tolist()
+    assert c1.r.tolist() == c2.r.tolist()
 
 
 def test_truncated_moments_symmetry():
@@ -434,9 +432,9 @@ def test_contract_validation_catches_bad_menus():
     c = design_contract(types, cfg)
     c.validate(tol=cfg.tol)
     broken = Contract(
-        items=[ContractItem(1.0, 1.0), ContractItem(2.0, 1.0)],  # d increasing
+        d=np.array([1.0, 2.0]), r=np.array([1.0, 1.0]),  # d increasing
         pi=c.pi, kappa=c.kappa, A=c.A, B=c.B,
-        blocks=[[0], [1]], order=c.order,
+        order=c.order, blocks=[[0], [1]],
     )
     with pytest.raises(ValueError):
         broken.validate()

@@ -1,9 +1,11 @@
 """Population sampling and the stationary-rate search."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fedincentives.experiments import find_stationary_rates
-from fedincentives.model import GameConfig, Population, UserTypeSpec, truncated_normal_moments
+from fedincentives.model import GameConfig, UserTypeSpec, truncated_normal_moments
 from fedincentives.population import SamplingModel, realized_rates, sample_population
 
 
@@ -58,7 +60,8 @@ def test_type_index_layout():
                          shapley_mu=0.0, shapley_sigma=1.0)
     pop = sample_population([s1, s2], model, seed=0)
     assert pop.type_idx.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
-    assert not pop.revoke.any() and not pop.retained.any()
+    # a draw carries no outcome: the play's masks live on the Outcome
+    assert [f.name for f in fields(pop)] == ["type_idx", "loss", "shapley"]
 
 
 def test_degenerate_sigma_clips_mean():
@@ -108,18 +111,15 @@ def test_sampling_model_validation():
 
 
 def test_realized_rates_edge_cases():
-    pop = Population(type_idx=np.zeros(4, dtype=int), loss=np.full(4, 0.5),
-                     shapley=np.zeros(4))
-    assert realized_rates(pop) == (0.0, 0.0)
-    pop.revoke[:] = True
-    pop.retained[:] = True
-    assert realized_rates(pop) == (1.0, 1.0)
-    pop.revoke[:] = [True, True, False, False]
-    pop.retained[:] = [True, False, False, False]
-    assert realized_rates(pop) == (0.5, 0.5)
-    empty = Population(type_idx=np.zeros(0, dtype=int), loss=np.zeros(0),
-                       shapley=np.zeros(0))
-    assert realized_rates(empty) == (0.0, 0.0)
+    nobody = np.zeros(4, dtype=bool)
+    assert realized_rates(nobody, nobody) == (0.0, 0.0)
+    everyone = np.ones(4, dtype=bool)
+    assert realized_rates(everyone, everyone) == (1.0, 1.0)
+    revoke = np.array([True, True, False, False])
+    retained = np.array([True, False, False, False])
+    assert realized_rates(revoke, retained) == (0.5, 0.5)
+    empty = np.zeros(0, dtype=bool)
+    assert realized_rates(empty, empty) == (0.0, 0.0)
 
 
 def _pipeline_setup(count=300):

@@ -6,7 +6,6 @@ import pytest
 
 from fedincentives.model import (
     Contract,
-    ContractItem,
     GameConfig,
     Population,
     UserTerms,
@@ -34,16 +33,15 @@ def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
         for i in range(n)
     ]
     contract = Contract(
-        items=[ContractItem(d=1.0, r_learn=float(r)) for r in rl],
-        pi=[0.0] * n, kappa=[0.0] * n, A=[1.0] * n, B=[1.0] * n,
-        blocks=[list(range(n))], order=list(range(n)),
+        d=np.ones(n), r=np.asarray(rl, dtype=float),
+        pi=np.zeros(n), kappa=np.zeros(n), A=np.ones(n), B=np.ones(n),
+        order=np.arange(n), blocks=[list(range(n))],
     )
     pop = Population(
         type_idx=np.arange(n),
         loss=np.asarray(losses, dtype=float),
         shapley=np.asarray(v, dtype=float),
     )
-    pop.revoke = np.ones(n, dtype=bool)
     cfg = GameConfig(T=10.0, lam=lam, gamma=gamma)
     return pop, UserTerms.of(pop, contract, types), cfg
 

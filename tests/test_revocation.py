@@ -7,7 +7,6 @@ import pytest
 from fedincentives.contract import design_contract
 from fedincentives.model import (
     Contract,
-    ContractItem,
     GameConfig,
     Population,
     UserTerms,
@@ -35,9 +34,9 @@ def _manual_setup(rl, xi, losses, theta=None, lam=1.0, q_bar=0.0):
         for i in range(n)
     ]
     contract = Contract(
-        items=[ContractItem(d=1.0, r_learn=float(r)) for r in rl],
-        pi=[0.0] * n, kappa=[0.0] * n, A=[1.0] * n, B=[1.0] * n,
-        blocks=[list(range(n))], order=list(range(n)),
+        d=np.ones(n), r=np.asarray(rl, dtype=float),
+        pi=np.zeros(n), kappa=np.zeros(n), A=np.ones(n), B=np.ones(n),
+        order=np.arange(n), blocks=[list(range(n))],
     )
     pop = Population(
         type_idx=np.arange(n),
@@ -158,7 +157,7 @@ def _random_instance(rng, n):
     )
     # rescale rewards downward so revocation is nontrivial in a decent share
     shrink = float(rng.uniform(0.3, 1.0))
-    contract.items = [ContractItem(it.d, it.r_learn * shrink) for it in contract.items]
+    contract = replace(contract, r=contract.r * shrink)
     q_bar = float(rng.uniform(0.0, 1.0))
     return UserTerms.of(pop, contract, types), cfg, q_bar
 

@@ -26,9 +26,9 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
     contract = design_contract(types, cfg)
 
     d_of, r_of = contract.per_type()
+    position = contract.order.tolist().index
     for t in range(J):
-        item = contract.items[contract.order.index(t)]
-        assert (d_of[t], r_of[t]) == (item.d, item.r_learn)
+        assert (d_of[t], r_of[t]) == (contract.d[position(t)], contract.r[position(t)])
 
     n = sum(t.count for t in types)
     pop = Population(
@@ -36,24 +36,25 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
         loss=rng.uniform(0.0, 1.0, size=n),
         shapley=np.zeros(n),
     )
-    pop.revoke = rng.uniform(size=n) < 0.5
-    revokers = np.flatnonzero(pop.revoke)
+    revoke = rng.uniform(size=n) < 0.5
+    revokers = np.flatnonzero(revoke)
     retained = revokers[rng.uniform(size=len(revokers)) < 0.5]
-    pop.retained[retained] = True
-    leavers = pop.revoke & ~pop.retained
+    kept = np.zeros(n, dtype=bool)
+    kept[retained] = True
+    leavers = revoke & ~kept
     leave_mass = float(np.sum(pop.loss[leavers] ** 2))
 
     # stage-4 rewards: the user-order loop the running sum replaced
     rewards = 0.0
-    for i in np.flatnonzero(~pop.revoke | pop.retained):
-        rewards += contract.items[contract.order.index(pop.type_idx[i])].r_learn
+    for i in np.flatnonzero(~revoke | kept):
+        rewards += contract.r[position(pop.type_idx[i])]
     terms = UserTerms.of(pop, contract, types)
-    _, parts = stage4_realized_cost(pop, terms, cfg)
+    _, parts = stage4_realized_cost(pop, terms, cfg, revoke, kept)
     assert parts["learning_rewards"] == rewards * cfg.gamma
 
     # realized payoffs are Stage-III payoffs at x = the final leavers, q_bar = 0
-    payoffs = _realized_payoffs(pop, terms, cfg)
-    for i in np.flatnonzero(~pop.retained):
+    payoffs = _realized_payoffs(revoke, kept, terms, cfg)
+    for i in np.flatnonzero(~kept):
         assert payoffs[i] == stage3_payoff(i, leavers, terms, cfg, 0.0)
 
     # the retention payment is minus the stay margin at the final leaver mass
@@ -61,10 +62,7 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
     assert len(incentives) == len(retained)
     for i, ru in zip(retained, incentives):
         t = types[pop.type_idx[i]]
-        item = contract.items[contract.order.index(pop.type_idx[i])]
-        margin = (
-            item.r_learn
-            - t.xi * pop.loss[i] * item.d
-            - t.theta * item.d * cfg.lam * leave_mass
-        )
+        k = position(pop.type_idx[i])
+        d, r = contract.d[k], contract.r[k]
+        margin = r - t.xi * pop.loss[i] * d - t.theta * d * cfg.lam * leave_mass
         assert ru == -margin
