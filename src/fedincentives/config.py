@@ -11,9 +11,11 @@ variances by default; spread_is_std reads them as standard deviations.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .experiments import MECHANISMS
 from .learning import LearnProblem, StepSchedule, make_problem
 from .model import GameConfig, UserTypeSpec, truncated_normal_moments
 from .population import SamplingModel
@@ -181,8 +183,8 @@ def _read_section(parser, name: str, defaults: dict) -> dict:
 
 
 def _spread_to_sigma(spread: float, spread_is_std: bool, where: str) -> float:
-    if spread < 0:
-        raise ConfigError(f"{where}: spread must be nonnegative")
+    if not 0.0 <= spread < math.inf:
+        raise ConfigError(f"{where} must be nonnegative and finite")
     if spread_is_std:
         return spread
     return spread ** 0.5
@@ -244,7 +246,9 @@ def load_config(path: str | None = None) -> ExperimentSetup:
             if not parser.has_option(section, required):
                 raise ConfigError(f"missing key {required!r} in section [{section}]")
         mu = values["loss_mu"]
-        sigma = _spread_to_sigma(values["loss_spread"], spread_is_std, section)
+        if not math.isfinite(mu):
+            raise ConfigError(f"[{section}] loss_mu must be finite")
+        sigma = _spread_to_sigma(values["loss_spread"], spread_is_std, f"[{section}] loss_spread")
         if sigma == 0.0:
             mean, var = min(max(mu, 0.0), 1.0), 0.0
         else:
@@ -263,6 +267,8 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         loss_mu.append(mu)
         loss_sigma.append(sigma)
 
+    if not math.isfinite(game["shapley_mu"]):
+        raise ConfigError("[game] shapley_mu must be finite")
     sampling = SamplingModel(
         loss_mu=tuple(loss_mu),
         loss_sigma=tuple(loss_sigma),
@@ -310,7 +316,7 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         raise ConfigError("[experiment] q_grid values must lie in [0, 1]")
     named = set()
     for mech in experiment.mechanisms:
-        if mech.upper() not in ("RAR", "NRI", "LLA"):
+        if mech.upper() not in MECHANISMS:
             raise ConfigError(f"[experiment] unknown mechanism {mech!r}")
         if mech.upper() in named:
             raise ConfigError(f"[experiment] mechanisms must name {mech.upper()} only once")

@@ -14,32 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, GameConfig, TypeRates, UserTypeSpec
+from .model import _POOL_TOL, Contract, GameConfig, TypeRates, UserTypeSpec
 
 __all__ = [
-    "PoolingSolution",
     "IRICReport",
     "optimal_rewards",
     "optimal_data_sizes",
     "verify_ir_ic",
     "design_contract",
 ]
-
-# relative slack for ratio comparisons; avoids spurious merges from fp noise
-_RATIO_TOL = 1e-12
-
-
-@dataclass
-class PoolingSolution:
-    """Data sizes plus the block partition that produced them.
-
-    blocks lists maximal runs of equal d as menu-position index lists, in
-    order.
-    """
-
-    blocks: list[list[int]]
-    d: list[float]
-
 
 @dataclass
 class IRICReport:
@@ -56,7 +39,7 @@ class IRICReport:
 
 def _ratio_greater(x: float, y: float) -> bool:
     # strictly greater with relative guard; equal ratios count as ordered
-    return x > y * (1.0 + _RATIO_TOL)
+    return x > y * (1.0 + _POOL_TOL)
 
 
 def optimal_rewards(d: list[float], pi: list[float], tol: float = 1e-9) -> list[float]:
@@ -84,14 +67,14 @@ def optimal_rewards(d: list[float], pi: list[float], tol: float = 1e-9) -> list[
     return rewards
 
 
-def optimal_data_sizes(A: list[float], B: list[float]) -> PoolingSolution:
+def optimal_data_sizes(A: list[float], B: list[float]) -> list[float]:
     """Pool-adjacent merge of the unconstrained sizes sqrt(A_j/B_j).
 
     Maintains a stack of blocks; whenever the newest block's ratio
     sum(A)/sum(B) strictly exceeds its predecessor's, the two are merged, so
     the surviving block ratios are non-ascending.  Equal adjacent ratios are
-    left unmerged (identical d either way); the reported blocks are the
-    maximal runs of equal d.  O(J) merges total.
+    left unmerged (identical d either way), so the pooled blocks are read off
+    the sizes by model.pooled_blocks.  O(J) merges total.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -109,18 +92,7 @@ def optimal_data_sizes(A: list[float], B: list[float]) -> PoolingSolution:
     d: list[float] = []
     for sa, sb, c in stack:
         d.extend([math.sqrt(sa / sb)] * int(c))
-    return _canonical_blocks(d)
-
-
-def _canonical_blocks(d: list[float]) -> PoolingSolution:
-    """Group positions into maximal runs of equal d."""
-    blocks: list[list[int]] = []
-    for j, val in enumerate(d):
-        if blocks and abs(val - d[blocks[-1][0]]) <= _RATIO_TOL * max(1.0, abs(val)):
-            blocks[-1].append(j)
-        else:
-            blocks.append([j])
-    return PoolingSolution(blocks=blocks, d=list(d))
+    return d
 
 
 def verify_ir_ic(
@@ -177,10 +149,10 @@ def design_contract(
     A, B = menu.cost_coefficients(cfg)
     if drop_expected_retention:
         B -= cfg.gamma * menu.count * menu.p * menu.q * menu.X
-    pooling = optimal_data_sizes(A, B)
+    d = optimal_data_sizes(A, B)
     contract = Contract(
-        d=np.array(pooling.d), r=np.array(optimal_rewards(pooling.d, menu.pi, tol=cfg.tol)),
-        pi=menu.pi, kappa=menu.kappa, A=A, B=B, order=order, blocks=pooling.blocks,
+        d=np.array(d), r=np.array(optimal_rewards(d, menu.pi, tol=cfg.tol)),
+        pi=menu.pi, kappa=menu.kappa, A=A, B=B, order=order,
     )
     contract.validate(tol=cfg.tol)
     return contract

@@ -51,6 +51,7 @@ from .revocation import lower_equilibrium
 __all__ = [
     "Outcome",
     "StationarySearch",
+    "mechanism_contract",
     "run_pipeline",
     "compare_costs",
     "find_stationary_rates",
@@ -162,7 +163,8 @@ def run_pipeline(
     incentives[retained_ids] = payments
 
     cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
-    payoffs = _realized_payoffs(revoke, retained, terms, cfg)
+    leave_mass = float(np.sum(terms.loss[revoke & ~retained] ** 2))
+    payoffs = terms.payoffs(revoke, leave_mass, cfg)
     p_hat, q_hat = realized_rates(revoke, retained)
     return Outcome(
         mechanism=mech,
@@ -178,25 +180,6 @@ def run_pipeline(
         payoffs=payoffs,
         p_hat=p_hat,
         q_hat=q_hat,
-    )
-
-
-def _realized_payoffs(
-    revoke: np.ndarray, retained: np.ndarray, terms: UserTerms, cfg: GameConfig
-) -> np.ndarray:
-    """Per-user realized payoff given final leave/stay outcomes.
-
-    Users who leave, and retained users (paid to indifference), end at the
-    sunk training cost.  Stayers collect the reward net of training, privacy
-    and the unlearning burden of those who actually left.
-    """
-    leavers = revoke & ~retained
-    leave_mass = float(np.sum(terms.loss[leavers] ** 2))
-    train_cost = terms.theta * terms.d * cfg.T
-    return np.where(
-        revoke,
-        -train_cost,
-        terms.stay_margin(terms.theta * terms.d * cfg.lam, leave_mass, sunk=train_cost),
     )
 
 

@@ -140,9 +140,6 @@ class StepSchedule:
             return self.c
         return self.c / (t + 1.0 + self.shift)
 
-    def values(self, rounds: int) -> np.ndarray:
-        return np.array([self.value(t) for t in range(rounds)])
-
 
 @dataclass
 class TrainTrace:
@@ -151,8 +148,6 @@ class TrainTrace:
     gap: np.ndarray
     gap_stderr: np.ndarray
     rounds: np.ndarray
-    stepsizes: np.ndarray
-    local_steps: int
 
 
 @dataclass(frozen=True)
@@ -343,8 +338,6 @@ def _run_scaffold(
         gap=np.array(gap_mean),
         gap_stderr=np.array(gap_err),
         rounds=np.arange(len(gap_mean)),
-        stepsizes=schedule.values(len(gap_mean) - 1),
-        local_steps=local_steps,
     )
     return trace, stop_round, updates
 

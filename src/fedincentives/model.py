@@ -24,6 +24,7 @@ __all__ = [
     "Population",
     "UserTerms",
     "TypeRates",
+    "pooled_blocks",
     "stage3_payoff",
     "stage1_expected_cost",
     "stage4_realized_cost",
@@ -33,6 +34,14 @@ __all__ = [
 
 
 # --- configuration types ---
+
+
+def _require(*rules) -> None:
+    """Raise ValueError with the rule of the first (holds, rule) pair whose
+    condition is false.  Conditions state what must hold, so a NaN fails."""
+    for holds, rule in rules:
+        if not holds:
+            raise ValueError(rule)
 
 
 @dataclass(frozen=True)
@@ -52,16 +61,15 @@ class UserTypeSpec:
     loss_var: float
 
     def validate(self) -> None:
-        if self.theta <= 0 or self.xi <= 0:
-            raise ValueError("theta and xi must be positive")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError("p must lie in [0, 1)")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        if self.loss_var < 0.0:
-            raise ValueError("loss_var must be nonnegative")
+        _require(
+            (0.0 < self.theta < math.inf, "theta must be positive and finite"),
+            (0.0 < self.xi < math.inf, "xi must be positive and finite"),
+            (self.count >= 1, "count must be at least 1"),
+            (0.0 <= self.p < 1.0, "p must lie in [0, 1)"),
+            (0.0 <= self.q <= 1.0, "q must lie in [0, 1]"),
+            (0.0 <= self.loss_mean <= 1.0, "loss_mean must lie in [0, 1]"),
+            (0.0 <= self.loss_var < math.inf, "loss_var must be nonnegative and finite"),
+        )
 
 
 @dataclass(frozen=True)
@@ -81,16 +89,31 @@ class GameConfig:
     tol: float = 1e-9
 
     def validate(self) -> None:
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.rho <= 0 or self.gamma <= 0:
-            raise ValueError("rho and gamma must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.tol <= 1e-3:
-            raise ValueError("tol must lie in (0, 1e-3]")
+        _require(
+            (0.0 < self.T < math.inf, "T must be positive and finite"),
+            (0.0 <= self.lam < math.inf, "lam must be nonnegative and finite"),
+            (0.0 < self.rho < math.inf, "rho must be positive and finite"),
+            (0.0 < self.gamma < math.inf, "gamma must be positive and finite"),
+            (self.seed >= 0, "seed must be nonnegative"),
+            (0.0 < self.tol <= 1e-3, "tol must lie in (0, 1e-3]"),
+        )
+
+
+# relative slack under which two data sizes, or two pooling ratios, count as
+# equal; keeps fp noise from splitting or merging blocks
+_POOL_TOL = 1e-12
+
+
+def pooled_blocks(d) -> list[list[int]]:
+    """Menu positions grouped into maximal runs of equal data size d: the
+    blocks of pooled types, in order."""
+    blocks: list[list[int]] = []
+    for j, val in enumerate(d):
+        if blocks and abs(val - d[blocks[-1][0]]) <= _POOL_TOL * max(1.0, abs(val)):
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -100,8 +123,7 @@ class Contract:
     Entry k of every array is the k-th menu item: data size d, learning
     reward r, and the rates pi, kappa, A, B it was priced at.  order[k] is
     the index into the original type list of the k-th item, so order inverts
-    the stable sort applied before pricing.  blocks lists maximal runs of
-    equal data size (pooled types share one block).
+    the stable sort applied before pricing.
     """
 
     d: np.ndarray
@@ -111,7 +133,11 @@ class Contract:
     A: np.ndarray
     B: np.ndarray
     order: np.ndarray
-    blocks: list[list[int]]
+
+    @property
+    def blocks(self) -> list[list[int]]:
+        """Menu positions grouped by pooled data size (see pooled_blocks)."""
+        return pooled_blocks(self.d)
 
     def per_type(self) -> tuple[np.ndarray, np.ndarray]:
         """Data sizes and learning rewards indexed by original type."""
@@ -127,21 +153,13 @@ class Contract:
             raise ValueError("inconsistent contract arrays")
         if sorted(self.order) != list(range(J)):
             raise ValueError("order must be a permutation")
-        if np.any(pi[1:] < pi[:-1] - tol * np.maximum(1.0, np.abs(pi[:-1]))):
+        # stated as what must hold, so a NaN menu fails
+        if not np.all(pi[1:] >= pi[:-1] - tol * np.maximum(1.0, np.abs(pi[:-1]))):
             raise ValueError("pi must be non-decreasing")
-        if np.any(d <= 0):
-            raise ValueError("data sizes must be positive")
-        if np.any(d[1:] > d[:-1] * (1 + tol)):
+        if not np.all((d > 0) & (d < np.inf)):
+            raise ValueError("data sizes must be positive and finite")
+        if not np.all(d[1:] <= d[:-1] * (1 + tol)):
             raise ValueError("data sizes must be non-increasing in pi order")
-        if [j for blk in self.blocks for j in blk] != list(range(J)):
-            raise ValueError("blocks must partition menu positions in order")
-        for blk in self.blocks:
-            base = d[blk[0]]
-            if np.any(np.abs(d[blk] - base) > tol * max(1.0, abs(base))):
-                raise ValueError("data sizes inside a block must be equal")
-        for left, right in zip(self.blocks, self.blocks[1:]):
-            if not d[left[0]] > d[right[0]]:
-                raise ValueError("block data sizes must be strictly decreasing")
 
 
 @dataclass(frozen=True)
@@ -197,6 +215,20 @@ class UserTerms:
         # the grouping (xi l) d and the left-to-right subtraction fix the
         # bytes of every CLI output; keep them
         return self.r - sunk - self.xi * self.loss * self.d - w * burden
+
+    def payoffs(self, revoke, burden, cfg: GameConfig) -> np.ndarray:
+        """Realized payoffs when the leavers' squared-loss mass is burden.
+
+        A revoker forfeits the reward and keeps only the sunk training cost
+        -theta d T; anyone else collects the reward net of training, privacy
+        and the unlearning burden theta d lam * burden.
+        """
+        train_cost = self.theta * self.d * cfg.T
+        return np.where(
+            revoke,
+            -train_cost,
+            self.stay_margin(self.theta * self.d * cfg.lam, burden, sunk=train_cost),
+        )
 
 
 # --- scalar helpers ---
@@ -298,22 +330,12 @@ def stage3_payoff(
     cfg: GameConfig,
     q_bar: float,
 ) -> float:
-    """Realized payoff of user idx under revocation profile x.
-
-    A revoker forfeits the reward and keeps only the sunk training cost
-    -theta d T.  A non-revoker additionally pays the privacy cost xi l d and
-    the expected unlearning cost theta d lam (1 - q_bar) sum_k x_k l_k^2,
-    where q_bar is the anticipated retention rate of revokers.
-    """
+    """Realized payoff of user idx under revocation profile x: UserTerms.payoffs
+    with the burden expected of the revokers x, (1 - q_bar) sum_k x_k l_k^2,
+    where q_bar is the anticipated retention rate of revokers."""
     x = np.asarray(x, dtype=bool)
-    user = terms.take(idx)
-    train_cost = float(user.theta * user.d * cfg.T)
-    if x[idx]:
-        return -train_cost
     leaver_mass = (1.0 - q_bar) * float(np.sum(terms.loss[x] ** 2))
-    return float(
-        user.stay_margin(user.theta * user.d * cfg.lam, leaver_mass, sunk=train_cost)
-    )
+    return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
 
 
 def stage1_expected_cost(

@@ -7,15 +7,22 @@ and `upper_equilibrium` reach by best-response sweeps.  Tests compare the
 library against them.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from fedincentives.contract import PoolingSolution
 from fedincentives.revocation import verify_nash
 
 # relative slack of the oracle's own comparisons, set apart from the
 # optimizer's so that a change to the optimizer's tolerance shows as a mismatch
 ORACLE_TOL = 1e-12
+
+
+class Pooling(NamedTuple):
+    """The oracle's sizes and its own grouping of them into blocks."""
+
+    d: list
+    blocks: list
 
 
 def reduced_cost(d, A, B) -> float:
@@ -24,7 +31,7 @@ def reduced_cost(d, A, B) -> float:
     return float(np.sum(np.asarray(A) / d + np.asarray(B) * d))
 
 
-def brute_force_pooling_oracle(A, B) -> PoolingSolution:
+def brute_force_pooling_oracle(A, B) -> Pooling:
     """Exhaustive check of all 2^(J-1) consecutive partitions.
 
     Every block takes its pooled size sqrt(sumA/sumB); partitions whose block
@@ -71,7 +78,7 @@ def brute_force_pooling_oracle(A, B) -> PoolingSolution:
     return _equal_runs(best_d)
 
 
-def _equal_runs(d) -> PoolingSolution:
+def _equal_runs(d) -> Pooling:
     """Positions grouped into maximal runs of equal d, to ORACLE_TOL."""
     blocks = [[0]]
     for j in range(1, len(d)):
@@ -79,7 +86,7 @@ def _equal_runs(d) -> PoolingSolution:
             blocks[-1].append(j)
         else:
             blocks.append([j])
-    return PoolingSolution(blocks=blocks, d=list(d))
+    return Pooling(d=list(d), blocks=blocks)
 
 
 def all_equilibria(terms, cfg, q_bar) -> np.ndarray:

@@ -72,8 +72,6 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
         gap=np.array(gap_mean),
         gap_stderr=np.array(gap_err),
         rounds=np.arange(len(gap_mean)),
-        stepsizes=schedule.values(len(gap_mean) - 1),
-        local_steps=local_steps,
     )
     return trace, stop_round, updates
 

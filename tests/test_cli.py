@@ -311,6 +311,20 @@ def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, 
         ("sweep", "refine_steps = 1", "refine_steps = -3", "refine_steps"),
         ("sweep", "refine_steps = 1", "refine_damping = 3", "refine_damping"),
         ("compare", "trials = 2", "mechanisms = RAR, rar", "mechanisms"),
+        # non-finite [game] and [types.N] values
+        ("simulate", "t = 30", "t = nan", "T must"),
+        ("simulate", "lambda = 0.04", "lambda = nan", "lam must"),
+        ("simulate", "lambda = 0.04", "lambda = inf", "lam must"),
+        ("simulate", "seed = 0", "seed = 0\nrho = nan", "rho"),
+        ("simulate", "seed = 0", "seed = 0\ngamma = nan", "gamma"),
+        ("simulate", "theta = 2.0", "theta = nan", "theta"),
+        ("simulate", "theta = 2.0", "theta = inf", "theta"),
+        ("simulate", "xi = 900", "xi = nan", "xi"),
+        ("simulate", "loss_mu = 0.4", "loss_mu = nan", "loss_mu"),
+        ("simulate", "loss_spread = 0.2", "loss_spread = inf", "loss_spread"),
+        ("simulate", "seed = 0", "seed = 0\nshapley_mu = nan", "shapley_mu"),
+        ("simulate", "seed = 0", "seed = 0\nshapley_mu = inf", "shapley_mu"),
+        ("simulate", "seed = 0", "seed = 0\nshapley_spread = nan", "shapley_spread"),
     ],
 )
 def test_out_of_domain_value_exit_1(tmp_path, capsys, command, old, new, key):

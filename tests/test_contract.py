@@ -11,7 +11,7 @@ from fedincentives.contract import (
     optimal_rewards,
     verify_ir_ic,
 )
-from fedincentives.model import GameConfig
+from fedincentives.model import GameConfig, pooled_blocks
 
 from conftest import random_cfg, random_types
 from game_oracles import brute_force_pooling_oracle, reduced_cost
@@ -37,38 +37,45 @@ def test_rewards_reject_increasing_d():
 
 
 def test_data_sizes_unpooled_example():
-    sol = optimal_data_sizes([4.0, 1.0], [1.0, 1.0])
-    assert sol.d == pytest.approx([2.0, 1.0])
-    assert sol.blocks == [[0], [1]]
-    assert [len(blk) > 1 for blk in sol.blocks for _ in blk] == [False, False]
+    d = optimal_data_sizes([4.0, 1.0], [1.0, 1.0])
+    assert d == pytest.approx([2.0, 1.0])
+    assert pooled_blocks(d) == [[0], [1]]
+    assert [len(blk) > 1 for blk in pooled_blocks(d) for _ in blk] == [False, False]
 
 
 def test_data_sizes_pooled_example():
-    sol = optimal_data_sizes([1.0, 4.0], [1.0, 1.0])
-    assert sol.d == pytest.approx([np.sqrt(2.5)] * 2)
-    assert sol.blocks == [[0, 1]]
-    assert [len(blk) > 1 for blk in sol.blocks for _ in blk] == [True, True]
+    d = optimal_data_sizes([1.0, 4.0], [1.0, 1.0])
+    assert d == pytest.approx([np.sqrt(2.5)] * 2)
+    assert pooled_blocks(d) == [[0, 1]]
+    assert [len(blk) > 1 for blk in pooled_blocks(d) for _ in blk] == [True, True]
 
 
 def test_data_sizes_eight_type_block_pattern():
     # ratio pattern descending / ascending runs -> blocks {1},{2,3,4},{5},{6},{7,8}
     A = [10.0, 6.0, 7.0, 8.0, 5.0, 3.5, 2.0, 4.0]
     B = [1.0] * 8
-    sol = optimal_data_sizes(A, B)
-    assert sol.blocks == [[0], [1, 2, 3], [4], [5], [6, 7]]
-    d = np.asarray(sol.d)
+    d = optimal_data_sizes(A, B)
+    blocks = pooled_blocks(d)
+    assert blocks == [[0], [1, 2, 3], [4], [5], [6, 7]]
     assert d[1] == pytest.approx(np.sqrt(21.0 / 3.0))
     assert d[6] == pytest.approx(np.sqrt(3.0))
-    assert np.all(np.diff([d[blk[0]] for blk in sol.blocks]) < 0)
+    assert np.all(np.diff([d[blk[0]] for blk in blocks]) < 0)
 
 
 def test_data_sizes_equal_ratios_canonical_block():
     # identical ratios give identical d whether merged or not; the reported
     # partition is canonical (maximal equal-d runs), keeping blocks strictly
     # decreasing and matching the oracle on ties
-    sol = optimal_data_sizes([4.0, 2.0], [2.0, 1.0])
-    assert sol.blocks == [[0, 1]]
-    assert sol.d == pytest.approx([np.sqrt(2.0)] * 2)
+    d = optimal_data_sizes([4.0, 2.0], [2.0, 1.0])
+    assert pooled_blocks(d) == [[0, 1]]
+    assert d == pytest.approx([np.sqrt(2.0)] * 2)
+
+
+def test_pooled_blocks_tolerance():
+    # sizes within a relative 1e-12 of a block's first size pool with it
+    assert pooled_blocks([3.0, 3.0 * (1 - 1e-13), 2.0, 1.0, 1.0]) == [[0, 1], [2], [3, 4]]
+    assert pooled_blocks([3.0, 3.0 * (1 - 1e-9)]) == [[0], [1]]
+    assert pooled_blocks([]) == []
 
 
 def test_data_sizes_reject_nonpositive():
@@ -98,9 +105,9 @@ def test_optimizer_matches_oracle_small(rng):
         B = rng.uniform(0.1, 10.0, size=J)
         fast = optimal_data_sizes(A, B)
         slow = brute_force_pooling_oracle(A, B)
-        assert fast.blocks == slow.blocks
-        assert np.allclose(fast.d, slow.d, rtol=1e-9)
-        assert reduced_cost(fast.d, A, B) <= reduced_cost(slow.d, A, B) * (1 + 1e-12)
+        assert pooled_blocks(fast) == slow.blocks
+        assert np.allclose(fast, slow.d, rtol=1e-9)
+        assert reduced_cost(fast, A, B) <= reduced_cost(slow.d, A, B) * (1 + 1e-12)
 
 
 def test_optimizer_never_beaten_by_random_monotone_d(rng):
@@ -110,8 +117,7 @@ def test_optimizer_never_beaten_by_random_monotone_d(rng):
         J = int(rng.integers(1, 7))
         A = rng.uniform(0.1, 10.0, size=J)
         B = rng.uniform(0.1, 10.0, size=J)
-        sol = optimal_data_sizes(A, B)
-        best = reduced_cost(sol.d, A, B)
+        best = reduced_cost(optimal_data_sizes(A, B), A, B)
         for _ in range(20):
             d = np.sort(rng.uniform(0.05, 12.0, size=J))[::-1]
             assert reduced_cost(d, A, B) >= best - 1e-9 * abs(best)
@@ -124,9 +130,8 @@ def test_block_merge_count_linear(rng):
     A = rng.uniform(0.1, 10.0, size=J)
     B = rng.uniform(0.1, 10.0, size=J)
     t0 = time.time()
-    sol = optimal_data_sizes(A, B)
+    d = np.asarray(optimal_data_sizes(A, B))
     assert time.time() - t0 < 5.0
-    d = np.asarray(sol.d)
     assert np.all(np.diff(d) <= 1e-12 * np.abs(d[:-1]))
 
 

@@ -261,7 +261,6 @@ def test_stage1_identity_for_any_monotone_d(rng):
             A=A,
             B=B,
             order=np.array(pis),
-            blocks=[[j] for j in range(len(d))],  # distinct uniform draws: no pooling
         )
         c.validate()
         direct = stage1_expected_cost(c, srt, cfg)
@@ -414,6 +413,10 @@ def test_type_spec_validation():
         _spec(q=1.5).validate()
     with pytest.raises(ValueError):
         _spec(loss_var=-0.1).validate()
+    for key in ("theta", "xi", "loss_mean", "loss_var"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=key):
+                _spec(**{key: value}).validate()
 
 
 def test_game_config_validation():
@@ -424,6 +427,10 @@ def test_game_config_validation():
         GameConfig(tol=1e-2).validate()
     with pytest.raises(ValueError):
         GameConfig(gamma=0.0).validate()
+    for key in ("T", "lam", "rho", "gamma"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=key):
+                GameConfig(**{key: value}).validate()
 
 
 def test_contract_validation_catches_bad_menus():
@@ -434,8 +441,26 @@ def test_contract_validation_catches_bad_menus():
     broken = Contract(
         d=np.array([1.0, 2.0]), r=np.array([1.0, 1.0]),  # d increasing
         pi=c.pi, kappa=c.kappa, A=c.A, B=c.B,
-        order=c.order, blocks=[[0], [1]],
+        order=c.order,
     )
     with pytest.raises(ValueError):
         broken.validate()
 
+
+def test_nan_menu_fails_validation():
+    """The checks on d and pi reject a menu with a NaN or infinite entry."""
+    types = [_spec(), _spec(theta=4.0)]
+    c = design_contract(types, GameConfig(T=10.0))
+    for d in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError):
+            replace(c, d=np.array(d)).validate()
+    with pytest.raises(ValueError):
+        replace(c, pi=np.array([1.0, np.nan])).validate()
+    # a one-item menu has no ordering to break
+    single = design_contract(types[:1], GameConfig(T=10.0))
+    for d in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            replace(single, d=np.array([d])).validate()
+    # design_contract does not validate cfg, so its own check stops a NaN T
+    with pytest.raises(ValueError):
+        design_contract(types, GameConfig(T=np.nan))

@@ -35,7 +35,7 @@ def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
     contract = Contract(
         d=np.ones(n), r=np.asarray(rl, dtype=float),
         pi=np.zeros(n), kappa=np.zeros(n), A=np.ones(n), B=np.ones(n),
-        order=np.arange(n), blocks=[list(range(n))],
+        order=np.arange(n),
     )
     pop = Population(
         type_idx=np.arange(n),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedincentives.contract import design_contract
-from fedincentives.experiments import _realized_payoffs
 from fedincentives.model import Population, UserTerms, stage3_payoff, stage4_realized_cost
 from fedincentives.retention import retention_incentives
 
@@ -53,9 +52,17 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
     assert parts["learning_rewards"] == rewards * cfg.gamma
 
     # realized payoffs are Stage-III payoffs at x = the final leavers, q_bar = 0
-    payoffs = _realized_payoffs(revoke, kept, terms, cfg)
+    payoffs = terms.payoffs(revoke, leave_mass, cfg)
     for i in np.flatnonzero(~kept):
         assert payoffs[i] == stage3_payoff(i, leavers, terms, cfg, 0.0)
+    # and, per user, the sunk training cost or the reward net of every cost
+    for i in range(n):
+        t = types[pop.type_idx[i]]
+        k = position(pop.type_idx[i])
+        d, r = contract.d[k], contract.r[k]
+        sunk = t.theta * d * cfg.T
+        stay = r - sunk - t.xi * pop.loss[i] * d - t.theta * d * cfg.lam * leave_mass
+        assert payoffs[i] == (-sunk if revoke[i] else stay)
 
     # the retention payment is minus the stay margin at the final leaver mass
     incentives = retention_incentives(retained, revokers, pop, terms, cfg)
