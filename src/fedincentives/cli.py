@@ -153,9 +153,8 @@ def _cmd_retain(args, setup) -> int:
     path = _write_retention(args, outcome)
     n_kept = int(np.sum(outcome.retained))
     n_rev = int(np.sum(outcome.revoke))
-    method = outcome.retention.method if outcome.retention else "none"
     negatives = int(np.sum(outcome.incentives < 0))
-    print(f"retention ({method}): kept {n_kept}/{n_rev} revokers, written to {path}")
+    print(f"retention: kept {n_kept}/{n_rev} revokers, written to {path}")
     if negatives:
         print(f"note: {negatives} retention incentives are negative (charges to stay)")
     return 0

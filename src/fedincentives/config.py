@@ -19,7 +19,6 @@ from .experiments import MECHANISMS
 from .learning import LearnProblem, StepSchedule, make_problem
 from .model import GameConfig, UserTypeSpec, truncated_normal_moments
 from .population import SamplingModel
-from .retention import EXACT_MAX_REVOKERS
 
 __all__ = [
     "ConfigError",
@@ -63,10 +62,10 @@ _RETIRED = {
         0.2, "the game never read it; the batch proportion is [learning] iota"
     ),
     ("game", "retention_exact_threshold"): (
-        EXACT_MAX_REVOKERS, "Stage IV enumerates up to this many revokers"
+        20, "Stage IV is solved exactly at every revoker count"
     ),
     ("experiment", "heuristic_categories"): (
-        8, "the retention heuristic always uses 8 buckets"
+        8, "Stage IV has no heuristic; every solve is exact"
     ),
     ("game", "clamp_retention_incentives"): (
         False, "retention payments make each retained user exactly indifferent"
@@ -294,6 +293,10 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     ):
         if not holds:
             raise ConfigError(f"[learning] {key} {rule}")
+    # every number past its rule (b_scale has none) must also be finite
+    for key, value in vars(learn).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[learning] {key} must be finite")
 
     experiment = ExperimentConfig(**exp_raw)
     for key in ("trials", "sweep_trials", "refine_trials"):

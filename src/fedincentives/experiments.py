@@ -39,13 +39,7 @@ from .model import (
     stage4_realized_cost,
 )
 from .population import SamplingModel, realized_rates, sample_population
-from .retention import (
-    EXACT_MAX_REVOKERS,
-    RetentionResult,
-    optimal_retention_exact,
-    optimal_retention_heuristic,
-    retention_incentives,
-)
+from .retention import RetentionResult, optimal_retention, retention_incentives
 from .revocation import lower_equilibrium
 
 __all__ = [
@@ -65,6 +59,14 @@ MECHANISMS = ("RAR", "NRI", "LLA")
 _STREAM_SWEEP = 2
 _STREAM_REFINE = 3
 _STREAM_COMPARE = 4
+
+
+# One Stage-IV solver under two names: the benchmark tracer times the calls
+# through each name and reads their `revokers` argument, and run_pipeline
+# calls the first up to 20 revokers and the second beyond.  The split only
+# names the call for the tracer; it goes when the tracer gives Stage IV one
+# span.
+optimal_retention_exact = optimal_retention_heuristic = optimal_retention
 
 
 def _trial_seed(seed: int, stream: int, index: int, trial: int) -> int:
@@ -124,8 +126,7 @@ def run_pipeline(
     random numbers).  NRI retains nobody, and RAR and LLA retain optimally,
     unless `retention` forces a Stage-IV mode (optimal / none / all), which
     gives controlled comparisons that differ in retention only.  Optimal
-    retention enumerates up to EXACT_MAX_REVOKERS revokers and runs the
-    bucket heuristic beyond.
+    retention keeps the least minimizer of the Stage-IV objective.
     """
     mech = mechanism.upper()
     if mech not in MECHANISMS:
@@ -149,10 +150,7 @@ def run_pipeline(
         retained_ids = revokers
         payments = retention_incentives(retained_ids, revokers, population, terms, cfg)
     else:
-        if len(revokers) <= EXACT_MAX_REVOKERS:
-            solve = optimal_retention_exact
-        else:
-            solve = optimal_retention_heuristic
+        solve = optimal_retention_exact if len(revokers) <= 20 else optimal_retention_heuristic
         retention_result = solve(revokers, population, terms, cfg)
         retained_ids = retention_result.retained
         payments = retention_result.incentives

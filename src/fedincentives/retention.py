@@ -3,12 +3,19 @@
 Retaining a set S of revokers costs the server each member's contribution
 score plus reward-weighted payments, but shrinks the unlearning burden that
 the users outside S impose on every retained member.  The relative objective
-(cost of retaining S minus cost of retaining nobody) decomposes into three
-subset sums, so exact minimization enumerates all 2^n subsets with vector
-arithmetic; beyond EXACT_MAX_REVOKERS a quantile-bucket heuristic with
-greedy refinement takes over.  The incentive payment makes each retained
-user exactly indifferent between staying and leaving; it may be negative,
-a charge to stay.
+(cost of retaining S minus cost of retaining nobody) is
+
+    f(S) = C(S) + G(S) (E_tot - E(S)),
+
+with C, G and E the sums over S of c_i = v_i + gamma xi_i l_i d_i (either
+sign), g_i = gamma theta_i d_i lam >= 0 and e_i = l_i^2 >= 0.  Its pairwise
+terms -(g_i e_k + g_k e_i) are never positive, so f is submodular
+(Kolmogorov & Zabih, PAMI 2004): its minimizers form a lattice, and the least
+one is the minimizer with fewest members.  Single flips show that the least
+minimizer S is {i : k_i(L) < G(S)} for the keys k_i(L) = (c_i + L g_i) / e_i
+at L = E_tot - E(S) in [0, E_tot], so it is a prefix of the key order there.
+The incentive payment makes each retained user exactly indifferent between
+staying and leaving; it may be negative, a charge to stay.
 """
 from __future__ import annotations
 
@@ -19,23 +26,16 @@ import numpy as np
 from .model import GameConfig, Population, UserTerms
 
 __all__ = [
-    "EXACT_MAX_REVOKERS",
     "RetentionResult",
-    "RetentionSizeError",
     "retention_objective",
-    "optimal_retention_exact",
-    "optimal_retention_heuristic",
+    "optimal_retention",
     "retention_incentives",
 ]
 
-
-EXACT_MAX_REVOKERS = 20
-"""Largest revoker set optimal_retention_exact enumerates (2^n subsets);
-run_pipeline hands larger sets to optimal_retention_heuristic."""
-
-
-class RetentionSizeError(ValueError):
-    """Raised when the revoker set is too large for exact enumeration."""
+# key pairs or key entries formed at once by optimal_retention: its memory
+# then grows with the number of key crossings, not with n^2 or n times that
+_CHUNK = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -45,7 +45,6 @@ class RetentionResult:
     retained: np.ndarray
     incentives: np.ndarray
     objective: float
-    method: str
 
 
 @dataclass
@@ -60,7 +59,6 @@ class _Revokers:
 
     ids: np.ndarray
     user: UserTerms
-    v: np.ndarray
     c: np.ndarray
     tg: np.ndarray
     e: np.ndarray
@@ -76,11 +74,10 @@ class _Revokers:
         return cls(
             ids=ids,
             user=user,
-            v=v,
             c=v + cfg.gamma * user.xi * user.loss * user.d,
             tg=user.theta * user.d * cfg.lam,
             e=e,
-            e_tot=float(np.sum(e)),
+            e_tot=float(e.sum()),
             cfg=cfg,
         )
 
@@ -98,7 +95,7 @@ class _Revokers:
 
     def objective(self, sel: np.ndarray) -> float:
         """Relative cost of retaining the selected revokers; the leaver mass
-        is e_tot minus the selected burden, as in the subset sums."""
+        is e_tot minus the selected burden, as in f(S)."""
         leave = self.e_tot - float(np.sum(self.e[sel]))
         return float(np.sum(self.c[sel]) + self.cfg.gamma * np.sum(self.tg[sel]) * leave)
 
@@ -106,14 +103,11 @@ class _Revokers:
         """Payments of the selected revokers, aligned with ids[sel], at the
         leaver mass of the unselected ones.  That mass is summed over them,
         not taken as e_tot minus the selected: the output bytes depend on it."""
-        return self.payments(float(np.sum(self.e[~sel])))[sel]
+        return self.payments(float(self.e[~sel].sum()))[sel]
 
-    def result(self, sel: np.ndarray, objective: float, method: str) -> RetentionResult:
+    def result(self, sel: np.ndarray, objective: float) -> RetentionResult:
         return RetentionResult(
-            retained=self.ids[sel],
-            incentives=self.incentives(sel),
-            objective=objective,
-            method=method,
+            retained=self.ids[sel], incentives=self.incentives(sel), objective=objective
         )
 
 
@@ -135,122 +129,76 @@ def retention_objective(
     return rv.objective(rv.mask(subset))
 
 
-def _subset_sums(vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(1)
-    for val in vals:
-        out = np.concatenate([out, out + val])
-    return out
+def _breakpoints(pieces, e_tot) -> np.ndarray:
+    """The leaver masses L in [0, e_tot] where the key order may change,
+    sorted: both ends (e_tot twice, so that it is also the last midpoint)
+    and every L inside where keys k_i and k_k swap, (c_i + L g_i) e_k =
+    (c_k + L g_k) e_i.  With e_i = 0 < e_k that is the sign change of
+    c_i + L g_i, where k_i jumps between -inf and +inf; pairs that never
+    swap give inf or NaN, which fall outside."""
+    cg, e = pieces[:2], pieces[2]
+    cuts = [np.array([0.0, e_tot, e_tot])]
+    rows = max(1, _CHUNK // max(len(e), 1))
+    for lo in range(0, len(e), rows):
+        # (c_i e_k - e_i c_k, g_i e_k - e_i g_k) for i in the chunk, every k
+        rise, slope = cg[:, lo : lo + rows, None] * e - e[lo : lo + rows, None] * cg[:, None]
+        cut = rise / -slope
+        cuts.append(cut[(cut > 0) & (cut < e_tot)])
+    points = np.concatenate(cuts)
+    points.sort()
+    return points
 
 
-def _bit_reversed(masks: np.ndarray, n: int) -> np.ndarray:
-    rev = np.zeros_like(masks)
-    for i in range(n):
-        rev |= ((masks >> i) & 1) << (n - 1 - i)
-    return rev
+def _order(pieces, levels) -> np.ndarray:
+    """Revokers sorted by k_i(L) = (c_i + L g_i) / e_i, one row per leaver
+    mass L.  A user with e_i = 0 keys at -inf while c_i + L g_i < 0, else at
+    +inf or NaN, which sorts last."""
+    c, g, e = pieces
+    return ((c + levels[:, None] * g) / e).argsort(axis=1, kind="stable")
 
 
-def _pick_mask(objective: np.ndarray, n: int) -> int:
-    """Index of the minimal objective; ties go to the smallest subset, then
-    to the one whose member list is lexicographically smallest."""
-    best = float(np.min(objective))
-    cands = np.flatnonzero(objective == best).astype(np.uint64)
-    if len(cands) == 1:
-        return int(cands[0])
-    pops = np.zeros(len(cands), dtype=np.int64)
-    for i in range(n):
-        pops += ((cands >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
-    cands = cands[pops == pops.min()]
-    rev = _bit_reversed(cands.astype(np.int64), n)
-    return int(cands[np.argmax(rev)])
-
-
-def optimal_retention_exact(
+@np.errstate(divide="ignore", invalid="ignore")
+def optimal_retention(
     revokers,
     population: Population,
     terms: UserTerms,
     cfg: GameConfig,
 ) -> RetentionResult:
-    """Minimize the retention objective over every subset of revokers.
+    """The least minimizer of the retention objective over subsets of
+    revokers: lowest objective first, then fewest members.
 
-    The objective is C_S + T_S * (E_tot - E_S) with three subset sums, all
-    built by doubling in O(2^n).  Raises RetentionSizeError beyond
-    EXACT_MAX_REVOKERS.
+    The least minimizer is a prefix of the key order at a leaver mass in
+    [0, E_tot] (module docstring), and that order is fixed between the
+    crossings of the keys.  Reading it at the middle of every interval
+    between crossings, and at E_tot, covers every order the keys take there;
+    each order's n prefixes past the empty set are scored with three cumsums.
+    Objectives that differ by less than their rounding error count as equal,
+    so the size rule decides ties that rounding would break at random.
     """
     rv = _Revokers.of(revokers, population, terms, cfg)
-    n = len(rv.ids)
-    if n > EXACT_MAX_REVOKERS:
-        raise RetentionSizeError(
-            f"{n} revokers exceed exact cap {EXACT_MAX_REVOKERS}; "
-            "use optimal_retention_heuristic"
-        )
-    C = _subset_sums(rv.c)
-    T = _subset_sums(cfg.gamma * rv.tg)
-    E = _subset_sums(rv.e)
-    objective = C + T * (rv.e_tot - E)
-    mask = _pick_mask(objective, n)
-    sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-    return rv.result(sel, float(objective[mask]), "exact")
-
-
-def optimal_retention_heuristic(
-    revokers,
-    population: Population,
-    terms: UserTerms,
-    cfg: GameConfig,
-    categories: int = 8,
-) -> RetentionResult:
-    """Bucketed search plus greedy refinement for large revoker sets.
-
-    Revokers are ranked by the average fractional rank of (v, theta*d,
-    xi*l*d, l^2) and split into `categories` equal-frequency buckets; all
-    2^categories all-in/all-out combinations are scored, then single-user
-    flips run to local optimality.  Never worse than retaining nobody.
-    """
-    if categories > 16:
-        raise ValueError("categories capped at 16")
-    if categories < 1:
-        raise ValueError("categories must be positive")
-    rv = _Revokers.of(revokers, population, terms, cfg)
-    n = len(rv.ids)
-    if n == 0:
-        return rv.result(np.zeros(0, dtype=bool), 0.0, "heuristic")
-    categories = min(categories, n)
-    # rank features: contribution score, unlearning sensitivity (theta*d up
-    # to the lam factor), privacy compensation (xi*l*d up to gamma), burden
-    feats = [rv.v, rv.tg, rv.c - rv.v, rv.e]
-    score = np.zeros(n)
-    for f in feats:
-        order = np.argsort(f, kind="stable")
-        ranks = np.empty(n)
-        ranks[order] = np.arange(n)
-        score += ranks / max(n - 1, 1)
-    order = np.argsort(score, kind="stable")
-    buckets = np.array_split(order, categories)
-
-    best_sel = np.zeros(n, dtype=bool)
-    best_obj = 0.0
-    for combo in range(1 << categories):
-        sel = np.zeros(n, dtype=bool)
-        for k in range(categories):
-            if (combo >> k) & 1:
-                sel[buckets[k]] = True
-        obj = rv.objective(sel)
-        if obj < best_obj:
-            best_obj = obj
-            best_sel = sel
-    # greedy single-user swaps until no strict improvement
-    improved = True
-    while improved:
-        improved = False
-        for u in range(n):
-            trial = best_sel.copy()
-            trial[u] = not trial[u]
-            obj = rv.objective(trial)
-            if obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
-                best_obj = obj
-                best_sel = trial
-                improved = True
-    return rv.result(best_sel, best_obj, "heuristic")
+    pieces, e_tot = np.array([rv.c, cfg.gamma * rv.tg, rv.e]), rv.e_tot
+    n = len(rv.e)
+    points = _breakpoints(pieces, e_tot)
+    levels = (points[:-1] + points[1:]) / 2
+    # per prefix size, the lowest objective over the orders read so far and
+    # the leaver mass of the order that reached it; the empty set scores 0
+    best, at = np.zeros(n + 1), np.zeros(n + 1)
+    best[1:] = np.inf
+    rows = max(1, _CHUNK // max(n, 1))
+    for lo in range(0, len(levels), rows):
+        chunk = levels[lo : lo + rows]
+        C, G, E = pieces[:, _order(pieces, chunk)].cumsum(axis=2)
+        objective = C + G * (e_tot - E)
+        low = objective.min(axis=0)
+        at[1:] = np.where(low < best[1:], chunk[objective.argmin(axis=0)], at[1:])
+        np.minimum(best[1:], low, out=best[1:])
+    # a bound on the rounding error of any prefix's objective
+    scale = np.abs(pieces[:2]).sum(axis=1)
+    rounding = 4 * n * _EPS * (scale[0] + scale[1] * e_tot)
+    size = int((best <= best.min() + rounding).argmax())
+    sel = np.zeros(n, dtype=bool)
+    sel[_order(pieces, at[size : size + 1])[0, :size]] = True
+    return rv.result(sel, float(best[size]))
 
 
 def retention_incentives(

@@ -3,8 +3,10 @@
 `brute_force_pooling_oracle` searches every consecutive partition of the menu
 that `contract.optimal_data_sizes` pools; `all_equilibria` checks every pure
 profile of the revocation game whose extremes `revocation.lower_equilibrium`
-and `upper_equilibrium` reach by best-response sweeps.  Tests compare the
-library against them.
+and `upper_equilibrium` reach by best-response sweeps; `retention_enumeration`
+scores every subset of revokers and `min_cut_retention_oracle` solves Stage IV
+as a minimum s-t cut, both for `retention.optimal_retention`.  Tests compare
+the library against them.
 """
 import math
 from typing import NamedTuple
@@ -115,3 +117,82 @@ def least_equilibrium_oracle(terms, cfg, q_bar) -> np.ndarray:
     if not verify_nash(least, terms, cfg, q_bar):
         raise RuntimeError("componentwise minimum is not an equilibrium")
     return least
+
+
+def retention_pieces(revokers, population, terms, cfg):
+    """The Stage-IV objective f(S) = C(S) + G(S) (E_tot - E(S)) as the
+    per-revoker c = v + gamma xi l d, g = gamma theta d lam and e = l^2."""
+    ids = np.asarray(revokers, dtype=int)
+    loss, d = terms.loss[ids], terms.d[ids]
+    c = population.shapley[ids] + cfg.gamma * terms.xi[ids] * loss * d
+    g = cfg.gamma * terms.theta[ids] * d * cfg.lam
+    return c, g, loss ** 2
+
+
+def retention_enumeration(revokers, population, terms, cfg):
+    """Every subset of up to 20 revokers as a row of a boolean matrix, with
+    its objective from three subset sums built by doubling."""
+    c, g, e = retention_pieces(revokers, population, terms, cfg)
+    n = len(c)
+    if n > 20:
+        raise ValueError("enumeration limited to 20 revokers")
+
+    def subset_sums(vals):
+        out = np.zeros(1)
+        for val in vals:
+            out = np.concatenate([out, out + val])
+        return out
+
+    masks = np.arange(1 << n)
+    X = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    objective = subset_sums(c) + subset_sums(g) * (float(np.sum(e)) - subset_sums(e))
+    return X, objective
+
+
+def min_cut_retention_oracle(revokers, population, terms, cfg) -> np.ndarray:
+    """Ids of the least minimizer of the Stage-IV objective, as the minimal
+    source side of a minimum s-t cut (Kolmogorov & Zabih, PAMI 2004).
+
+    f(x) = sum_i a_i x_i - sum_{i<k} w_ik x_i x_k with w_ik = g_i e_k + g_k e_i
+    >= 0 and a_i = c_i + g_i (E_tot - e_i).  Writing -w x_i x_k as
+    -w x_i + w x_i (1 - x_k) gives an edge i -> k, cut when i stays and k
+    leaves; a positive unary term is an edge i -> t, a negative one an edge
+    s -> i.  Max flow runs on float capacities by shortest augmenting paths.
+    """
+    ids = np.asarray(revokers, dtype=int)
+    c, g, e = retention_pieces(ids, population, terms, cfg)
+    n = len(c)
+    w = np.triu(g[:, None] * e[None, :] + e[:, None] * g[None, :], 1)
+    a = c + g * (float(np.sum(e)) - e) - w.sum(axis=1)
+    s, t = n, n + 1
+    residual = np.zeros((n + 2, n + 2))
+    residual[:n, :n] = w
+    residual[s, :n] = np.maximum(-a, 0.0)
+    residual[:n, t] = np.maximum(a, 0.0)
+    tol = ORACLE_TOL * max(1.0, float(residual.max()))
+
+    def reached():
+        parent = np.full(n + 2, -1)
+        parent[s] = s
+        frontier = [s]
+        while frontier and parent[t] < 0:
+            step = []
+            for u in frontier:
+                new = np.flatnonzero((residual[u] > tol) & (parent < 0))
+                parent[new] = u
+                step.extend(new.tolist())
+            frontier = step
+        return parent
+
+    parent = reached()
+    while parent[t] >= 0:
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        edges = list(zip(path[:0:-1], path[-2::-1]))
+        push = min(residual[u, v] for u, v in edges)
+        for u, v in edges:
+            residual[u, v] -= push
+            residual[v, u] += push
+        parent = reached()
+    return ids[parent[:n] >= 0]

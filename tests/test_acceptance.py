@@ -37,7 +37,7 @@ from fedincentives.model import (
     stage1_expected_cost,
 )
 from fedincentives.population import sample_population
-from fedincentives.retention import optimal_retention_exact, retention_objective
+from fedincentives.retention import optimal_retention, retention_objective
 from fedincentives.revocation import lower_equilibrium, verify_nash
 
 from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle
@@ -165,7 +165,7 @@ def test_criterion_04_retention_optimality(shipped):
         types, cfg, contract, pop, q_bar = _micro_economy(rng, n_max=12)
         revokers = np.arange(len(pop))
         terms = UserTerms.of(pop, contract, types)
-        result = optimal_retention_exact(revokers, pop, terms, cfg)
+        result = optimal_retention(revokers, pop, terms, cfg)
         best, best_key = None, None
         for size in range(len(revokers) + 1):
             for combo in itertools.combinations(range(len(revokers)), size):

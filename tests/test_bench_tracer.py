@@ -5,10 +5,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fedincentives.contract import design_contract
+from fedincentives.model import GameConfig, Population, UserTypeSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -56,3 +61,30 @@ def test_tracer_patch_targets_exist(module_name, attr, span, attrs):
 def test_tracer_helpers_read_the_named_parameters():
     read = set().union(*(_params_read(a) for *_, a in tracer.PATCHES if a is not None))
     assert {"population", "revokers", "rounds", "seeds"} <= read
+
+
+def test_traced_large_stage4_metrics_stay_finite_integers(monkeypatch):
+    """The tracer counts 2^n subsets for every solve made through
+    optimal_retention_exact; a 60-revoker solve must go through the other
+    name, or that count leaves the range a JSON number holds exactly."""
+    for module_name, attr, *_ in tracer.PATCHES:
+        module = importlib.import_module(f"fedincentives.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    traced = tracer.Tracer()
+    traced.install()
+    experiments = importlib.import_module("fedincentives.experiments")
+    # users with loss 1 revoke and users with loss 0 stay (lam = 0, no cascade)
+    types = [UserTypeSpec(theta=0.1, xi=800.0, count=80, p=0.01, q=0.5,
+                          loss_mean=0.5, loss_var=0.04)]
+    cfg = GameConfig(T=100.0, lam=0.0)
+    pop = Population(
+        type_idx=np.zeros(80, dtype=int),
+        loss=np.where(np.arange(80) < 60, 1.0, 0.0),
+        shapley=np.full(80, -1e-4),
+    )
+    out = experiments.run_pipeline("RAR", design_contract(types, cfg), types, cfg, pop)
+    assert int(np.sum(out.revoke)) == 60
+    metrics = tracer.summarize(traced.spans, 0.0)
+    assert metrics["retention.revokers_max"] == 60
+    json.dumps(metrics, allow_nan=False)
+    assert all(abs(value) < 2 ** 53 for value in metrics.values())

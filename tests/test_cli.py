@@ -325,6 +325,11 @@ def test_out_of_range_experiment_setting_exit_1(tmp_path, capsys, command, old, 
         ("simulate", "seed = 0", "seed = 0\nshapley_mu = nan", "shapley_mu"),
         ("simulate", "seed = 0", "seed = 0\nshapley_mu = inf", "shapley_mu"),
         ("simulate", "seed = 0", "seed = 0\nshapley_spread = nan", "shapley_spread"),
+        # non-finite [learning] values
+        ("verify-bounds", "noise_sigma2 = 0.01", "noise_sigma2 = inf", "noise_sigma2"),
+        ("verify-bounds", "step_shift = 5", "step_shift = inf", "step_shift"),
+        ("verify-bounds", "step_c = 0.4", "step_c = 0.4\nb_scale = nan", "b_scale"),
+        ("verify-bounds", "step_c = 0.4", "step_c = 0.4\nmu = inf", "mu"),
     ],
 )
 def test_out_of_domain_value_exit_1(tmp_path, capsys, command, old, new, key):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedincentives import experiments
+from fedincentives import experiments, retention
 from fedincentives.config import load_config
 from fedincentives.contract import design_contract
 from fedincentives.experiments import (
@@ -16,7 +16,6 @@ from fedincentives.experiments import (
 )
 from fedincentives.model import GameConfig, Population, UserTypeSpec, mean_retention_rate
 from fedincentives.population import SamplingModel, realized_rates, sample_population
-from fedincentives.retention import EXACT_MAX_REVOKERS
 
 from conftest import random_cfg, random_types
 
@@ -95,9 +94,8 @@ def test_nri_never_pays_retention(rng):
 
 def test_optimal_retention_weakly_beats_forced_modes(rng):
     """With the contract and revocation outcome held fixed, the optimal
-    Stage-IV choice can only lower realized cost versus retaining nobody,
-    and versus retaining everyone when the exact solver is in range."""
-    checked = 0
+    Stage-IV choice can only lower realized cost versus retaining nobody
+    and versus retaining everyone."""
     for trial in range(25):
         types, cfg, model = _economy(rng)
         pop = sample_population(types, model, seed=trial)
@@ -107,24 +105,27 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
         none = run_pipeline("RAR", retention="none", **base)
         scale = max(1.0, abs(none.cost))
         assert opt.cost <= none.cost + 1e-9 * scale
-        n_rev = int(np.sum(opt.revoke))
-        if 0 < n_rev <= EXACT_MAX_REVOKERS:
-            allr = run_pipeline("RAR", retention="all", **base)
-            assert opt.cost <= allr.cost + 1e-9 * scale
-            checked += 1
+        allr = run_pipeline("RAR", retention="all", **base)
+        assert opt.cost <= allr.cost + 1e-9 * scale
         if opt.retention is not None:
             gap = opt.cost - none.cost
             assert gap == pytest.approx(opt.retention.objective, rel=1e-9, abs=1e-9)
-    assert checked >= 3
 
 
-@pytest.mark.parametrize(
-    "n_rev, method",
-    [(EXACT_MAX_REVOKERS, "exact"), (EXACT_MAX_REVOKERS + 1, "heuristic")],
-)
-def test_stage4_solver_follows_revoker_count(n_rev, method):
+@pytest.mark.parametrize("n_rev, name", [(20, "exact"), (21, "heuristic")])
+def test_stage4_solver_follows_revoker_count(monkeypatch, n_rev, name):
     """Users with loss 1 revoke and users with loss 0 stay (lam = 0, so no
-    cascade); the revoker count alone picks the Stage-IV solver."""
+    cascade); the revoker count alone picks the name that Stage IV is called
+    through, and both names are the one solver."""
+    assert experiments.optimal_retention_exact is retention.optimal_retention
+    assert experiments.optimal_retention_heuristic is retention.optimal_retention
+    calls = {"exact": [], "heuristic": []}
+    for key, seen in calls.items():
+        def spy(revokers, *args, seen=seen):
+            seen.append(len(revokers))
+            return retention.optimal_retention(revokers, *args)
+
+        monkeypatch.setattr(experiments, f"optimal_retention_{key}", spy)
     types = [UserTypeSpec(theta=0.1, xi=800.0, count=40, p=0.01, q=0.5,
                           loss_mean=0.5, loss_var=0.04)]
     cfg = GameConfig(T=100.0, lam=0.0)
@@ -135,13 +136,13 @@ def test_stage4_solver_follows_revoker_count(n_rev, method):
     )
     out = run_pipeline("RAR", design_contract(types, cfg), types, cfg, pop)
     assert int(np.sum(out.revoke)) == n_rev
-    assert out.retention.method == method
+    assert calls == {"exact": [], "heuristic": [], name: [n_rev]}
 
 
 @pytest.fixture(scope="module")
 def packaged():
     """The packaged default's RAR menu and its population at seed 0, which
-    has 21 revokers (past the exact cap, so "optimal" runs the heuristic)."""
+    has 21 revokers."""
     setup = load_config(None)
     menu = mechanism_contract("RAR", setup.types, setup.cfg)
     return setup, menu, sample_population(setup.types, setup.sampling, seed=0)

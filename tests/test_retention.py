@@ -1,5 +1,6 @@
 """Stage-IV retained-set optimization and indifference payments."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from fedincentives.model import (
     UserTypeSpec,
 )
 from fedincentives.retention import (
-    EXACT_MAX_REVOKERS,
-    RetentionSizeError,
-    optimal_retention_exact,
-    optimal_retention_heuristic,
+    optimal_retention,
     retention_incentives,
     retention_objective,
 )
+
+from game_oracles import min_cut_retention_oracle, retention_enumeration, retention_pieces
 
 
 def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
@@ -84,10 +84,9 @@ def test_objective_invariant_to_revoker_order():
 
 def test_exact_worked_example():
     pop, terms, cfg = _spec_instance()
-    res = optimal_retention_exact([0, 1], pop, terms, cfg)
+    res = optimal_retention([0, 1], pop, terms, cfg)
     assert sorted(res.retained.tolist()) == [0, 1]
     assert res.objective == pytest.approx(-1.0)
-    assert res.method == "exact"
     assert len(res.incentives) == len(res.retained)
 
 
@@ -95,7 +94,7 @@ def test_exact_keeps_nobody_when_costly():
     pop, terms, cfg = _setup(
         v=[3.0, 5.0], xi=[1.0, 1.0], losses=[0.5, 0.5], lam=0.0, gamma=10.0
     )
-    res = optimal_retention_exact([0, 1], pop, terms, cfg)
+    res = optimal_retention([0, 1], pop, terms, cfg)
     assert res.retained.size == 0
     assert res.objective == 0.0
     assert res.incentives.size == 0
@@ -103,22 +102,13 @@ def test_exact_keeps_nobody_when_costly():
 
 def test_exact_single_negative_revoker():
     pop, terms, cfg = _setup(v=[-1.0], xi=[0.1], losses=[1.0], lam=0.0)
-    res = optimal_retention_exact([0], pop, terms, cfg)
+    res = optimal_retention([0], pop, terms, cfg)
     assert res.retained.tolist() == [0]
-
-
-def test_exact_size_guard():
-    n = EXACT_MAX_REVOKERS + 1
-    pop, terms, cfg = _setup(
-        v=[0.0] * n, xi=[1.0] * n, losses=[0.5] * n
-    )
-    with pytest.raises(RetentionSizeError):
-        optimal_retention_exact(list(range(n)), pop, terms, cfg)
 
 
 def test_exact_empty_revoker_set():
     pop, terms, cfg = _spec_instance()
-    res = optimal_retention_exact([], pop, terms, cfg)
+    res = optimal_retention([], pop, terms, cfg)
     assert res.retained.size == 0 and res.objective == 0.0
 
 
@@ -138,7 +128,7 @@ def test_exact_equals_itertools_oracle(rng):
         n = int(rng.integers(1, 9))
         pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        res = optimal_retention_exact(rev, pop, terms, cfg)
+        res = optimal_retention(rev, pop, terms, cfg)
         best, best_set = 0.0, ()
         for k in range(n + 1):
             for s in itertools.combinations(rev, k):
@@ -154,89 +144,114 @@ def test_exact_tie_breaks_smaller_cardinality():
     pop, terms, cfg = _setup(
         v=[0.0, 0.0, 0.0], xi=[1.0] * 3, losses=[0.0] * 3, lam=0.0, gamma=1e-12
     )
-    res = optimal_retention_exact([0, 1, 2], pop, terms, cfg)
+    res = optimal_retention([0, 1, 2], pop, terms, cfg)
     assert res.retained.size == 0
 
 
-def test_tie_policy_cardinality_then_lexicographic():
-    """The mask picker behind the exact solver: minimum objective, then
-    fewest members, then lexicographically smallest member tuple.  (Optimal
-    sets of this objective cannot tie at equal cardinality organically, so
-    the policy is pinned on synthetic score arrays.)"""
-    from fedincentives.retention import _pick_mask
-
-    obj = np.zeros(8)
-    obj[[1, 2, 4]] = -1.0  # singletons {0}, {1}, {2} tie
-    assert _pick_mask(obj, 3) == 1
-    obj = np.zeros(8)
-    obj[[3, 5]] = -2.0  # {0,1} vs {0,2}
-    assert _pick_mask(obj, 3) == 3
-    obj = np.zeros(8)
-    obj[[5, 6]] = -2.0  # {0,2} vs {1,2}
-    assert _pick_mask(obj, 3) == 5
-    obj = np.zeros(8)
-    obj[7] = -3.0
-    obj[[1, 2]] = -3.0  # smaller sets win over the triple at equal value
-    assert _pick_mask(obj, 3) == 1
+def _crossing_instance(rng, n, zero_loss=0.0):
+    """Costs, unlearning weights and burdens on one scale, so that keys often
+    cross inside [0, E_tot]; a `zero_loss` share of users has e = 0."""
+    losses = rng.uniform(0.05, 1.5, size=n) * (rng.random(n) >= zero_loss)
+    return _setup(v=rng.normal(0.0, 2.0, size=n), xi=rng.uniform(0.05, 1.0, size=n),
+                  losses=losses, theta=list(rng.uniform(0.1, 2.0, size=n)),
+                  lam=float(rng.uniform(0.0, 1.0)))
 
 
-def test_heuristic_degenerate_bucketing_matches_exact(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 11))
-        pop, terms, cfg = _random_retention_instance(rng, n)
-        rev = list(range(n))
-        exact = optimal_retention_exact(rev, pop, terms, cfg)
-        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=n)
-        assert heur.method == "heuristic"
-        assert heur.objective == pytest.approx(exact.objective, abs=1e-10)
+def _dyadic_instance(rng, n):
+    """Inputs on a coarse dyadic grid: every objective is exact in floating
+    point, so minimizers tie often and the ties are real."""
+    return _setup(v=rng.integers(-4, 5, size=n) / 2.0, xi=rng.choice([0.5, 1.0, 2.0], size=n),
+                  losses=rng.choice([0.0, 0.5, 1.0], size=n),
+                  theta=list(rng.choice([0.5, 1.0], size=n)), lam=float(rng.choice([0.5, 1.0])))
 
 
-def test_heuristic_identical_revokers_exact(rng):
-    for n in (4, 9, 30):
-        pop, terms, cfg = _setup(
-            v=[-0.5] * n, xi=[1.0] * n, losses=[0.8] * n, lam=0.2, gamma=0.5
-        )
-        rev = list(range(n))
-        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=3)
-        # symmetric instance: scan all symmetric sizes for the optimum
-        best = min(
-            retention_objective(rev[:k], rev, pop, terms, cfg)
-            for k in range(n + 1)
-        )
-        assert heur.objective == pytest.approx(best, abs=1e-12)
+def _least(X, objective):
+    """The enumerated minimizer with fewest members."""
+    rows = np.flatnonzero(objective == objective.min())
+    return X[rows[np.argmin(X[rows].sum(axis=1))]]
 
 
-def test_heuristic_never_worse_than_empty(rng):
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        pop, terms, cfg = _random_retention_instance(rng, n)
-        heur = optimal_retention_heuristic(
-            list(range(n)), pop, terms, cfg, categories=6
-        )
-        assert heur.objective <= 0.0
+def test_crossing_instances_match_enumeration():
+    """Keys that cross inside [0, E_tot] reorder the users between its ends,
+    and then the least minimizer can be a prefix of neither end's order."""
+    rng = np.random.default_rng(15)
+    crossed = neither_end = 0
+    for _ in range(300):
+        n = int(rng.integers(6, 13))
+        pop, terms, cfg = _crossing_instance(rng, n)
+        rev = np.arange(n)
+        least = _least(*retention_enumeration(rev, pop, terms, cfg))
+        res = optimal_retention(rev, pop, terms, cfg)
+        assert np.array_equal(np.isin(rev, res.retained), least)
+        c, g, e = retention_pieces(rev, pop, terms, cfg)
+        ends = [np.argsort((c + level * g) / e, kind="stable") for level in (0.0, e.sum())]
+        crossed += not np.array_equal(*ends)
+        neither_end += not any(least[order[: least.sum()]].all() for order in ends)
+    assert crossed >= 250 and neither_end >= 3
 
 
-def test_heuristic_soft_quality_report(rng, capsys):
-    """Soft gate: within 5% of exact on small instances (report only)."""
-    worst = 0.0
-    for _ in range(60):
-        n = int(rng.integers(2, 16))
-        pop, terms, cfg = _random_retention_instance(rng, n)
-        rev = list(range(n))
-        exact = optimal_retention_exact(rev, pop, terms, cfg)
-        heur = optimal_retention_heuristic(rev, pop, terms, cfg, categories=8)
-        if exact.objective < -1e-9:
-            worst = max(worst, (heur.objective - exact.objective) / abs(exact.objective))
-    print(f"heuristic worst relative excess over exact: {worst:.4%}")
-    assert worst < 1.0  # hard failure only on gross regression
+def test_matches_min_cut_oracle_past_twenty_revokers():
+    """Past enumeration's reach the minimal source side of a minimum s-t cut
+    is the least minimizer, zero-loss users (e = 0) included."""
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(21, 61))
+        pop, terms, cfg = _crossing_instance(rng, n, zero_loss=0.2)
+        rev = np.arange(n)
+        res = optimal_retention(rev, pop, terms, cfg)
+        oracle = min_cut_retention_oracle(rev, pop, terms, cfg)
+        assert res.retained.tolist() == sorted(oracle.tolist())
+        assert res.objective == pytest.approx(retention_objective(oracle, rev, pop, terms, cfg),
+                                              rel=1e-12, abs=1e-12)
 
 
-def test_heuristic_category_guard():
-    pop, terms, cfg = _spec_instance()
-    with pytest.raises(ValueError):
-        optimal_retention_heuristic([0, 1], pop, terms, cfg, categories=17)
-    with pytest.raises(ValueError):
-        optimal_retention_heuristic([0, 1], pop, terms, cfg, categories=0)
+def test_least_minimizer_inside_every_minimizer():
+    """The minimizers form a lattice; the solver returns its bottom, which
+    every minimizer that enumeration finds contains."""
+    rng = np.random.default_rng(12)
+    tied = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        pop, terms, cfg = _dyadic_instance(rng, n)
+        rev = np.arange(n)
+        X, objective = retention_enumeration(rev, pop, terms, cfg)
+        res = optimal_retention(rev, pop, terms, cfg)
+        assert res.objective == objective.min()
+        minimizers = X[objective == objective.min()]
+        assert minimizers[:, res.retained].all()
+        tied += len(minimizers) > 1
+    assert tied >= 30
+
+
+def test_least_minimizer_grows_when_a_cost_falls(rng):
+    """f(S) is submodular and falls with c_i on every S holding i, so the
+    least minimizer weakly grows when one revoker's c_i falls (Topkis 1998);
+    the cost is lowered through the revoker's contribution score v_i."""
+    grew = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 41))
+        pop, terms, cfg = _crossing_instance(rng, n, zero_loss=0.2)
+        rev = np.arange(n)
+        before = optimal_retention(rev, pop, terms, cfg).retained
+        shapley = pop.shapley.copy()
+        shapley[rng.integers(n)] -= rng.uniform(0.0, 2.0)
+        after = optimal_retention(rev, replace(pop, shapley=shapley), terms, cfg).retained
+        assert set(before.tolist()) <= set(after.tolist())
+        grew += len(after) > len(before)
+    assert grew >= 20
+
+
+def test_rounding_ties_go_to_fewer_members():
+    """A zero-loss user with v = 0 adds g (E_tot - E(S)) = 0 to the set of
+    every other revoker, a real tie that the size rule decides.  Summed in
+    key order, E(S) of that set exceeds E_tot by an ulp here, and the other
+    users' c = -0.01 is small enough for the ulp to show, so a bare
+    lowest-objective rule would keep the user."""
+    losses = [0.6, 0.7, 0.5, 0.8, 0.8, 0.1, 0.0]
+    v = [-0.01 - loss for loss in losses[:6]] + [0.0]
+    pop, terms, cfg = _setup(v=v, xi=[1.0] * 7, losses=losses)
+    res = optimal_retention(list(range(7)), pop, terms, cfg)
+    assert res.retained.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_incentives_worked_example():
@@ -270,7 +285,7 @@ def test_retained_users_indifferent(rng):
         n = int(rng.integers(2, 10))
         pop, terms, cfg = _random_retention_instance(rng, n)
         rev = list(range(n))
-        res = optimal_retention_exact(rev, pop, terms, cfg)
+        res = optimal_retention(rev, pop, terms, cfg)
         leave = set(rev) - set(res.retained.tolist())
         burden_mass = sum(pop.loss[k] ** 2 for k in leave)
         for uid, ru in zip(res.retained, res.incentives):
@@ -285,5 +300,5 @@ def test_exact_dominates_empty(rng):
     for _ in range(80):
         n = int(rng.integers(1, 11))
         pop, terms, cfg = _random_retention_instance(rng, n)
-        res = optimal_retention_exact(list(range(n)), pop, terms, cfg)
+        res = optimal_retention(list(range(n)), pop, terms, cfg)
         assert res.objective <= 0.0
