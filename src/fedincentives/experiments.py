@@ -157,12 +157,14 @@ def run_pipeline(
 
     retained = np.zeros(len(population), dtype=bool)
     retained[retained_ids] = True
+    # the payoffs' temporaries are a play's memory peak, so they are formed
+    # before the per-user incentives are laid out
+    leave_mass = float(np.sum(terms.l2[revoke & ~retained]))
+    payoffs = terms.payoffs(revoke, leave_mass, cfg)
     incentives = np.zeros(len(population))
     incentives[retained_ids] = payments
 
     cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
-    leave_mass = float(np.sum(terms.loss[revoke & ~retained] ** 2))
-    payoffs = terms.payoffs(revoke, leave_mass, cfg)
     p_hat, q_hat = realized_rates(revoke, retained)
     return Outcome(
         mechanism=mech,

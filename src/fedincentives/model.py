@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -176,11 +177,20 @@ class Population:
         return len(self.type_idx)
 
 
+# the per-user products UserTerms forms once and take gathers
+_PRODUCTS = ("l2", "theta_d", "xi_l_d")
+
+
 @dataclass(frozen=True)
 class UserTerms:
     """Stage II played out: each user's menu item and cost rates, read
     through its type's entry of Contract.per_type, and its realized loss.
-    Stages III-IV read users' terms only from here."""
+    Stages III-IV read users' terms only from here.
+
+    The per-user products that several stages read, l2 = l^2, theta_d =
+    theta d and xi_l_d = (xi l) d, are formed once, on first use, and
+    `take` gathers the formed ones instead of forming them again.
+    """
 
     d: np.ndarray
     r: np.ndarray
@@ -200,21 +210,53 @@ class UserTerms:
             loss=population.loss,
         )
 
+    @cached_property
+    def l2(self) -> np.ndarray:
+        """Squared losses: the burden each user leaves behind."""
+        return self.loss ** 2
+
+    @cached_property
+    def theta_d(self) -> np.ndarray:
+        """theta d, the training cost per round and the unlearning weight."""
+        return self.theta * self.d
+
+    @cached_property
+    def xi_l_d(self) -> np.ndarray:
+        """(xi l) d, the privacy cost of staying."""
+        return self.xi * self.loss * self.d
+
     def take(self, users) -> "UserTerms":
         """The terms of the given users (an index, index array or mask)."""
-        return UserTerms(*(getattr(self, f.name)[users] for f in fields(self)))
+        taken = UserTerms(*(getattr(self, f.name)[users] for f in fields(self)))
+        for name in _PRODUCTS:
+            if name in vars(self):
+                object.__setattr__(taken, name, vars(self)[name][users])
+        return taken
 
-    def stay_margin(self, w, burden, sunk=0.0):
+    def stay_base(self, sunk=0.0):
+        """r - sunk - xi l d, the fixed part of the stay margin: no burden
+        moves it, so a caller that weighs many burdens forms it once."""
+        return self.r - sunk - self.xi_l_d
+
+    def stay_margin(self, w, burden, sunk=0.0, base=None):
         """r - sunk - xi l d - w * burden, the payoff formula of stages III-IV.
 
         burden is the squared-loss mass of the leavers and w its weight,
         theta d lam (times 1 - q_bar where revokers only may leave).  With
         sunk = 0 this is what staying gains over leaving; with sunk the
-        training cost theta d T it is a stayer's payoff, a leaver's being -sunk.
+        training cost theta d T it is a stayer's payoff, a leaver's being
+        -sunk.  base is stay_base(sunk) when the caller formed it already.
         """
         # the grouping (xi l) d and the left-to-right subtraction fix the
         # bytes of every CLI output; keep them
-        return self.r - sunk - self.xi * self.loss * self.d - w * burden
+        if base is None:
+            base = self.stay_base(sunk)
+        margin = w * burden
+        if isinstance(margin, np.ndarray) and margin.shape == np.shape(base):
+            # into w * burden's own buffer where it spans the result (a 0-d
+            # product has none): a full-size temporary fewer on every sweep
+            return np.subtract(base, margin, out=margin)
+        return base - margin
 
     def payoffs(self, revoke, burden, cfg: GameConfig) -> np.ndarray:
         """Realized payoffs when the leavers' squared-loss mass is burden.
@@ -223,12 +265,11 @@ class UserTerms:
         -theta d T; anyone else collects the reward net of training, privacy
         and the unlearning burden theta d lam * burden.
         """
-        train_cost = self.theta * self.d * cfg.T
-        return np.where(
-            revoke,
-            -train_cost,
-            self.stay_margin(self.theta * self.d * cfg.lam, burden, sunk=train_cost),
-        )
+        train_cost = self.theta_d * cfg.T
+        # the stayers' payoffs first, so that the margin's temporaries are
+        # gone before -train_cost is formed
+        stay = self.stay_margin(self.theta_d * cfg.lam, burden, sunk=train_cost)
+        return np.where(revoke, -train_cost, stay)
 
 
 # --- scalar helpers ---
@@ -334,7 +375,7 @@ def stage3_payoff(
     with the burden expected of the revokers x, (1 - q_bar) sum_k x_k l_k^2,
     where q_bar is the anticipated retention rate of revokers."""
     x = np.asarray(x, dtype=bool)
-    leaver_mass = (1.0 - q_bar) * float(np.sum(terms.loss[x] ** 2))
+    leaver_mass = (1.0 - q_bar) * float(np.sum(terms.l2[x]))
     return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
 
 

@@ -15,7 +15,9 @@ one is the minimizer with fewest members.  Single flips show that the least
 minimizer S is {i : k_i(L) < G(S)} for the keys k_i(L) = (c_i + L g_i) / e_i
 at L = E_tot - E(S) in [0, E_tot], so it is a prefix of the key order there.
 The incentive payment makes each retained user exactly indifferent between
-staying and leaving; it may be negative, a charge to stay.
+staying and leaving; it may be negative, a charge to stay.  e, theta d and
+the payments' (xi l) d are the per-play products that Stage III formed on
+UserTerms, gathered for the revokers; c keeps its own grouping.
 """
 from __future__ import annotations
 
@@ -51,7 +53,10 @@ class RetentionResult:
 class _Revokers:
     """Per-revoker pieces of the objective.
 
-    user holds the revokers' terms of the stay margin,
+    user holds the revokers' terms of the stay margin, taken from the play's
+    terms together with the products Stage III formed there (l^2, theta d
+    and (xi l) d), so that e, tg and the payments gather them rather than
+    form them again:
     c = v + gamma*xi*l*d (direct cost of keeping the user),
     tg = theta*d*lam (unlearning sensitivity, reward weight applied later),
     e = l^2 (burden the user adds if they finally leave), e_tot its sum.
@@ -70,12 +75,14 @@ class _Revokers:
         ids = np.asarray(revokers, dtype=int)
         user = terms.take(ids)
         v = population.shapley[ids]
-        e = user.loss ** 2
+        e = user.l2
         return cls(
             ids=ids,
             user=user,
+            # ((gamma xi) l) d, not gamma ((xi l) d): the grouping decides
+            # near-tie choices, so the output bytes depend on it
             c=v + cfg.gamma * user.xi * user.loss * user.d,
-            tg=user.theta * user.d * cfg.lam,
+            tg=user.theta_d * cfg.lam,
             e=e,
             e_tot=float(e.sum()),
             cfg=cfg,

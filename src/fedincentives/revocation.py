@@ -7,6 +7,11 @@ imposes that burden on everyone else, so decisions are strategic complements
 and synchronous best-response sweeps converge monotonically: upward from
 nobody-revokes to the least equilibrium, downward from everybody-revokes to
 the greatest one.
+
+The sweeps read the per-play products that UserTerms forms once and Stage IV
+and the payoffs read too: l^2, theta d and (xi l) d.  Only the burden moves
+between sweeps, so the margin's fixed part r - (xi l) d is formed once per
+call and each sweep subtracts w * burden from it.
 """
 from __future__ import annotations
 
@@ -28,33 +33,32 @@ __all__ = [
 class RevocationProfile:
     x: np.ndarray
     iterations: int
-    converged_from: str
 
 
 def _sweep_profile(terms, cfg, q_bar, start_high: bool) -> RevocationProfile:
-    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
-    l2 = terms.loss ** 2
+    w = terms.theta_d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.l2
+    # only the burden moves between sweeps
+    base = terms.stay_base()
     n = len(l2)
     x = np.full(n, start_high, dtype=bool)
-    iterations = 0
-    for _ in range(n + 1):
-        iterations += 1
+    for iterations in range(1, n + 2):
         mass = float(np.sum(l2[x]))
-        # own squared loss never enters one's own externality sum
-        margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0))
         if start_high:
+            # own squared loss never enters one's own externality sum
+            margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0), base=base)
             movers = x & (margin >= 0.0)
             x = x & ~movers
         else:
+            # a stayer's burden is the whole mass; revokers' margins go unread
+            margin = terms.stay_margin(w, mass, base=base)
             movers = ~x & (margin < 0.0)
             x = x | movers
         if not movers.any():
             break
     else:
         raise RuntimeError("best-response sweeps failed to settle")
-    return RevocationProfile(
-        x=x, iterations=iterations, converged_from="all-one" if start_high else "all-zero"
-    )
+    return RevocationProfile(x=x, iterations=iterations)
 
 
 def lower_equilibrium(terms: UserTerms, cfg: GameConfig, q_bar: float) -> RevocationProfile:
@@ -77,8 +81,8 @@ def upper_equilibrium(terms: UserTerms, cfg: GameConfig, q_bar: float) -> Revoca
 def verify_nash(x: np.ndarray, terms: UserTerms, cfg: GameConfig, q_bar: float) -> bool:
     """True iff no user strictly gains from a unilateral flip."""
     x = np.asarray(x, dtype=bool)
-    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
-    l2 = terms.loss ** 2
+    w = terms.theta_d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.l2
     margin = terms.stay_margin(w, float(np.sum(l2[x])) - np.where(x, l2, 0.0))
     # a revoker with positive margin would rather stay; a stayer with
     # negative margin would rather revoke

@@ -3,7 +3,9 @@
 `brute_force_pooling_oracle` searches every consecutive partition of the menu
 that `contract.optimal_data_sizes` pools; `all_equilibria` checks every pure
 profile of the revocation game whose extremes `revocation.lower_equilibrium`
-and `upper_equilibrium` reach by best-response sweeps; `retention_enumeration`
+and `upper_equilibrium` reach by best-response sweeps, and
+`sweep_profile_oracle` runs those sweeps with the whole stay margin formed
+anew on every sweep; `retention_enumeration`
 scores every subset of revokers and `min_cut_retention_oracle` solves Stage IV
 as a minimum s-t cut, both for `retention.optimal_retention`.  Tests compare
 the library against them.
@@ -105,6 +107,44 @@ def all_equilibria(terms, cfg, q_bar) -> np.ndarray:
     margin = terms.stay_margin(w, S[:, None] - X * l2)
     ne = np.all(np.where(X, margin <= 0.0, margin >= 0.0), axis=1)
     return X[ne]
+
+
+class SweepProfile(NamedTuple):
+    x: np.ndarray
+    iterations: int
+    converged_from: str
+
+
+def sweep_profile_oracle(terms, cfg, q_bar, start_high: bool) -> SweepProfile:
+    """The best-response sweeps as written before the margin's fixed part
+    was hoisted out of the loop: every sweep forms w * burden on the whole
+    stay margin, for revokers and stayers alike.  Kept verbatim apart from
+    the name of the record it returns, so that the sweeps of
+    `revocation.lower_equilibrium` and `upper_equilibrium` must settle on the
+    same profile after the same number of sweeps."""
+    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
+    l2 = terms.loss ** 2
+    n = len(l2)
+    x = np.full(n, start_high, dtype=bool)
+    iterations = 0
+    for _ in range(n + 1):
+        iterations += 1
+        mass = float(np.sum(l2[x]))
+        # own squared loss never enters one's own externality sum
+        margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0))
+        if start_high:
+            movers = x & (margin >= 0.0)
+            x = x & ~movers
+        else:
+            movers = ~x & (margin < 0.0)
+            x = x | movers
+        if not movers.any():
+            break
+    else:
+        raise RuntimeError("best-response sweeps failed to settle")
+    return SweepProfile(
+        x=x, iterations=iterations, converged_from="all-one" if start_high else "all-zero"
+    )
 
 
 def least_equilibrium_oracle(terms, cfg, q_bar) -> np.ndarray:

@@ -9,11 +9,23 @@ import json
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedincentives.config import load_config
 from fedincentives.contract import design_contract
-from fedincentives.model import GameConfig, Population, UserTypeSpec
+from fedincentives.model import (
+    GameConfig,
+    Population,
+    UserTerms,
+    UserTypeSpec,
+    mean_retention_rate,
+)
+from fedincentives.population import sample_population
+
+from game_oracles import sweep_profile_oracle
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -88,3 +100,31 @@ def test_traced_large_stage4_metrics_stay_finite_integers(monkeypatch):
     assert metrics["retention.revokers_max"] == 60
     json.dumps(metrics, allow_nan=False)
     assert all(abs(value) < 2 ** 53 for value in metrics.values())
+
+
+def test_traced_sweeps_are_the_oracle_iterations(monkeypatch):
+    """The tracer's `sweeps` is the `iterations` of lower_equilibrium's
+    result.  At the packaged default with 20,000 users every play takes
+    three or four sweeps, and each revocation.equilibrium span must carry
+    the integer count of the sweeps that form the whole margin every time."""
+    for module_name, attr, *_ in tracer.PATCHES:
+        module = importlib.import_module(f"fedincentives.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    traced = tracer.Tracer()
+    traced.install()
+    experiments = importlib.import_module("fedincentives.experiments")
+    setup = load_config(None)
+    types = [replace(t, count=4000) for t in setup.types]
+    population = sample_population(types, setup.sampling, 5)
+    q_bar = mean_retention_rate(types)
+    expected = []
+    for mechanism in experiments.MECHANISMS:
+        contract = experiments.mechanism_contract(mechanism, types, setup.cfg)
+        experiments.run_pipeline(mechanism, contract, types, setup.cfg, population)
+        terms = UserTerms.of(population, contract, types)
+        expected.append(sweep_profile_oracle(terms, setup.cfg, q_bar, start_high=False).iterations)
+    sweeps = [attrs["sweeps"] for name, *_, attrs in traced.spans
+              if name == "revocation.equilibrium"]
+    assert all(type(count) is int for count in sweeps)
+    assert sweeps == expected
+    assert min(expected) >= 3

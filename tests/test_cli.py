@@ -2,10 +2,14 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from fedincentives import experiments
 from fedincentives.cli import main
+from fedincentives.config import default_config_path
 
 SMALL = """
 [game]
@@ -186,6 +190,35 @@ def test_harness_bytes_are_pinned(cfg_path, tmp_path, command):
     assert _run([command, "--config", cfg_path, "--out-dir", out]) == 0
     with open(os.path.join(out, command + ".csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SMALL_HARNESS_SHA256[command]
+
+
+# compare.csv at the packaged default with user_counts = 20000 and two
+# trials.  Its plays have 52-68 revokers and take 3-4 best-response sweeps,
+# past the 20 revokers that SMALL and compare's packaged sizes stay under,
+# so these bytes pin the Stage III-IV path of the large-population runs.
+LARGE_COMPARE_SHA256 = "269d5d2f2fec1aa22b3bce94385a1c0d5b8805723e56e2e349a3e69fea1e9831"
+
+
+def test_large_compare_bytes_are_pinned(tmp_path, monkeypatch):
+    revokers = []
+    lower_equilibrium = experiments.lower_equilibrium
+
+    def counted(*args):
+        profile = lower_equilibrium(*args)
+        revokers.append(int(profile.x.sum()))
+        return profile
+
+    monkeypatch.setattr(experiments, "lower_equilibrium", counted)
+    packaged = Path(default_config_path()).read_text()
+    body, subs = re.subn(r"^user_counts = .*$", "user_counts = 20000", packaged, flags=re.M)
+    assert subs == 1
+    path = tmp_path / "large.ini"
+    path.write_text(body)
+    out = str(tmp_path / "pinned")
+    assert _run(["compare", "--config", str(path), "--trials", "2", "--out-dir", out]) == 0
+    with open(os.path.join(out, "compare.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == LARGE_COMPARE_SHA256
+    assert len(revokers) == 6 and min(revokers) > 20
 
 
 # contract.csv and the participation line of each mechanism's menu at the

@@ -15,7 +15,7 @@ from fedincentives.model import (
 from fedincentives.revocation import lower_equilibrium, upper_equilibrium, verify_nash
 
 from conftest import random_cfg, random_types
-from game_oracles import all_equilibria, least_equilibrium_oracle
+from game_oracles import all_equilibria, least_equilibrium_oracle, sweep_profile_oracle
 
 
 def _manual_setup(rl, xi, losses, theta=None, lam=1.0, q_bar=0.0):
@@ -57,7 +57,6 @@ def test_cascade_reaches_all_revoke():
     terms, cfg, q_bar = _cascade_instance()
     low = lower_equilibrium(terms, cfg, q_bar)
     assert low.x.tolist() == [True, True]
-    assert low.converged_from == "all-zero"
     # sweep 1 flips u2 only, sweep 2 flips u1, sweep 3 confirms
     assert low.iterations == 3
     up = upper_equilibrium(terms, cfg, q_bar)
@@ -245,3 +244,110 @@ def test_all_equilibria_rejects_large():
     )
     with pytest.raises(ValueError):
         all_equilibria(terms, cfg, q_bar)
+
+
+def _oracle_instance(rng):
+    """Random terms for the sweep oracle, built directly: a tenth hold one
+    user, a fifth of the users have zero loss, lambda = 0 and q_bar = 1 each
+    come up about once in seven draws, and about a third of the instances
+    repeat some users."""
+    n = 1 if rng.uniform() < 0.1 else int(rng.integers(2, 80))
+    loss = rng.uniform(0.0, 1.0, size=n)
+    loss[rng.uniform(size=n) < 0.2] = 0.0
+    theta = rng.uniform(0.5, 10.0, size=n)
+    d = rng.uniform(0.5, 2.0, size=n)
+    xi = rng.uniform(1.0, 20.0, size=n)
+    lam = 0.0 if rng.uniform() < 0.15 else float(rng.uniform(0.0, 0.5))
+    q_bar = 1.0 if rng.uniform() < 0.15 else float(rng.uniform(0.0, 1.0))
+    # rewards around the privacy cost plus a share of the burden everyone
+    # else could impose, so that revocations cascade
+    reach = theta * d * lam * (1.0 - q_bar) * float(np.sum(loss ** 2))
+    r = xi * loss * d * rng.uniform(0.9, 1.1, size=n) + reach * rng.uniform(-0.1, 0.6, size=n)
+    terms = UserTerms(d=d, r=r, theta=theta, xi=xi, loss=loss)
+    if rng.uniform() < 0.3:
+        terms = terms.take(np.sort(rng.integers(0, n, size=n + int(rng.integers(1, 10)))))
+    return terms, GameConfig(T=50.0, lam=lam), q_bar
+
+
+def _tied_instance(rng):
+    """Dyadic terms, where every product and sum below is exact, with one
+    stayer of the least equilibrium given the reward that makes their stay
+    margin exactly 0.0 at the settled mass.  Lowering a stayer's reward to
+    that tie moves no sweep before it, so the profile stays put; returns
+    None when nobody stays."""
+    n = int(rng.integers(2, 30))
+    loss = rng.choice([0.0, 0.5, 1.0], size=n)
+    d = rng.choice([1.0, 2.0], size=n)
+    theta = rng.choice([1.0, 2.0, 4.0], size=n)
+    xi = rng.integers(1, 9, size=n).astype(float)
+    r = xi * loss * d + 0.25 * rng.integers(-2, 12, size=n)
+    cfg, q_bar = GameConfig(T=50.0, lam=0.25), 0.5
+    low = sweep_profile_oracle(UserTerms(d=d, r=r, theta=theta, xi=xi, loss=loss), cfg, q_bar,
+                               start_high=False)
+    stayers = np.flatnonzero(~low.x)
+    if len(stayers) == 0:
+        return None
+    i = int(rng.choice(stayers))
+    mass = float(np.sum(loss[low.x] ** 2))
+    w = theta[i] * d[i] * cfg.lam * (1.0 - q_bar)
+    r[i] = xi[i] * loss[i] * d[i] + w * mass
+    assert r[i] - xi[i] * loss[i] * d[i] - w * mass == 0.0
+    terms = UserTerms(d=d, r=r, theta=theta, xi=xi, loss=loss)
+    assert np.array_equal(sweep_profile_oracle(terms, cfg, q_bar, start_high=False).x, low.x)
+    return terms, cfg, q_bar
+
+
+def _near_tied(terms, cfg, q_bar, rng):
+    """The terms with up to three stayers of the least equilibrium given the
+    reward xi l d + w * mass at its settled mass, rounded as floats: their
+    margins land on 0.0 or a rounding away from it, where the grouping of
+    the margin decides who revokes."""
+    low = sweep_profile_oracle(terms, cfg, q_bar, start_high=False)
+    stayers = np.flatnonzero(~low.x)
+    pick = rng.choice(stayers, size=min(3, len(stayers)), replace=False)
+    w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
+    r = terms.r.copy()
+    r[pick] = (terms.xi * terms.loss * terms.d + w * float(np.sum(terms.loss[low.x] ** 2)))[pick]
+    return replace(terms, r=r)
+
+
+def test_exact_tie_stays_in_both_directions():
+    # u0 stays at margin 2 - 1 - 1 * 1 = 0.0 once u1 (margin -0.5) revokes
+    terms, cfg, q_bar = _manual_setup(rl=[2.0, 0.5], xi=[1.0, 1.0], losses=[1.0, 1.0])
+    for solve in (lower_equilibrium, upper_equilibrium):
+        profile = solve(terms, cfg, q_bar)
+        assert profile.x.tolist() == [False, True]
+        assert profile.iterations == 2
+
+
+def test_sweeps_match_the_pre_hoist_oracle(rng):
+    """Both sweep directions, with the margin's fixed part formed once per
+    call, settle where the sweeps that form the whole margin every time
+    settle, after as many sweeps: on random instances, on the same with
+    stayers moved to the edge of revoking, and on exact ties."""
+    seen = {"cascade": 0, "descent": 0, "one user": 0, "lambda 0": 0, "q_bar 1": 0,
+            "zero loss": 0, "duplicates": 0, "tie": 0}
+    for k in range(900):
+        if k % 3 == 2:
+            drawn = _tied_instance(rng)
+            if drawn is None:
+                continue
+            seen["tie"] += 1
+        else:
+            drawn = _oracle_instance(rng)
+        terms, cfg, q_bar = drawn
+        if k % 3 == 1:
+            terms = _near_tied(terms, cfg, q_bar, rng)
+        for solve, start_high in ((lower_equilibrium, False), (upper_equilibrium, True)):
+            oracle = sweep_profile_oracle(terms, cfg, q_bar, start_high)
+            profile = solve(terms, cfg, q_bar)
+            assert np.array_equal(profile.x, oracle.x)
+            assert profile.iterations == oracle.iterations
+        seen["cascade"] += int(lower_equilibrium(terms, cfg, q_bar).iterations >= 3)
+        seen["descent"] += int(upper_equilibrium(terms, cfg, q_bar).iterations >= 3)
+        seen["one user"] += int(len(terms.loss) == 1)
+        seen["lambda 0"] += int(cfg.lam == 0.0)
+        seen["q_bar 1"] += int(q_bar == 1.0)
+        seen["zero loss"] += int(np.any(terms.loss == 0.0))
+        seen["duplicates"] += int(k % 3 != 2 and len(np.unique(terms.r)) < len(terms.r))
+    assert min(seen.values()) >= 20, seen

@@ -1,10 +1,18 @@
 """The per-type contract view and the one stay-margin formula, against
 brute-force lookups and scalar re-derivations."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedincentives.contract import design_contract
-from fedincentives.model import Population, UserTerms, stage3_payoff, stage4_realized_cost
+from fedincentives.model import (
+    GameConfig,
+    Population,
+    UserTerms,
+    stage3_payoff,
+    stage4_realized_cost,
+)
 from fedincentives.retention import retention_incentives
 
 from conftest import random_cfg, random_types
@@ -73,3 +81,57 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
         d, r = contract.d[k], contract.r[k]
         margin = r - t.xi * pop.loss[i] * d - t.theta * d * cfg.lam * leave_mass
         assert ru == -margin
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_stage3_payoff_is_the_payoff_vector_entry(rng):
+    """stage3_payoff plays one user's 0-d terms through UserTerms.payoffs at
+    the burden the revokers x are expected to leave, so it equals that
+    entry of the payoff vector bit for bit, for revokers and stayers."""
+    for k in range(60):
+        types = random_types(rng, J=int(rng.integers(1, 5)))
+        cfg = GameConfig(T=float(rng.uniform(20, 100)), lam=float(rng.uniform(0.0, 0.3)))
+        contract = design_contract(types, cfg)
+        n = int(rng.integers(1, 40))
+        pop = Population(
+            type_idx=rng.integers(0, len(types), size=n),
+            loss=rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.8),
+            shapley=np.zeros(n),
+        )
+        x = rng.uniform(size=n) < rng.uniform()
+        q_bar = (0.0, 1.0, float(rng.uniform()))[k % 3]
+        terms = UserTerms.of(pop, contract, types)
+        # once before the products are formed on the whole terms, then after
+        first = stage3_payoff(0, x, terms, cfg, q_bar)
+        burden = (1.0 - q_bar) * float(np.sum(pop.loss[x] ** 2))
+        payoffs = terms.payoffs(x, burden, cfg)
+        assert _bits(first) == _bits(payoffs[0])
+        for i in range(n):
+            assert _bits(stage3_payoff(i, x, terms, cfg, q_bar)) == _bits(payoffs[i])
+
+
+def test_user_terms_products_follow_their_fields(rng):
+    """l2, theta_d and xi_l_d are formed once per terms: take gathers the
+    formed ones, with the bits of forming them on the taken users, and a
+    replaced field gets products formed from it."""
+    n = 50
+    terms = UserTerms(*(rng.uniform(0.1, 2.0, size=n) for _ in range(5)))
+
+    def formed(t):
+        return t.loss ** 2, t.theta * t.d, t.xi * t.loss * t.d
+
+    def held(t):
+        return t.l2, t.theta_d, t.xi_l_d
+
+    for got, want in zip(held(terms), formed(terms)):
+        assert got.tobytes() == want.tobytes()
+    assert held(terms)[0] is terms.l2  # formed once
+    users = rng.integers(0, n, size=20)
+    for got, want in zip(held(terms.take(users)), formed(terms.take(users))):
+        assert got.tobytes() == want.tobytes()
+    moved = replace(terms, loss=terms.loss * 0.5, theta=terms.theta + 1.0, xi=terms.xi * 3.0)
+    for got, want in zip(held(moved), formed(moved)):
+        assert got.tobytes() == want.tobytes()
