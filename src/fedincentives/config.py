@@ -141,7 +141,6 @@ class ExperimentSetup:
     sampling: SamplingModel
     learn: LearnConfig
     experiment: ExperimentConfig
-    spread_is_std: bool
 
 
 def default_config_path() -> str:
@@ -231,7 +230,6 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         seed=game["seed"],
         tol=game["tol"],
     )
-    cfg.validate()
 
     # theta and xi have no default: their 0.0 only gives the kind
     type_defaults = {"theta": 0.0, "xi": 0.0, **{key: game[key] for key in _TYPE_SHARED}}
@@ -261,13 +259,10 @@ def load_config(path: str | None = None) -> ExperimentSetup:
             loss_mean=mean,
             loss_var=var,
         )
-        spec.validate()
         types.append(spec)
         loss_mu.append(mu)
         loss_sigma.append(sigma)
 
-    if not math.isfinite(game["shapley_mu"]):
-        raise ConfigError("[game] shapley_mu must be finite")
     sampling = SamplingModel(
         loss_mu=tuple(loss_mu),
         loss_sigma=tuple(loss_sigma),
@@ -331,5 +326,4 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         sampling=sampling,
         learn=learn,
         experiment=experiment,
-        spread_is_std=spread_is_std,
     )

@@ -141,8 +141,6 @@ def design_contract(
     maps menu positions back to the input indices (stable sort by pricing
     cost rate).
     """
-    for t in types:
-        t.validate()
     rates = TypeRates.of(types, cfg)
     order = np.argsort(rates.pi, kind="stable")
     menu = rates.take(order)

@@ -131,8 +131,6 @@ def run_pipeline(
     mech = mechanism.upper()
     if mech not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    for t in types:
-        t.validate()
     terms = UserTerms.of(population, contract, types)
     q_bar = mean_retention_rate(types)
 

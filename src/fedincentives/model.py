@@ -39,7 +39,10 @@ __all__ = [
 
 def _require(*rules) -> None:
     """Raise ValueError with the rule of the first (holds, rule) pair whose
-    condition is false.  Conditions state what must hold, so a NaN fails."""
+    condition is false.  Conditions state what must hold, so a NaN fails.
+
+    The records call it from __post_init__, so a record that exists is
+    valid, and dataclasses.replace checks the rules again."""
     for holds, rule in rules:
         if not holds:
             raise ValueError(rule)
@@ -61,7 +64,7 @@ class UserTypeSpec:
     loss_mean: float
     loss_var: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(
             (0.0 < self.theta < math.inf, "theta must be positive and finite"),
             (0.0 < self.xi < math.inf, "xi must be positive and finite"),
@@ -89,7 +92,7 @@ class GameConfig:
     seed: int = 0
     tol: float = 1e-9
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(
             (0.0 < self.T < math.inf, "T must be positive and finite"),
             (0.0 <= self.lam < math.inf, "lam must be nonnegative and finite"),
@@ -318,8 +321,6 @@ class TypeRates:
             np.array([getattr(t, f.name) for t in types], dtype=float)
             for f in fields(UserTypeSpec)
         )
-        if np.any(p >= 1.0):
-            raise ZeroDivisionError("p = 1 means the type always revokes; cost rate undefined")
         alpha = cfg.lam * _running_sum(count * p * (1.0 - q) * (loss_mean ** 2 + loss_var))
         return cls(
             alpha=alpha,

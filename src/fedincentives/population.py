@@ -3,12 +3,13 @@ revoked and who was retained in a play are the masks on experiments.Outcome,
 which realized_rates turns into churn rates."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .model import Population, UserTypeSpec, _norm_cdf
+from .model import Population, UserTypeSpec, _norm_cdf, _require
 
 __all__ = ["SamplingModel", "sample_population", "realized_rates"]
 
@@ -26,11 +27,15 @@ class SamplingModel:
     shapley_mu: float
     shapley_sigma: float
 
-    def validate(self, n_types: int) -> None:
-        if len(self.loss_mu) != n_types or len(self.loss_sigma) != n_types:
-            raise ValueError("need one loss model per type")
-        if any(s < 0 for s in self.loss_sigma) or self.shapley_sigma < 0:
-            raise ValueError("sigmas must be nonnegative")
+    def __post_init__(self) -> None:
+        _require(
+            (len(self.loss_mu) == len(self.loss_sigma), "need one loss_sigma per loss_mu"),
+            (all(map(math.isfinite, self.loss_mu)), "loss_mu must be finite"),
+            (all(0.0 <= s < math.inf for s in self.loss_sigma),
+             "loss_sigma must be nonnegative and finite"),
+            (math.isfinite(self.shapley_mu), "shapley_mu must be finite"),
+            (0.0 <= self.shapley_sigma < math.inf, "shapley_sigma must be nonnegative and finite"),
+        )
 
 
 def _truncated_draws(rng, mu: float, sigma: float, n: int) -> np.ndarray:
@@ -68,7 +73,8 @@ def sample_population(
 
     Reproducible: the full draw is a pure function of (types, sampling, seed).
     """
-    sampling.validate(len(types))
+    if len(sampling.loss_mu) != len(types):
+        raise ValueError("need one loss model per type")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_POPULATION]))
     type_idx = []
     losses = []

@@ -31,7 +31,7 @@ def test_packaged_default_loads():
     assert len(setup.types) == 5
     assert setup.cfg.T == 100.0
     assert setup.cfg.lam == 0.04
-    assert setup.spread_is_std
+    assert setup.sampling.shapley_sigma == 0.04
     assert [t.theta for t in setup.types] == [1.0, 4.0, 6.0, 9.0, 10.0]
     assert [t.xi for t in setup.types] == [800.0, 1700.0, 1400.0, 2200.0, 1200.0]
     assert all(t.count == 1000 for t in setup.types)

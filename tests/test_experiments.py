@@ -14,7 +14,13 @@ from fedincentives.experiments import (
     mechanism_contract,
     run_pipeline,
 )
-from fedincentives.model import GameConfig, Population, UserTypeSpec, mean_retention_rate
+from fedincentives.model import (
+    GameConfig,
+    Population,
+    UserTypeSpec,
+    _require,
+    mean_retention_rate,
+)
 from fedincentives.population import SamplingModel, realized_rates, sample_population
 
 from conftest import random_cfg, random_types
@@ -239,6 +245,27 @@ def test_compare_costs_designs_each_menu_once_per_size(rng, design_calls):
     compare_costs(types, cfg, model, mechanisms=("RAR", "NRI"),
                   user_counts=[total, 2 * total], trials=3, seed=0)
     assert len(design_calls) == 2 * 2
+
+
+def test_compare_costs_checks_rules_once_per_size(rng, monkeypatch):
+    """Records check their rules when built, which compare_costs does once
+    per size and mechanism: no rule is checked again for each trial."""
+    types, cfg, model = _economy(rng, J=2, count_hi=30)
+    total = sum(t.count for t in types)
+    checks = []
+
+    def counted(*rules):
+        checks.append(rules)
+        return _require(*rules)
+
+    monkeypatch.setattr("fedincentives.model._require", counted)
+
+    def rule_checks(trials):
+        checks.clear()
+        compare_costs(types, cfg, model, user_counts=[total, 2 * total], trials=trials, seed=0)
+        return len(checks)
+
+    assert rule_checks(1) == rule_checks(3) > 0
 
 
 def test_stationary_search_designs_once_per_point_and_step(rng, design_calls):

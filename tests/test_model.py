@@ -47,17 +47,17 @@ def test_aggregated_marginal_cost_worked_example():
 
 def test_aggregated_marginal_cost_zero_theta():
     cfg = GameConfig(T=50.0, lam=3.0)
-    t = _spec(theta=0.0, xi=7.0, loss_mean=0.3)
-    # training-cost terms vanish; only the privacy term survives
-    assert TypeRates.of([t], cfg).pi[0] == pytest.approx(7.0 * 0.3)
+    t = _spec(theta=1e-12, xi=7.0, loss_mean=0.3)
+    # theta must be positive, so take a negligible one: the training-cost
+    # terms vanish and only the privacy term survives
+    assert TypeRates.of([t], cfg).pi[0] == pytest.approx(7.0 * 0.3, rel=1e-9)
 
 
 def test_aggregated_marginal_cost_p_one_degenerate():
-    cfg = GameConfig()
-    # validate() rejects p=1, but the rates must still refuse it explicitly
-    t = UserTypeSpec(theta=1.0, xi=2.0, count=1, p=1.0, q=0.5, loss_mean=0.5, loss_var=0.0)
-    with pytest.raises(ZeroDivisionError):
-        TypeRates.of([_spec(), t], cfg)
+    # a type that always revokes has no cost rate (pi divides by 1 - p), so
+    # no such type exists for the rates to meet
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\)"):
+        _spec(p=1.0)
 
 
 def test_kappa_worked_example_and_identity():
@@ -77,7 +77,7 @@ def test_kappa_reduces_to_pi_at_p_zero():
 def test_kappa_only_privacy_term():
     cfg = GameConfig(T=1e-12, lam=0.0)
     t = _spec(p=0.0, xi=11.0, loss_mean=0.25)
-    # T=0 is rejected by validate, so use a negligible T instead
+    # GameConfig refuses T = 0, so use a negligible T instead
     assert TypeRates.of([t], cfg).kappa[0] == pytest.approx(11.0 * 0.25, rel=1e-9)
 
 
@@ -402,35 +402,26 @@ def test_truncated_moments_errors():
 
 
 def test_type_spec_validation():
-    _spec().validate()
-    with pytest.raises(ValueError):
-        _spec(theta=-1.0).validate()
-    with pytest.raises(ValueError):
-        _spec(count=0).validate()
-    with pytest.raises(ValueError):
-        _spec(p=1.0).validate()
-    with pytest.raises(ValueError):
-        _spec(q=1.5).validate()
-    with pytest.raises(ValueError):
-        _spec(loss_var=-0.1).validate()
-    for key in ("theta", "xi", "loss_mean", "loss_var"):
-        for value in (np.nan, np.inf):
-            with pytest.raises(ValueError, match=key):
-                _spec(**{key: value}).validate()
+    cases = [("theta", -1.0), ("count", 0), ("p", 1.0), ("q", 1.5), ("loss_var", -0.1)]
+    cases += [
+        (key, v) for key in ("theta", "xi", "loss_mean", "loss_var") for v in (np.nan, np.inf)
+    ]
+    for key, value in cases:
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            _spec(**{key: value})
+    # replace builds a new record, so it checks the rules again
+    with pytest.raises(ValueError, match="^p must"):
+        replace(_spec(), p=1.0)
 
 
 def test_game_config_validation():
-    GameConfig().validate()
-    with pytest.raises(ValueError):
-        GameConfig(T=0.0).validate()
-    with pytest.raises(ValueError):
-        GameConfig(tol=1e-2).validate()
-    with pytest.raises(ValueError):
-        GameConfig(gamma=0.0).validate()
-    for key in ("T", "lam", "rho", "gamma"):
-        for value in (np.nan, np.inf):
-            with pytest.raises(ValueError, match=key):
-                GameConfig(**{key: value}).validate()
+    cases = [("T", 0.0), ("tol", 1e-2), ("gamma", 0.0)]
+    cases += [(key, v) for key in ("T", "lam", "rho", "gamma") for v in (np.nan, np.inf)]
+    for key, value in cases:
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            GameConfig(**{key: value})
+    with pytest.raises(ValueError, match="^T must"):
+        replace(GameConfig(), T=0.0)
 
 
 def test_contract_validation_catches_bad_menus():
@@ -461,6 +452,6 @@ def test_nan_menu_fails_validation():
     for d in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             replace(single, d=np.array([d])).validate()
-    # design_contract does not validate cfg, so its own check stops a NaN T
-    with pytest.raises(ValueError):
+    # a NaN T never reaches design_contract: GameConfig refuses it
+    with pytest.raises(ValueError, match="T must"):
         design_contract(types, GameConfig(T=np.nan))

@@ -97,17 +97,31 @@ def test_rejection_fallback_far_tail(mu, sigma):
     assert abs(pop.loss.mean() - ref_mean) < 5.0 * ref_std / np.sqrt(len(pop))
 
 
+def _sampling(**kw):
+    base = dict(loss_mu=(0.5,), loss_sigma=(0.1,), shapley_mu=0.0, shapley_sigma=1.0)
+    base.update(kw)
+    return SamplingModel(**base)
+
+
 def test_sampling_model_validation():
-    model = SamplingModel(loss_mu=(0.5,), loss_sigma=(0.1, 0.1),
-                         shapley_mu=0.0, shapley_sigma=1.0)
-    with pytest.raises(ValueError):
-        model.validate(1)
-    with pytest.raises(ValueError):
-        SamplingModel(loss_mu=(0.5,), loss_sigma=(-0.1,),
-                      shapley_mu=0.0, shapley_sigma=1.0).validate(1)
-    with pytest.raises(ValueError):
-        SamplingModel(loss_mu=(0.5,), loss_sigma=(0.1,),
-                      shapley_mu=0.0, shapley_sigma=-1.0).validate(1)
+    for key, value in (("loss_sigma", (0.1, 0.1)), ("loss_sigma", (-0.1,)),
+                       ("shapley_sigma", -1.0)):
+        with pytest.raises(ValueError, match=key):
+            _sampling(**{key: value})
+    # one loss model per type is a rule across records, checked on sampling
+    spec, _ = _one_type(0.5, 0.1, 3)
+    with pytest.raises(ValueError, match="one loss model per type"):
+        sample_population([spec], _sampling(loss_mu=(0.5, 0.5), loss_sigma=(0.1, 0.1)), seed=0)
+
+
+def test_sampling_model_rejects_non_finite_values():
+    """A NaN or infinite mean or sigma would draw NaN or infinite losses and
+    scores; the record refuses it on construction."""
+    for value in (np.nan, np.inf, -np.inf):
+        for key, entry in (("loss_mu", (value,)), ("loss_sigma", (value,)),
+                           ("shapley_mu", value), ("shapley_sigma", value)):
+            with pytest.raises(ValueError, match=key):
+                _sampling(**{key: entry})
 
 
 def test_realized_rates_edge_cases():
