@@ -41,9 +41,7 @@ __all__ = ["main"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.12g" % float(value)

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .experiments import MECHANISMS
-from .learning import LearnProblem, StepSchedule, make_problem
-from .model import GameConfig, UserTypeSpec, truncated_normal_moments
+from .experiments import _mechanism_name
+from .learning import LearnProblem, StepSchedule, _check_keys, make_problem
+from .model import GameConfig, UserTypeSpec, _require, truncated_normal_moments
 from .population import SamplingModel
 
 __all__ = [
@@ -79,9 +79,10 @@ _RETIRED = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnConfig:
-    """[learning]: one field per key, whose default is the key's default."""
+    """[learning]: one field per key, whose default is the key's default.
+    Each key's rule is the learning lab's, so a library caller meets it too."""
 
     users: int = 10
     dim: int = 16
@@ -99,6 +100,9 @@ class LearnConfig:
     hessian_spread: float = 0.0
     rotate: bool = False
     b_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_keys(**vars(self))
 
     def make_schedule(self) -> StepSchedule:
         return StepSchedule(kind=self.schedule, c=self.step_c, shift=self.step_shift)
@@ -119,9 +123,10 @@ class LearnConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """[experiment]: one field per key, whose default is the key's default."""
+    """[experiment]: one field per key, whose default is the key's default.
+    load_config checks user_counts against the number of types."""
 
     trials: int = 50
     user_counts: list[int] = field(default_factory=lambda: [1000, 2000, 3000, 4000, 5000])
@@ -132,6 +137,24 @@ class ExperimentConfig:
     refine_damping: float = 0.5
     refine_trials: int = 20
     mechanisms: list[str] = field(default_factory=lambda: ["NRI", "LLA", "RAR"])
+
+    def __post_init__(self) -> None:
+        _require(
+            (self.trials >= 1, "trials must be positive"),
+            (self.sweep_trials >= 1, "sweep_trials must be positive"),
+            (self.refine_trials >= 1, "refine_trials must be positive"),
+            (self.refine_steps >= 0, "refine_steps must be nonnegative"),
+            (0.0 < self.refine_damping <= 1.0, "refine_damping must lie in (0, 1]"),
+            (len(self.user_counts) >= 1, "user_counts must not be empty"),
+            (len(self.p_grid) >= 1, "p_grid must not be empty"),
+            (len(self.q_grid) >= 1, "q_grid must not be empty"),
+            (len(self.mechanisms) >= 1, "mechanisms must not be empty"),
+            (all(0.0 <= p < 1.0 for p in self.p_grid), "p_grid values must lie in [0, 1)"),
+            (all(0.0 <= q <= 1.0 for q in self.q_grid), "q_grid values must lie in [0, 1]"),
+        )
+        named = [_mechanism_name(mech) for mech in self.mechanisms]
+        _require(*((name not in named[:k], f"mechanisms must name {name} only once")
+                   for k, name in enumerate(named)))
 
 
 @dataclass
@@ -178,6 +201,14 @@ def _read_section(parser, name: str, defaults: dict) -> dict:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         values[key] = _parse_value(name, key, raw, defaults[key])
     return values
+
+
+def _record(section: str, record, values: dict):
+    """record(**values), its rule errors named by section."""
+    try:
+        return record(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _spread_to_sigma(spread: float, spread_is_std: bool, where: str) -> float:
@@ -270,55 +301,12 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         shapley_sigma=_spread_to_sigma(game["shapley_spread"], spread_is_std, "[game] shapley_spread"),
     )
 
-    learn = LearnConfig(**learn_raw)
-    if learn.schedule not in ("constant", "inverse_t"):
-        raise ConfigError("[learning] schedule must be constant or inverse_t")
-    for key in ("users", "dim", "data_size", "local_steps", "seeds", "rounds"):
-        if getattr(learn, key) < 1:
-            raise ConfigError(f"[learning] {key} must be positive")
-    # stated as what must hold, so a NaN fails every rule
-    for key, holds, rule in (
-        ("iota", 0.0 < learn.iota <= 1.0, "must lie in (0, 1]"),
-        ("noise_sigma2", learn.noise_sigma2 >= 0.0, "must be nonnegative"),
-        ("step_c", learn.step_c > 0.0, "must be positive"),
-        ("step_shift", learn.step_shift >= 0.0, "must be nonnegative"),
-        ("mu", learn.mu > 0.0, "must be positive"),
-        ("condition", learn.condition >= 1.0, "must be at least 1"),
-        ("hessian_spread", 0.0 <= learn.hessian_spread < 1.0, "must lie in [0, 1)"),
-    ):
-        if not holds:
-            raise ConfigError(f"[learning] {key} {rule}")
-    # every number past its rule (b_scale has none) must also be finite
-    for key, value in vars(learn).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"[learning] {key} must be finite")
-
-    experiment = ExperimentConfig(**exp_raw)
-    for key in ("trials", "sweep_trials", "refine_trials"):
-        if getattr(experiment, key) < 1:
-            raise ConfigError(f"[experiment] {key} must be positive")
-    if experiment.refine_steps < 0:
-        raise ConfigError("[experiment] refine_steps must be nonnegative")
-    if not 0.0 < experiment.refine_damping <= 1.0:
-        raise ConfigError("[experiment] refine_damping must lie in (0, 1]")
-    for key in ("user_counts", "p_grid", "q_grid", "mechanisms"):
-        if not getattr(experiment, key):
-            raise ConfigError(f"[experiment] {key} must not be empty")
+    learn = _record("learning", LearnConfig, learn_raw)
+    experiment = _record("experiment", ExperimentConfig, exp_raw)
     if min(experiment.user_counts) < len(types):
         raise ConfigError(
             f"[experiment] user_counts values must be at least {len(types)}, the number of types"
         )
-    if not all(0.0 <= p < 1.0 for p in experiment.p_grid):
-        raise ConfigError("[experiment] p_grid values must lie in [0, 1)")
-    if not all(0.0 <= q <= 1.0 for q in experiment.q_grid):
-        raise ConfigError("[experiment] q_grid values must lie in [0, 1]")
-    named = set()
-    for mech in experiment.mechanisms:
-        if mech.upper() not in MECHANISMS:
-            raise ConfigError(f"[experiment] unknown mechanism {mech!r}")
-        if mech.upper() in named:
-            raise ConfigError(f"[experiment] mechanisms must name {mech.upper()} only once")
-        named.add(mech.upper())
 
     return ExperimentSetup(
         types=types,

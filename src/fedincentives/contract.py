@@ -148,9 +148,7 @@ def design_contract(
     if drop_expected_retention:
         B -= cfg.gamma * menu.count * menu.p * menu.q * menu.X
     d = optimal_data_sizes(A, B)
-    contract = Contract(
+    return Contract(
         d=np.array(d), r=np.array(optimal_rewards(d, menu.pi, tol=cfg.tol)),
         pi=menu.pi, kappa=menu.kappa, A=A, B=B, order=order,
     )
-    contract.validate(tol=cfg.tol)
-    return contract

@@ -93,20 +93,26 @@ class Outcome:
     q_hat: float
 
 
+def _mechanism_name(mechanism: str) -> str:
+    """The name of a mechanism in MECHANISMS, given in any case."""
+    mech = mechanism.upper()
+    if mech not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    return mech
+
+
 def mechanism_contract(
     mechanism: str, types: list[UserTypeSpec], cfg: GameConfig
 ) -> Contract:
     """Stage-I pricing under the mechanism's view of the world."""
-    mech = mechanism.upper()
+    mech = _mechanism_name(mechanism)
     if mech == "RAR":
         return design_contract(types, cfg)
     if mech == "NRI":
         no_retention = [replace(t, q=0.0) for t in types]
         return design_contract(no_retention, cfg)
-    if mech == "LLA":
-        myopic = replace(cfg, lam=0.0)
-        return design_contract(types, myopic, drop_expected_retention=True)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    myopic = replace(cfg, lam=0.0)
+    return design_contract(types, myopic, drop_expected_retention=True)
 
 
 def run_pipeline(
@@ -128,9 +134,7 @@ def run_pipeline(
     gives controlled comparisons that differ in retention only.  Optimal
     retention keeps the least minimizer of the Stage-IV objective.
     """
-    mech = mechanism.upper()
-    if mech not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+    mech = _mechanism_name(mechanism)
     terms = UserTerms.of(population, contract, types)
     q_bar = mean_retention_rate(types)
 

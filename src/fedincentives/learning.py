@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import _require
+
 __all__ = [
     "LearnProblem",
     "StepSchedule",
@@ -34,6 +36,33 @@ __all__ = [
 
 
 # --- problem and schedule types ---
+
+
+# One rule per [learning] key, worded as that key and stated as what must hold
+# (so a NaN fails).  make_problem, LearnProblem, StepSchedule and each training
+# run check their arguments here, and config.LearnConfig its keys.
+_RULES = {
+    "users": (lambda v: v >= 1, "users must be positive"),
+    "dim": (lambda v: v >= 1, "dim must be positive"),
+    "data_size": (lambda v: v >= 1, "data_size must be positive"),
+    "iota": (lambda v: 0.0 < v <= 1.0, "iota must lie in (0, 1]"),
+    "noise_sigma2": (lambda v: 0.0 <= v < math.inf, "noise_sigma2 must be nonnegative and finite"),
+    "rounds": (lambda v: v >= 1, "rounds must be positive"),
+    "local_steps": (lambda v: v >= 1, "local_steps must be positive"),
+    "schedule": (lambda v: v in ("constant", "inverse_t"), "schedule must be constant or inverse_t"),
+    "step_c": (lambda v: 0.0 < v < math.inf, "step_c must be positive and finite"),
+    "step_shift": (lambda v: 0.0 <= v < math.inf, "step_shift must be nonnegative and finite"),
+    "seeds": (lambda v: v >= 1, "seeds must be positive"),
+    "mu": (lambda v: 0.0 < v < math.inf, "mu must be positive and finite"),
+    "condition": (lambda v: 1.0 <= v < math.inf, "condition must be at least 1 and finite"),
+    "hessian_spread": (lambda v: 0.0 <= v < 1.0, "hessian_spread must lie in [0, 1)"),
+    "b_scale": (lambda v: math.isfinite(v), "b_scale must be finite"),
+}
+
+
+def _check_keys(**values) -> None:
+    """Check each value, in order, against its key's rule (rotate has none)."""
+    _require(*((_RULES[key][0](v), _RULES[key][1]) for key, v in values.items() if key in _RULES))
 
 
 @dataclass
@@ -56,21 +85,20 @@ class LearnProblem:
         self.Q = np.asarray(self.Q, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.data_sizes = np.asarray(self.data_sizes, dtype=int)
-        if self.Q.ndim != 3 or self.Q.shape[1] != self.Q.shape[2]:
-            raise ValueError("Q must be (users, dim, dim)")
-        if self.b.shape != self.Q.shape[:2]:
-            raise ValueError("b must be (users, dim)")
-        if self.data_sizes.shape != (self.Q.shape[0],) or np.any(self.data_sizes < 1):
-            raise ValueError("data_sizes must be positive, one per user")
-        if not 0.0 < self.iota <= 1.0:
-            raise ValueError("iota must lie in (0, 1]")
-        if self.noise_sigma2 < 0:
-            raise ValueError("noise_sigma2 must be nonnegative")
-        if not np.allclose(self.Q, np.transpose(self.Q, (0, 2, 1)), atol=1e-10):
-            raise ValueError("each Q_i must be symmetric")
-        for i in range(self.Q.shape[0]):
-            if np.linalg.eigvalsh(self.Q[i])[0] <= 0:
-                raise ValueError("each Q_i must be positive definite")
+        Q = self.Q
+        _require(
+            (Q.ndim == 3 and Q.shape[1] == Q.shape[2], "Q must be (users, dim, dim)"),
+            (self.b.shape == Q.shape[:2], "b must be (users, dim)"),
+            (self.data_sizes.shape == Q.shape[:1] and np.all(self.data_sizes >= 1),
+             "data_sizes must be positive, one per user"),
+            (np.all(np.isfinite(Q)), "Q must be finite"),
+            (np.all(np.isfinite(self.b)), "b must be finite"),
+        )
+        _check_keys(iota=self.iota, noise_sigma2=self.noise_sigma2)
+        _require(
+            (np.allclose(Q, np.transpose(Q, (0, 2, 1)), atol=1e-10), "each Q_i must be symmetric"),
+            (np.all(np.linalg.eigvalsh(Q)[:, 0] > 0), "each Q_i must be positive definite"),
+        )
 
     @property
     def users(self) -> int:
@@ -119,21 +147,8 @@ class StepSchedule:
     c: float
     shift: float = 0.0
 
-    def validate(self, problem: LearnProblem) -> None:
-        if self.kind not in ("constant", "inverse_t"):
-            raise ValueError("kind must be constant or inverse_t")
-        if self.c <= 0 or self.shift < 0:
-            raise ValueError("c must be positive and shift nonnegative")
-        cap = 1.0 / (12.0 * problem.smoothness)
-        if self.max_value() > cap * (1.0 + 1e-9):
-            raise ValueError(
-                f"stepsize {self.max_value():.6g} exceeds stability cap {cap:.6g}"
-            )
-
-    def max_value(self) -> float:
-        if self.kind == "constant":
-            return self.c
-        return self.c / (1.0 + self.shift)
+    def __post_init__(self) -> None:
+        _check_keys(schedule=self.kind, step_c=self.c, step_shift=self.shift)
 
     def value(self, t: int) -> float:
         if self.kind == "constant":
@@ -156,12 +171,11 @@ class UnlearnSpec:
     epsilon: float
     start: np.ndarray | None = None
 
-    def validate(self, problem: LearnProblem) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        leavers = set(self.leavers)
-        if not leavers or not leavers < set(range(problem.users)):
-            raise ValueError("leavers must be a nonempty proper user subset")
+    def __post_init__(self) -> None:
+        _require(
+            (len(self.leavers) >= 1, "leavers must be nonempty"),
+            (self.epsilon > 0.0, "epsilon must be positive"),
+        )
 
 
 # --- generation ---
@@ -187,10 +201,8 @@ def make_problem(
     optionally conjugates by a random rotation, so users disagree while
     staying positive definite.
     """
-    if users < 1 or dim < 1:
-        raise ValueError("need at least one user and one dimension")
-    if not 0.0 <= hessian_spread < 1.0:
-        raise ValueError("hessian_spread must lie in [0, 1)")
+    _check_keys(users=users, dim=dim, data_size=data_size, iota=iota, noise_sigma2=noise_sigma2,
+                mu=mu, condition=condition, hessian_spread=hessian_spread, b_scale=b_scale)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C454152]))
     eig = mu * np.logspace(0.0, math.log10(condition), dim) if condition > 1 else np.full(dim, mu)
     Q = np.empty((users, dim, dim))
@@ -215,8 +227,7 @@ def make_problem(
 def restrict_problem(problem: LearnProblem, keep: list[int]) -> LearnProblem:
     """Sub-problem over a user subset (same sampling parameters)."""
     keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
+    _require((len(keep) >= 1, "keep must be nonempty"))
     return LearnProblem(
         Q=problem.Q[keep],
         b=problem.b[keep],
@@ -252,13 +263,12 @@ def _run_scaffold(
     and returns the stopping round.  collect_updates returns the per-round
     per-user aggregate updates of seed 0 (used by the attribution oracle).
     """
-    schedule.validate(problem)
-    if local_steps < 1:
-        raise ValueError("local_steps must be positive")
     seed_ids = _seed_list(seeds)
     n_seeds = len(seed_ids)
-    if n_seeds < 1:
-        raise ValueError("at least one seed required")
+    _check_keys(rounds=rounds, local_steps=local_steps, seeds=n_seeds)
+    # the rule relating a schedule to a problem; no schedule's stepsize rises
+    cap, eta0 = 1.0 / (12.0 * problem.smoothness), schedule.value(0)
+    _require((eta0 <= cap * (1.0 + 1e-9), f"stepsize {eta0:.6g} exceeds stability cap {cap:.6g}"))
     dim = problem.dim
     users = problem.users
     if w0 is None:
@@ -406,8 +416,9 @@ def unlearn_continue(
 ) -> int:
     """Rounds of continued training (remaining users only) until the
     seed-mean distance to the remaining-users optimum drops to epsilon."""
-    spec.validate(problem)
-    keep = [i for i in range(problem.users) if i not in set(spec.leavers)]
+    leavers = set(spec.leavers)
+    _require((leavers < set(range(problem.users)), "leavers must be a proper subset of the users"))
+    keep = [i for i in range(problem.users) if i not in leavers]
     rest = restrict_problem(problem, keep)
     start = spec.start if spec.start is not None else problem.w_star
     _, stop_round, _ = _run_scaffold(
@@ -452,10 +463,7 @@ def federated_shapley_exact(
     checks).
     """
     users = problem.users
-    if users > 8:
-        raise ValueError("exact attribution limited to 8 users")
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
+    _require((users <= 8, "exact attribution limited to 8 users"))
     _, _, updates = _run_scaffold(
         problem,
         rounds,

@@ -107,6 +107,9 @@ class GameConfig:
 # equal; keeps fp noise from splitting or merging blocks
 _POOL_TOL = 1e-12
 
+# relative slack of Contract's ordering checks; a designed d rises by < _POOL_TOL
+_ORDER_TOL = 1e-9
+
 
 def pooled_blocks(d) -> list[list[int]]:
     """Menu positions grouped into maximal runs of equal data size d: the
@@ -127,7 +130,8 @@ class Contract:
     Entry k of every array is the k-th menu item: data size d, learning
     reward r, and the rates pi, kappa, A, B it was priced at.  order[k] is
     the index into the original type list of the k-th item, so order inverts
-    the stable sort applied before pricing.
+    the stable sort applied before pricing.  The menu checks its shape and
+    ordering on construction.
     """
 
     d: np.ndarray
@@ -151,19 +155,17 @@ class Contract:
         r[self.order] = self.r
         return d, r
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def __post_init__(self) -> None:
         d, pi, J = self.d, self.pi, len(self.d)
-        if any(len(a) != J for a in (self.r, pi, self.kappa, self.A, self.B)):
-            raise ValueError("inconsistent contract arrays")
-        if sorted(self.order) != list(range(J)):
-            raise ValueError("order must be a permutation")
-        # stated as what must hold, so a NaN menu fails
-        if not np.all(pi[1:] >= pi[:-1] - tol * np.maximum(1.0, np.abs(pi[:-1]))):
-            raise ValueError("pi must be non-decreasing")
-        if not np.all((d > 0) & (d < np.inf)):
-            raise ValueError("data sizes must be positive and finite")
-        if not np.all(d[1:] <= d[:-1] * (1 + tol)):
-            raise ValueError("data sizes must be non-increasing in pi order")
+        _require(
+            (all(len(a) == J for a in (self.r, pi, self.kappa, self.A, self.B)),
+             "r, pi, kappa, A and B must have one entry per item of d"),
+            (sorted(self.order) == list(range(J)), "order must be a permutation"),
+            (np.all(pi[1:] >= pi[:-1] - _ORDER_TOL * np.maximum(1.0, np.abs(pi[:-1]))),
+             "pi must be non-decreasing"),
+            (np.all((d > 0) & (d < np.inf)), "d must be positive and finite"),
+            (np.all(d[1:] <= d[:-1] * (1 + _ORDER_TOL)), "d must be non-increasing in pi order"),
+        )
 
 
 @dataclass(frozen=True)
@@ -280,10 +282,7 @@ class UserTerms:
 
 def mean_retention_rate(types: list[UserTypeSpec]) -> float:
     """Count-weighted mean retention probability across types."""
-    total = sum(t.count for t in types)
-    if total == 0:
-        return 0.0
-    return sum(t.count * t.q for t in types) / total
+    return sum(t.count * t.q for t in types) / sum(t.count for t in types)
 
 
 def _running_sum(values: np.ndarray) -> float:

@@ -14,8 +14,8 @@ from fedincentives.learning import TrainTrace, _seed_list
 def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, reference,
                       stop_norm=None, collect_updates=False):
     """Same arguments and result (trace, stop_round, updates) as
-    `learning._run_scaffold`."""
-    schedule.validate(problem)
+    `learning._run_scaffold`, for a schedule under the stability cap: the
+    library's cap check has its own tests, and the oracle repeats no rule."""
     seed_ids = _seed_list(seeds)
     n_seeds = len(seed_ids)
     dim = problem.dim

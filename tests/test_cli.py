@@ -301,6 +301,20 @@ def test_verify_bounds_strict_failure_exit_3(tmp_path, capsys):
                  "--strict"]) == 3
 
 
+def test_equilibrium_notes_differing_extremal_equilibria(tmp_path, capsys):
+    """At lambda = 100 with five users per type, no one revokes in the least
+    equilibrium and 17 users do in the greatest (seed 0)."""
+    body = Path(default_config_path()).read_text()
+    body = body.replace("lambda = 0.04", "lambda = 100").replace("count = 1000", "count = 5")
+    path = tmp_path / "split.ini"
+    path.write_text(body)
+    assert _run(["equilibrium", "--config", str(path), "--seed", "0",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "equilibrium: 0/25 revoke" in out
+    assert "note: extremal equilibria differ (17 users revoke only in the greatest one)" in out
+
+
 def test_bad_config_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[types.1]\ntheta = 2.0\nxi = 900\nthetta = 3\n")

@@ -1,4 +1,5 @@
 """Configuration parsing, defaults and failure modes."""
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from fedincentives.config import (
     default_config_path,
     load_config,
 )
+from fedincentives.learning import scaffold_train
 from fedincentives.model import GameConfig, truncated_normal_moments
 
 
@@ -198,8 +200,25 @@ seeds = 2
     prob = setup.learn.make_problem(seed=0)
     assert prob.users == 3 and prob.dim == 4
     sch = setup.learn.make_schedule()
-    sch.validate(prob)
+    scaffold_train(prob, 1, sch, [0])  # under the problem's stability cap
     assert sch.value(5) == 0.001
+
+
+def test_config_records_check_themselves():
+    """LearnConfig and ExperimentConfig are frozen and refuse a bad value
+    when built, with the rule worded as the INI key; load_config adds the
+    section."""
+    for record, key, value in [
+        (LearnConfig, "iota", 0.0), (LearnConfig, "seeds", 0), (LearnConfig, "step_c", 0.0),
+        (LearnConfig, "b_scale", float("nan")), (ExperimentConfig, "trials", 0),
+        (ExperimentConfig, "refine_damping", 0.0), (ExperimentConfig, "mechanisms", ["RAR", "rar"]),
+    ]:
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            record(**{key: value})
+    with pytest.raises(ValueError, match="^rounds must"):
+        replace(LearnConfig(), rounds=0)
+    with pytest.raises(FrozenInstanceError):
+        ExperimentConfig().trials = 0
 
 
 def test_comma_lists_parsed(tmp_path):

@@ -52,6 +52,62 @@ def test_problem_validation():
         LearnProblem(Q=asym, b=np.zeros((2, 3)), data_sizes=np.array([4, 4]))
     with pytest.raises(ValueError):
         make_problem(users=0, dim=4, data_size=8, seed=0)
+    Q = np.tile(np.eye(3), (2, 1, 1))
+    b = np.zeros((2, 3))
+    sizes = np.array([4, 4])
+    with pytest.raises(ValueError, match="^Q must be finite"):
+        LearnProblem(Q=np.where(Q > 0, np.nan, 0.0), b=b, data_sizes=sizes)
+    with pytest.raises(ValueError, match="^b must be finite"):
+        LearnProblem(Q=Q, b=np.full((2, 3), np.inf), data_sizes=sizes)
+    with pytest.raises(ValueError, match="^noise_sigma2 must"):
+        LearnProblem(Q=Q, b=b, data_sizes=sizes, noise_sigma2=np.inf)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("users", 0), ("dim", 0), ("data_size", 0), ("iota", 0.0), ("iota", np.nan),
+        ("noise_sigma2", -1.0), ("noise_sigma2", np.nan), ("noise_sigma2", np.inf),
+        ("mu", 0.0), ("mu", np.nan), ("mu", np.inf),
+        ("condition", 0.5), ("condition", np.inf), ("condition", np.nan),
+        ("hessian_spread", 1.0), ("hessian_spread", np.nan),
+        ("b_scale", np.nan), ("b_scale", np.inf),
+    ],
+)
+def test_make_problem_states_its_rules(key, value):
+    """Each argument out of its domain, NaN included, is refused by name;
+    condition 0.5 must not be built as condition 1."""
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        _problem(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (("constant", np.nan), "step_c"),
+        (("constant", np.inf), "step_c"),
+        (("inverse_t", 0.01, np.nan), "step_shift"),
+        (("inverse_t", 0.01, -1.0), "step_shift"),
+        (("cosine", 0.01), "schedule"),
+    ],
+)
+def test_schedule_states_its_rules(args, key):
+    """A NaN stepsize or shift is refused when the schedule is built, before
+    it can give NaN gaps from scaffold_train."""
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        StepSchedule(*args)
+
+
+@pytest.mark.parametrize(
+    "rounds, local_steps, seeds, key",
+    [(0, 5, [0], "rounds"), (3, 0, [0], "local_steps"), (3, 5, [], "seeds"),
+     (3, 5, 0, "seeds")],
+)
+def test_training_run_counts_positive(rounds, local_steps, seeds, key):
+    prob = _problem()
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    with pytest.raises(ValueError, match=f"^{key} must be positive"):
+        scaffold_train(prob, rounds, sch, seeds, local_steps=local_steps)
 
 
 def test_restrict_problem_optimum_moves():
@@ -67,17 +123,17 @@ def test_restrict_problem_optimum_moves():
 def test_schedule_validation_and_values():
     prob = _problem()
     cap = 1.0 / (12.0 * prob.smoothness)
-    StepSchedule("constant", cap).validate(prob)
-    with pytest.raises(ValueError):
-        StepSchedule("constant", cap * 1.5).validate(prob)
+    scaffold_train(prob, 1, StepSchedule("constant", cap), [0])
+    with pytest.raises(ValueError, match="exceeds stability cap"):
+        scaffold_train(prob, 1, StepSchedule("constant", cap * 1.5), [0])
     sch = StepSchedule("inverse_t", 12.0 * cap, 11.0)
-    sch.validate(prob)  # first value exactly at the cap
+    scaffold_train(prob, 1, sch, [0])  # first value exactly at the cap
     assert sch.value(0) == pytest.approx(cap)
     assert sch.value(9) == pytest.approx(12.0 * cap / 21.0)
-    with pytest.raises(ValueError):
-        StepSchedule("linear", cap).validate(prob)
-    with pytest.raises(ValueError):
-        StepSchedule("constant", -1.0).validate(prob)
+    with pytest.raises(ValueError, match="^schedule must"):
+        StepSchedule("linear", cap)
+    with pytest.raises(ValueError, match="^step_c must"):
+        StepSchedule("constant", -1.0)
 
 
 def test_fixed_point_stays_at_optimum():
@@ -223,12 +279,14 @@ def test_unlearning_budget_exhaustion_raises():
 
 def test_unlearn_spec_validation():
     prob = _problem(users=4)
-    with pytest.raises(ValueError):
-        UnlearnSpec(leavers=(), epsilon=0.1).validate(prob)
-    with pytest.raises(ValueError):
-        UnlearnSpec(leavers=(0, 1, 2, 3), epsilon=0.1).validate(prob)
-    with pytest.raises(ValueError):
-        UnlearnSpec(leavers=(0,), epsilon=0.0).validate(prob)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    with pytest.raises(ValueError, match="^leavers must be nonempty"):
+        UnlearnSpec(leavers=(), epsilon=0.1)
+    with pytest.raises(ValueError, match="^leavers must be a proper subset"):
+        unlearn_continue(prob, UnlearnSpec(leavers=(0, 1, 2, 3), epsilon=0.1), sch, [0])
+    for epsilon in (0.0, np.nan):
+        with pytest.raises(ValueError, match="^epsilon must"):
+            UnlearnSpec(leavers=(0,), epsilon=epsilon)
 
 
 def test_loss_metric_matches_finite_differences():

@@ -262,7 +262,6 @@ def test_stage1_identity_for_any_monotone_d(rng):
             B=B,
             order=np.array(pis),
         )
-        c.validate()
         direct = stage1_expected_cost(c, srt, cfg)
         reduced = float(np.sum(A / d) + np.sum(B * d))
         assert direct == pytest.approx(reduced, rel=1e-9)
@@ -428,14 +427,12 @@ def test_contract_validation_catches_bad_menus():
     types = [_spec(), _spec(theta=4.0)]
     cfg = GameConfig(T=10.0)
     c = design_contract(types, cfg)
-    c.validate(tol=cfg.tol)
-    broken = Contract(
-        d=np.array([1.0, 2.0]), r=np.array([1.0, 1.0]),  # d increasing
-        pi=c.pi, kappa=c.kappa, A=c.A, B=c.B,
-        order=c.order,
-    )
-    with pytest.raises(ValueError):
-        broken.validate()
+    with pytest.raises(ValueError, match="^d must be non-increasing"):
+        Contract(
+            d=np.array([1.0, 2.0]), r=np.array([1.0, 1.0]),  # d increasing
+            pi=c.pi, kappa=c.kappa, A=c.A, B=c.B,
+            order=c.order,
+        )
 
 
 def test_nan_menu_fails_validation():
@@ -443,15 +440,34 @@ def test_nan_menu_fails_validation():
     types = [_spec(), _spec(theta=4.0)]
     c = design_contract(types, GameConfig(T=10.0))
     for d in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
-        with pytest.raises(ValueError):
-            replace(c, d=np.array(d)).validate()
-    with pytest.raises(ValueError):
-        replace(c, pi=np.array([1.0, np.nan])).validate()
+        with pytest.raises(ValueError, match="^d must"):
+            replace(c, d=np.array(d))
+    with pytest.raises(ValueError, match="^pi must be non-decreasing"):
+        replace(c, pi=np.array([1.0, np.nan]))
     # a one-item menu has no ordering to break
     single = design_contract(types[:1], GameConfig(T=10.0))
     for d in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            replace(single, d=np.array([d])).validate()
+        with pytest.raises(ValueError, match="^d must be positive and finite"):
+            replace(single, d=np.array([d]))
     # a NaN T never reaches design_contract: GameConfig refuses it
     with pytest.raises(ValueError, match="T must"):
         design_contract(types, GameConfig(T=np.nan))
+
+
+def test_contract_checks_itself_on_construction():
+    """A Contract refuses a bad menu when it is built, replace builds anew,
+    and the ordering checks use the fixed relative slack 1e-9 whatever the
+    game's tol."""
+    c = design_contract([_spec(), _spec(theta=4.0)], GameConfig(T=10.0, tol=1e-3))
+    rest = dict(r=c.r, pi=c.pi, kappa=c.kappa, A=c.A, B=c.B, order=c.order)
+    with pytest.raises(ValueError, match="^d must be positive and finite"):
+        Contract(d=np.array([np.nan, 1.0]), **rest)
+    with pytest.raises(ValueError, match="^d must be non-increasing"):
+        replace(c, d=np.array([1.0, 1.0 + 1e-8]))
+    replace(c, d=np.array([1.0, 1.0 + 1e-10]))
+    with pytest.raises(ValueError, match="^pi must be non-decreasing"):
+        replace(c, pi=c.pi[::-1])
+    with pytest.raises(ValueError, match="^order must be a permutation"):
+        replace(c, order=np.array([0, 0]))
+    with pytest.raises(ValueError, match="^r, pi, kappa, A and B must"):
+        replace(c, r=c.r[:1])
