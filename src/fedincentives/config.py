@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .experiments import _mechanism_name
+from .experiments import _check_args
 from .learning import LearnProblem, StepSchedule, _check_keys, make_problem
-from .model import GameConfig, UserTypeSpec, _require, truncated_normal_moments
+from .model import GameConfig, UserTypeSpec, truncated_normal_moments
 from .population import SamplingModel
 
 __all__ = [
@@ -126,6 +126,7 @@ class LearnConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """[experiment]: one field per key, whose default is the key's default.
+    Each key's rule is the harnesses', so a library caller meets it too;
     load_config checks user_counts against the number of types."""
 
     trials: int = 50
@@ -139,22 +140,7 @@ class ExperimentConfig:
     mechanisms: list[str] = field(default_factory=lambda: ["NRI", "LLA", "RAR"])
 
     def __post_init__(self) -> None:
-        _require(
-            (self.trials >= 1, "trials must be positive"),
-            (self.sweep_trials >= 1, "sweep_trials must be positive"),
-            (self.refine_trials >= 1, "refine_trials must be positive"),
-            (self.refine_steps >= 0, "refine_steps must be nonnegative"),
-            (0.0 < self.refine_damping <= 1.0, "refine_damping must lie in (0, 1]"),
-            (len(self.user_counts) >= 1, "user_counts must not be empty"),
-            (len(self.p_grid) >= 1, "p_grid must not be empty"),
-            (len(self.q_grid) >= 1, "q_grid must not be empty"),
-            (len(self.mechanisms) >= 1, "mechanisms must not be empty"),
-            (all(0.0 <= p < 1.0 for p in self.p_grid), "p_grid values must lie in [0, 1)"),
-            (all(0.0 <= q <= 1.0 for q in self.q_grid), "q_grid values must lie in [0, 1]"),
-        )
-        named = [_mechanism_name(mech) for mech in self.mechanisms]
-        _require(*((name not in named[:k], f"mechanisms must name {name} only once")
-                   for k, name in enumerate(named)))
+        _check_args(**vars(self))
 
 
 @dataclass

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _POOL_TOL, Contract, GameConfig, TypeRates, UserTypeSpec
+from .model import (
+    _POOL_TOL, Contract, GameConfig, TypeRates, UserTypeSpec, _menu_order, _require,
+)
 
 __all__ = [
     "IRICReport",
@@ -52,12 +54,7 @@ def optimal_rewards(d: list[float], pi: list[float], tol: float = 1e-9) -> list[
     J = len(d)
     if len(pi) != J:
         raise ValueError("d and pi must have equal length")
-    for a, b in zip(d, d[1:]):
-        if b > a * (1.0 + tol):
-            raise ValueError("d must be non-increasing")
-    for a, b in zip(pi, pi[1:]):
-        if b < a - tol * max(1.0, abs(a)):
-            raise ValueError("pi must be non-decreasing")
+    _require(*_menu_order(tol, pi, d))
     rewards = [0.0] * J
     rent = 0.0
     for j in range(J - 1, -1, -1):

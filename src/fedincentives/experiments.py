@@ -35,6 +35,7 @@ from .model import (
     Population,
     UserTerms,
     UserTypeSpec,
+    _require,
     mean_retention_rate,
     stage4_realized_cost,
 )
@@ -101,6 +102,32 @@ def _mechanism_name(mechanism: str) -> str:
     return mech
 
 
+# (argument, condition, rule) of the harnesses' arguments and the
+# [experiment] keys that feed them, in the order they are checked
+_RULES = (
+    ("trials", lambda v: v >= 1, "trials must be positive"),
+    ("sweep_trials", lambda v: v >= 1, "sweep_trials must be positive"),
+    ("refine_trials", lambda v: v >= 1, "refine_trials must be positive"),
+    ("refine_steps", lambda v: v >= 0, "refine_steps must be nonnegative"),
+    ("refine_damping", lambda v: 0.0 < v <= 1.0, "refine_damping must lie in (0, 1]"),
+    ("user_counts", lambda v: len(v) >= 1, "user_counts must not be empty"),
+    ("p_grid", lambda v: len(v) >= 1, "p_grid must not be empty"),
+    ("q_grid", lambda v: len(v) >= 1, "q_grid must not be empty"),
+    ("mechanisms", lambda v: len(v) >= 1, "mechanisms must not be empty"),
+    ("p_grid", lambda v: all(0.0 <= p < 1.0 for p in v), "p_grid values must lie in [0, 1)"),
+    ("q_grid", lambda v: all(0.0 <= q <= 1.0 for q in v), "q_grid values must lie in [0, 1]"),
+)
+
+
+def _check_args(**values) -> None:
+    """Check the given arguments against their rules; mechanisms must each
+    name one of MECHANISMS, and no two the same."""
+    _require(*((holds(values[key]), rule) for key, holds, rule in _RULES if key in values))
+    named = [_mechanism_name(mech) for mech in values.get("mechanisms", ())]
+    _require(*((name not in named[:k], f"mechanisms must name {name} only once")
+               for k, name in enumerate(named)))
+
+
 def mechanism_contract(
     mechanism: str, types: list[UserTypeSpec], cfg: GameConfig
 ) -> Contract:
@@ -160,8 +187,9 @@ def run_pipeline(
     retained = np.zeros(len(population), dtype=bool)
     retained[retained_ids] = True
     # the payoffs' temporaries are a play's memory peak, so they are formed
-    # before the per-user incentives are laid out
-    leave_mass = float(np.sum(terms.l2[revoke & ~retained]))
+    # before the per-user incentives are laid out; retained is a subset of
+    # revoke, so XOR leaves the leavers
+    leave_mass = float(terms.l2[revoke ^ retained].sum())
     payoffs = terms.payoffs(revoke, leave_mass, cfg)
     incentives = np.zeros(len(population))
     incentives[retained_ids] = payments
@@ -201,10 +229,9 @@ def compare_costs(
     per size.  Returns one row per (mechanism, I) with cost mean, standard
     error and mean user payoff.
     """
-    if len({m.upper() for m in mechanisms}) < len(mechanisms):
-        raise ValueError("each mechanism may be compared only once")
     if user_counts is None:
         user_counts = [sum(t.count for t in types)]
+    _check_args(mechanisms=mechanisms, user_counts=user_counts, trials=trials)
     base_total = sum(t.count for t in types)
     rows = []
     for size_index, total in enumerate(user_counts):
@@ -222,7 +249,7 @@ def compare_costs(
             for key, contract in menus.items():
                 outcome = run_pipeline(key, contract, scaled, cfg, population)
                 costs[key].append(outcome.cost)
-                payoffs[key].append(float(np.mean(outcome.payoffs)))
+                payoffs[key].append(float(outcome.payoffs.mean()))
         for key in menus:
             arr = np.array(costs[key])
             rows.append(
@@ -268,6 +295,8 @@ def find_stationary_rates(
     seeds a damped fixed-point iteration on fresh trials; refine_steps = 0
     returns the grid point itself.
     """
+    _check_args(p_grid=p_grid, q_grid=q_grid, trials=trials, refine_steps=refine_steps,
+                refine_damping=refine_damping, refine_trials=refine_trials)
 
     def draw(stream: int, step: int, n_trials: int) -> list[Population]:
         return [
@@ -283,8 +312,8 @@ def find_stationary_rates(
         for population in populations:
             outcome = run_pipeline("RAR", contract, rated, cfg, population)
             users += len(population)
-            revoked += int(np.sum(outcome.revoke))
-            retained += int(np.sum(outcome.retained))
+            revoked += np.count_nonzero(outcome.revoke)
+            retained += np.count_nonzero(outcome.retained)
             cost_acc += outcome.cost
         p_hat = revoked / users if users else 0.0
         q_hat = retained / revoked if revoked else 0.0

@@ -111,6 +111,17 @@ _POOL_TOL = 1e-12
 _ORDER_TOL = 1e-9
 
 
+def _menu_order(slack, pi, d=()) -> tuple:
+    """The menu's ordering rules as _require pairs: pi non-decreasing and d
+    non-increasing, each step within a relative slack of max(1, |pi|) or d."""
+    pi, d = np.asarray(pi, dtype=float), np.asarray(d, dtype=float)
+    return (
+        (np.all(pi[1:] >= pi[:-1] - slack * np.maximum(1.0, np.abs(pi[:-1]))),
+         "pi must be non-decreasing"),
+        (np.all(d[1:] <= d[:-1] * (1.0 + slack)), "d must be non-increasing"),
+    )
+
+
 def pooled_blocks(d) -> list[list[int]]:
     """Menu positions grouped into maximal runs of equal data size d: the
     blocks of pooled types, in order."""
@@ -155,16 +166,26 @@ class Contract:
         r[self.order] = self.r
         return d, r
 
+    def type_terms(self, types) -> np.ndarray:
+        """Rows d, r, theta and xi indexed by original type: each type's item
+        and cost rates.  The first call forms them and later calls with equal
+        types read the same (4, J) array, so each play of the menu only
+        gathers; like the menu's own arrays it is read, never written."""
+        key = tuple(types)
+        kept = self.__dict__.get("_type_terms")
+        if kept is None or kept[0] != key:
+            kept = key, np.array([*self.per_type(), [t.theta for t in key], [t.xi for t in key]])
+            object.__setattr__(self, "_type_terms", kept)
+        return kept[1]
+
     def __post_init__(self) -> None:
         d, pi, J = self.d, self.pi, len(self.d)
         _require(
             (all(len(a) == J for a in (self.r, pi, self.kappa, self.A, self.B)),
              "r, pi, kappa, A and B must have one entry per item of d"),
             (sorted(self.order) == list(range(J)), "order must be a permutation"),
-            (np.all(pi[1:] >= pi[:-1] - _ORDER_TOL * np.maximum(1.0, np.abs(pi[:-1]))),
-             "pi must be non-decreasing"),
             (np.all((d > 0) & (d < np.inf)), "d must be positive and finite"),
-            (np.all(d[1:] <= d[:-1] * (1 + _ORDER_TOL)), "d must be non-increasing in pi order"),
+            *_menu_order(_ORDER_TOL, pi, d),
         )
 
 
@@ -188,8 +209,8 @@ _PRODUCTS = ("l2", "theta_d", "xi_l_d")
 
 @dataclass(frozen=True)
 class UserTerms:
-    """Stage II played out: each user's menu item and cost rates, read
-    through its type's entry of Contract.per_type, and its realized loss.
+    """Stage II played out: each user's menu item and cost rates, gathered
+    from its type's column of Contract.type_terms, and its realized loss.
     Stages III-IV read users' terms only from here.
 
     The per-user products that several stages read, l2 = l^2, theta_d =
@@ -205,15 +226,8 @@ class UserTerms:
 
     @classmethod
     def of(cls, population, contract, types) -> "UserTerms":
-        d_of, r_of = contract.per_type()
-        idx = population.type_idx
-        return cls(
-            d=d_of[idx],
-            r=r_of[idx],
-            theta=np.array([t.theta for t in types], dtype=float)[idx],
-            xi=np.array([t.xi for t in types], dtype=float)[idx],
-            loss=population.loss,
-        )
+        d, r, theta, xi = contract.type_terms(types).take(population.type_idx, axis=1)
+        return cls(d=d, r=r, theta=theta, xi=xi, loss=population.loss)
 
     @cached_property
     def l2(self) -> np.ndarray:
@@ -238,10 +252,11 @@ class UserTerms:
                 object.__setattr__(taken, name, vars(self)[name][users])
         return taken
 
-    def stay_base(self, sunk=0.0):
-        """r - sunk - xi l d, the fixed part of the stay margin: no burden
-        moves it, so a caller that weighs many burdens forms it once."""
-        return self.r - sunk - self.xi_l_d
+    def stay_base(self, sunk=0.0, users=...):
+        """r - sunk - xi l d, the fixed part of the stay margin, of the users
+        an index picks (all by default): no burden moves it, so a caller that
+        weighs many burdens forms it once."""
+        return self.r[users] - sunk - self.xi_l_d[users]
 
     def stay_margin(self, w, burden, sunk=0.0, base=None):
         """r - sunk - xi l d - w * burden, the payoff formula of stages III-IV.
@@ -288,7 +303,7 @@ def mean_retention_rate(types: list[UserTypeSpec]) -> float:
 def _running_sum(values: np.ndarray) -> float:
     """Sum in index order: np.sum adds pairwise and rounds differently, and
     every CLI output's bytes depend on the order."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -351,9 +366,7 @@ class TypeRates:
                   + sum_{m<j} gamma I_m (1-p_m) (pi_j - pi_{j-1})
         """
         pi = self.pi
-        for a, b in zip(pi, pi[1:]):
-            if b < a - cfg.tol * max(1.0, abs(a)):
-                raise ValueError("types must be sorted by ascending aggregated marginal cost")
+        _require(*_menu_order(cfg.tol, pi))
         B = cfg.gamma * self.count * (self.p * self.q * self.X + (1.0 - self.p) * pi)
         rent = cfg.gamma * self.count * (1.0 - self.p)
         for j in range(1, len(pi)):
@@ -375,7 +388,7 @@ def stage3_payoff(
     with the burden expected of the revokers x, (1 - q_bar) sum_k x_k l_k^2,
     where q_bar is the anticipated retention rate of revokers."""
     x = np.asarray(x, dtype=bool)
-    leaver_mass = (1.0 - q_bar) * float(np.sum(terms.l2[x]))
+    leaver_mass = (1.0 - q_bar) * float(terms.l2[x].sum())
     return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
 
 
@@ -410,11 +423,11 @@ def stage4_realized_cost(
     of retained users.  Returns (total, decomposition).
     """
     stay = ~revoke | retained
-    accuracy = float(np.sum(population.shapley[stay]))
+    accuracy = float(population.shapley[stay].sum())
     rewards = cfg.gamma * _running_sum(terms.r[stay])
     retention = 0.0
     if incentives is not None and retained.any():
-        retention = cfg.gamma * float(np.sum(incentives[retained]))
+        retention = cfg.gamma * float(incentives[retained].sum())
     total = accuracy + rewards + retention
     parts = {
         "accuracy": accuracy,

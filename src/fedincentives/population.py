@@ -90,7 +90,7 @@ def sample_population(
 def realized_rates(revoke: np.ndarray, retained: np.ndarray) -> tuple[float, float]:
     """Fraction of users who revoked, and of revokers who were retained."""
     n = len(revoke)
-    revoked = int(np.sum(revoke))
+    revoked = np.count_nonzero(revoke)
     p_hat = revoked / n if n else 0.0
-    q_hat = float(np.sum(retained)) / revoked if revoked else 0.0
+    q_hat = np.count_nonzero(retained) / revoked if revoked else 0.0
     return p_hat, q_hat

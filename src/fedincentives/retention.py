@@ -49,73 +49,45 @@ class RetentionResult:
     objective: float
 
 
-@dataclass
-class _Revokers:
-    """Per-revoker pieces of the objective.
+def _pieces(revokers, population, terms, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The revokers' ids and the rows c, gamma g and e of f(S), in one
+    (3, n) array gathered from the play's terms and the products Stage III
+    formed there (l^2 and theta d): c = v + gamma xi l d, the direct cost of
+    keeping the user; g = theta d lam, the unlearning sensitivity; e = l^2,
+    the burden the user adds if they finally leave."""
+    ids = np.asarray(revokers, dtype=int)
+    pieces = np.empty((3, len(ids)))
+    c, g, e = pieces
+    # ((gamma xi) l) d, not gamma ((xi l) d), and gamma (theta d lam): the
+    # groupings decide near-tie choices, so the output bytes depend on them
+    np.multiply(cfg.gamma, terms.xi[ids], out=c)
+    c *= terms.loss[ids]
+    c *= terms.d[ids]
+    c += population.shapley[ids]
+    np.multiply(terms.theta_d[ids], cfg.lam, out=g)
+    g *= cfg.gamma
+    terms.l2.take(ids, out=e)
+    return ids, pieces
 
-    user holds the revokers' terms of the stay margin, taken from the play's
-    terms together with the products Stage III formed there (l^2, theta d
-    and (xi l) d), so that e, tg and the payments gather them rather than
-    form them again:
-    c = v + gamma*xi*l*d (direct cost of keeping the user),
-    tg = theta*d*lam (unlearning sensitivity, reward weight applied later),
-    e = l^2 (burden the user adds if they finally leave), e_tot its sum.
-    """
 
-    ids: np.ndarray
-    user: UserTerms
-    c: np.ndarray
-    tg: np.ndarray
-    e: np.ndarray
-    e_tot: float
-    cfg: GameConfig
+def _mask(ids, members) -> np.ndarray:
+    members = np.asarray(members, dtype=int)
+    sel = np.isin(ids, members)
+    if members.size != np.count_nonzero(sel):
+        raise ValueError("retained users must be revokers")
+    return sel
 
-    @classmethod
-    def of(cls, revokers, population, terms, cfg) -> "_Revokers":
-        ids = np.asarray(revokers, dtype=int)
-        user = terms.take(ids)
-        v = population.shapley[ids]
-        e = user.l2
-        return cls(
-            ids=ids,
-            user=user,
-            # ((gamma xi) l) d, not gamma ((xi l) d): the grouping decides
-            # near-tie choices, so the output bytes depend on it
-            c=v + cfg.gamma * user.xi * user.loss * user.d,
-            tg=user.theta_d * cfg.lam,
-            e=e,
-            e_tot=float(e.sum()),
-            cfg=cfg,
-        )
 
-    def mask(self, members) -> np.ndarray:
-        members = np.asarray(members, dtype=int)
-        sel = np.isin(self.ids, members)
-        if members.size != int(np.sum(sel)):
-            raise ValueError("retained users must be revokers")
-        return sel
-
-    def payments(self, leave_mass):
-        """Indifference payments rU = -(stay margin) at the given leaver
-        mass; 0.0 - m rather than -m keeps a zero at +0.0."""
-        return 0.0 - self.user.stay_margin(self.tg, leave_mass)
-
-    def objective(self, sel: np.ndarray) -> float:
-        """Relative cost of retaining the selected revokers; the leaver mass
-        is e_tot minus the selected burden, as in f(S)."""
-        leave = self.e_tot - float(np.sum(self.e[sel]))
-        return float(np.sum(self.c[sel]) + self.cfg.gamma * np.sum(self.tg[sel]) * leave)
-
-    def incentives(self, sel: np.ndarray) -> np.ndarray:
-        """Payments of the selected revokers, aligned with ids[sel], at the
-        leaver mass of the unselected ones.  That mass is summed over them,
-        not taken as e_tot minus the selected: the output bytes depend on it."""
-        return self.payments(float(self.e[~sel].sum()))[sel]
-
-    def result(self, sel: np.ndarray, objective: float) -> RetentionResult:
-        return RetentionResult(
-            retained=self.ids[sel], incentives=self.incentives(sel), objective=objective
-        )
+def _retained(ids, e, sel, terms, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The selected revokers' ids and their indifference payments rU = -(stay
+    margin) at the leaver mass of the unselected ones.  That mass is summed
+    over them, not taken as E_tot minus the selected, and 0.0 - m rather
+    than -m keeps a zero at +0.0: the output bytes depend on both."""
+    kept = ids[sel]
+    margin = terms.stay_margin(
+        terms.theta_d[kept] * cfg.lam, float(e[~sel].sum()), base=terms.stay_base(users=kept)
+    )
+    return kept, 0.0 - margin
 
 
 def retention_objective(
@@ -132,8 +104,9 @@ def retention_objective(
     with the leaver sum over revokers outside the subset.  Retaining nobody
     scores 0.
     """
-    rv = _Revokers.of(revokers, population, terms, cfg)
-    return rv.objective(rv.mask(subset))
+    ids, (c, g, e) = _pieces(revokers, population, terms, cfg)
+    sel = _mask(ids, subset)
+    return float(c[sel].sum() + g[sel].sum() * (e.sum() - e[sel].sum()))
 
 
 def _breakpoints(pieces, e_tot) -> np.ndarray:
@@ -144,7 +117,7 @@ def _breakpoints(pieces, e_tot) -> np.ndarray:
     c_i + L g_i, where k_i jumps between -inf and +inf; pairs that never
     swap give inf or NaN, which fall outside."""
     cg, e = pieces[:2], pieces[2]
-    cuts = [np.array([0.0, e_tot, e_tot])]
+    cuts = [(0.0, e_tot, e_tot)]
     rows = max(1, _CHUNK // max(len(e), 1))
     for lo in range(0, len(e), rows):
         # (c_i e_k - e_i c_k, g_i e_k - e_i g_k) for i in the chunk, every k
@@ -158,10 +131,10 @@ def _breakpoints(pieces, e_tot) -> np.ndarray:
 
 def _order(pieces, levels) -> np.ndarray:
     """Revokers sorted by k_i(L) = (c_i + L g_i) / e_i, one row per leaver
-    mass L.  A user with e_i = 0 keys at -inf while c_i + L g_i < 0, else at
-    +inf or NaN, which sorts last."""
+    mass L, or one order for a single L.  A user with e_i = 0 keys at -inf
+    while c_i + L g_i < 0, else at +inf or NaN, which sorts last."""
     c, g, e = pieces
-    return ((c + levels[:, None] * g) / e).argsort(axis=1, kind="stable")
+    return ((c + levels[..., None] * g) / e).argsort(axis=-1, kind="stable")
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -182,30 +155,31 @@ def optimal_retention(
     Objectives that differ by less than their rounding error count as equal,
     so the size rule decides ties that rounding would break at random.
     """
-    rv = _Revokers.of(revokers, population, terms, cfg)
-    pieces, e_tot = np.array([rv.c, cfg.gamma * rv.tg, rv.e]), rv.e_tot
-    n = len(rv.e)
+    ids, pieces = _pieces(revokers, population, terms, cfg)
+    e_tot, n = float(pieces[2].sum()), len(ids)
     points = _breakpoints(pieces, e_tot)
     levels = (points[:-1] + points[1:]) / 2
     # per prefix size, the lowest objective over the orders read so far and
     # the leaver mass of the order that reached it; the empty set scores 0
     best, at = np.zeros(n + 1), np.zeros(n + 1)
-    best[1:] = np.inf
+    tail, at_tail = best[1:], at[1:]
+    tail[:] = np.inf
     rows = max(1, _CHUNK // max(n, 1))
     for lo in range(0, len(levels), rows):
         chunk = levels[lo : lo + rows]
-        C, G, E = pieces[:, _order(pieces, chunk)].cumsum(axis=2)
+        C, G, E = pieces.take(_order(pieces, chunk), axis=1).cumsum(axis=2)
         objective = C + G * (e_tot - E)
         low = objective.min(axis=0)
-        at[1:] = np.where(low < best[1:], chunk[objective.argmin(axis=0)], at[1:])
-        np.minimum(best[1:], low, out=best[1:])
+        np.copyto(at_tail, chunk[objective.argmin(axis=0)], where=low < tail)
+        np.minimum(tail, low, out=tail)
     # a bound on the rounding error of any prefix's objective
     scale = np.abs(pieces[:2]).sum(axis=1)
     rounding = 4 * n * _EPS * (scale[0] + scale[1] * e_tot)
     size = int((best <= best.min() + rounding).argmax())
     sel = np.zeros(n, dtype=bool)
-    sel[_order(pieces, at[size : size + 1])[0, :size]] = True
-    return rv.result(sel, float(best[size]))
+    sel[_order(pieces, at[size])[:size]] = True
+    kept, payments = _retained(ids, pieces[2], sel, terms, cfg)
+    return RetentionResult(retained=kept, incentives=payments, objective=float(best[size]))
 
 
 def retention_incentives(
@@ -222,5 +196,5 @@ def retention_incentives(
     where the sum covers revokers neither retained nor equal to i.  Values
     may be negative (a charge to stay).
     """
-    rv = _Revokers.of(revokers, population, terms, cfg)
-    return rv.incentives(rv.mask(retained))
+    ids, pieces = _pieces(revokers, population, terms, cfg)
+    return _retained(ids, pieces[2], _mask(ids, retained), terms, cfg)[1]

@@ -42,20 +42,26 @@ def _sweep_profile(terms, cfg, q_bar, start_high: bool) -> RevocationProfile:
     base = terms.stay_base()
     n = len(l2)
     x = np.full(n, start_high, dtype=bool)
+    # the ascent starts from the empty set's mass and count
+    mass, count = 0.0, 0
     for iterations in range(1, n + 2):
-        mass = float(np.sum(l2[x]))
         if start_high:
+            mass = float(l2[x].sum())
             # own squared loss never enters one's own externality sum
             margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0), base=base)
             movers = x & (margin >= 0.0)
             x = x & ~movers
+            if not movers.any():
+                break
         else:
-            # a stayer's burden is the whole mass; revokers' margins go unread
-            margin = terms.stay_margin(w, mass, base=base)
-            movers = ~x & (margin < 0.0)
-            x = x | movers
-        if not movers.any():
-            break
+            # a stayer's burden is the whole mass.  The OR keeps every revoker
+            # revoking, since rounding does not promise that a superset's mass
+            # is no smaller; x only grows, so a count that stops rising ends it
+            x |= terms.stay_margin(w, mass, base=base) < 0.0
+            grown = np.count_nonzero(x)
+            if grown == count:
+                break
+            mass, count = float(l2[x].sum()), grown
     else:
         raise RuntimeError("best-response sweeps failed to settle")
     return RevocationProfile(x=x, iterations=iterations)
@@ -83,7 +89,7 @@ def verify_nash(x: np.ndarray, terms: UserTerms, cfg: GameConfig, q_bar: float) 
     x = np.asarray(x, dtype=bool)
     w = terms.theta_d * cfg.lam * (1.0 - q_bar)
     l2 = terms.l2
-    margin = terms.stay_margin(w, float(np.sum(l2[x])) - np.where(x, l2, 0.0))
+    margin = terms.stay_margin(w, float(l2[x].sum()) - np.where(x, l2, 0.0))
     # a revoker with positive margin would rather stay; a stayer with
     # negative margin would rather revoke
     return bool(np.all(np.where(x, margin <= 0.0, margin >= 0.0)))

@@ -42,8 +42,9 @@ def rng():
 
 @pytest.fixture
 def per_type_calls(monkeypatch):
-    """Every Contract.per_type call, counted: Stage II maps users to their
-    menu items once per population, so each call is one resolution."""
+    """Every Contract.per_type call, counted: Contract.type_terms calls it
+    when it forms a menu's per-type view, which every play of the menu with
+    the same types then gathers from."""
     calls = []
     per_type = Contract.per_type
 

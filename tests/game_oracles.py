@@ -6,15 +6,19 @@ profile of the revocation game whose extremes `revocation.lower_equilibrium`
 and `upper_equilibrium` reach by best-response sweeps, and
 `sweep_profile_oracle` runs those sweeps with the whole stay margin formed
 anew on every sweep; `retention_enumeration`
-scores every subset of revokers and `min_cut_retention_oracle` solves Stage IV
-as a minimum s-t cut, both for `retention.optimal_retention`.  Tests compare
-the library against them.
+scores every subset of revokers, `min_cut_retention_oracle` solves Stage IV
+as a minimum s-t cut and `retention_solve_oracle` keeps the solve as written
+before its gathers were trimmed, all for `retention.optimal_retention`.
+Tests compare the library against them.
 """
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from fedincentives.model import GameConfig, Population, UserTerms
+from fedincentives.retention import RetentionResult
 from fedincentives.revocation import verify_nash
 
 # relative slack of the oracle's own comparisons, set apart from the
@@ -236,3 +240,143 @@ def min_cut_retention_oracle(revokers, population, terms, cfg) -> np.ndarray:
             residual[v, u] += push
         parent = reached()
     return ids[parent[:n] >= 0]
+
+
+# --- the Stage-IV solve as it stood before its gathers were trimmed ---
+#
+# retention_solve_oracle is retention.optimal_retention as it was written
+# when it gathered every column of the revokers' terms, formed every
+# revoker's payment and stacked c, gamma g and e afterwards: kept verbatim
+# apart from its name and the two helper methods the solve never called, so
+# that the library's solve must return the same bytes.
+
+_CHUNK = 1 << 16
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass
+class _Revokers:
+    """Per-revoker pieces of the objective.
+
+    user holds the revokers' terms of the stay margin, taken from the play's
+    terms together with the products Stage III formed there (l^2, theta d
+    and (xi l) d), so that e, tg and the payments gather them rather than
+    form them again:
+    c = v + gamma*xi*l*d (direct cost of keeping the user),
+    tg = theta*d*lam (unlearning sensitivity, reward weight applied later),
+    e = l^2 (burden the user adds if they finally leave), e_tot its sum.
+    """
+
+    ids: np.ndarray
+    user: UserTerms
+    c: np.ndarray
+    tg: np.ndarray
+    e: np.ndarray
+    e_tot: float
+    cfg: GameConfig
+
+    @classmethod
+    def of(cls, revokers, population, terms, cfg) -> "_Revokers":
+        ids = np.asarray(revokers, dtype=int)
+        user = terms.take(ids)
+        v = population.shapley[ids]
+        e = user.l2
+        return cls(
+            ids=ids,
+            user=user,
+            # ((gamma xi) l) d, not gamma ((xi l) d): the grouping decides
+            # near-tie choices, so the output bytes depend on it
+            c=v + cfg.gamma * user.xi * user.loss * user.d,
+            tg=user.theta_d * cfg.lam,
+            e=e,
+            e_tot=float(e.sum()),
+            cfg=cfg,
+        )
+
+    def payments(self, leave_mass):
+        """Indifference payments rU = -(stay margin) at the given leaver
+        mass; 0.0 - m rather than -m keeps a zero at +0.0."""
+        return 0.0 - self.user.stay_margin(self.tg, leave_mass)
+
+    def incentives(self, sel: np.ndarray) -> np.ndarray:
+        """Payments of the selected revokers, aligned with ids[sel], at the
+        leaver mass of the unselected ones.  That mass is summed over them,
+        not taken as e_tot minus the selected: the output bytes depend on it."""
+        return self.payments(float(self.e[~sel].sum()))[sel]
+
+    def result(self, sel: np.ndarray, objective: float) -> RetentionResult:
+        return RetentionResult(
+            retained=self.ids[sel], incentives=self.incentives(sel), objective=objective
+        )
+
+
+def _breakpoints(pieces, e_tot) -> np.ndarray:
+    """The leaver masses L in [0, e_tot] where the key order may change,
+    sorted: both ends (e_tot twice, so that it is also the last midpoint)
+    and every L inside where keys k_i and k_k swap, (c_i + L g_i) e_k =
+    (c_k + L g_k) e_i.  With e_i = 0 < e_k that is the sign change of
+    c_i + L g_i, where k_i jumps between -inf and +inf; pairs that never
+    swap give inf or NaN, which fall outside."""
+    cg, e = pieces[:2], pieces[2]
+    cuts = [np.array([0.0, e_tot, e_tot])]
+    rows = max(1, _CHUNK // max(len(e), 1))
+    for lo in range(0, len(e), rows):
+        # (c_i e_k - e_i c_k, g_i e_k - e_i g_k) for i in the chunk, every k
+        rise, slope = cg[:, lo : lo + rows, None] * e - e[lo : lo + rows, None] * cg[:, None]
+        cut = rise / -slope
+        cuts.append(cut[(cut > 0) & (cut < e_tot)])
+    points = np.concatenate(cuts)
+    points.sort()
+    return points
+
+
+def _order(pieces, levels) -> np.ndarray:
+    """Revokers sorted by k_i(L) = (c_i + L g_i) / e_i, one row per leaver
+    mass L.  A user with e_i = 0 keys at -inf while c_i + L g_i < 0, else at
+    +inf or NaN, which sorts last."""
+    c, g, e = pieces
+    return ((c + levels[:, None] * g) / e).argsort(axis=1, kind="stable")
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def retention_solve_oracle(
+    revokers,
+    population: Population,
+    terms: UserTerms,
+    cfg: GameConfig,
+) -> RetentionResult:
+    """The least minimizer of the retention objective over subsets of
+    revokers: lowest objective first, then fewest members.
+
+    The least minimizer is a prefix of the key order at a leaver mass in
+    [0, E_tot] (module docstring), and that order is fixed between the
+    crossings of the keys.  Reading it at the middle of every interval
+    between crossings, and at E_tot, covers every order the keys take there;
+    each order's n prefixes past the empty set are scored with three cumsums.
+    Objectives that differ by less than their rounding error count as equal,
+    so the size rule decides ties that rounding would break at random.
+    """
+    rv = _Revokers.of(revokers, population, terms, cfg)
+    pieces, e_tot = np.array([rv.c, cfg.gamma * rv.tg, rv.e]), rv.e_tot
+    n = len(rv.e)
+    points = _breakpoints(pieces, e_tot)
+    levels = (points[:-1] + points[1:]) / 2
+    # per prefix size, the lowest objective over the orders read so far and
+    # the leaver mass of the order that reached it; the empty set scores 0
+    best, at = np.zeros(n + 1), np.zeros(n + 1)
+    best[1:] = np.inf
+    rows = max(1, _CHUNK // max(n, 1))
+    for lo in range(0, len(levels), rows):
+        chunk = levels[lo : lo + rows]
+        C, G, E = pieces[:, _order(pieces, chunk)].cumsum(axis=2)
+        objective = C + G * (e_tot - E)
+        low = objective.min(axis=0)
+        at[1:] = np.where(low < best[1:], chunk[objective.argmin(axis=0)], at[1:])
+        np.minimum(best[1:], low, out=best[1:])
+    # a bound on the rounding error of any prefix's objective
+    scale = np.abs(pieces[:2]).sum(axis=1)
+    rounding = 4 * n * _EPS * (scale[0] + scale[1] * e_tot)
+    size = int((best <= best.min() + rounding).argmax())
+    sel = np.zeros(n, dtype=bool)
+    sel[_order(pieces, at[size : size + 1])[0, :size]] = True
+    return rv.result(sel, float(best[size]))

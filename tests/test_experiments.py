@@ -1,4 +1,5 @@
 """Pipeline assembly and mechanism comparison."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fedincentives.experiments import (
 from fedincentives.model import (
     GameConfig,
     Population,
+    UserTerms,
     UserTypeSpec,
     _require,
     mean_retention_rate,
@@ -167,9 +169,41 @@ def test_outcome_books_every_retention_payment(packaged, retention):
 
 @pytest.mark.parametrize("retention", ["none", "all", "optimal"])
 def test_run_pipeline_resolves_stage_two_once(packaged, per_type_calls, retention):
+    """A fresh menu's first play forms its per-type view, and later plays of
+    the same menu with the same types only gather from it."""
     setup, menu, pop = packaged
-    run_pipeline("RAR", menu, setup.types, setup.cfg, pop, retention=retention)
-    assert len(per_type_calls) == 1
+    fresh = replace(menu)
+    first = run_pipeline("RAR", fresh, setup.types, setup.cfg, pop, retention=retention)
+    assert per_type_calls == [fresh]
+    second = run_pipeline("RAR", fresh, list(setup.types), setup.cfg, pop, retention=retention)
+    assert per_type_calls == [fresh]
+    assert first.cost == second.cost and np.array_equal(first.payoffs, second.payoffs)
+
+
+def test_per_type_view_follows_the_types(packaged, per_type_calls):
+    """Types that differ from the ones a menu's view was formed for form it
+    anew, and users read the new types' cost rates."""
+    setup, menu, pop = packaged
+    fresh = replace(menu)
+    UserTerms.of(pop, fresh, setup.types)
+    costlier = [replace(t, xi=2.0 * t.xi) for t in setup.types]
+    terms = UserTerms.of(pop, fresh, costlier)
+    assert len(per_type_calls) == 2
+    assert np.array_equal(terms.xi, 2.0 * np.array([t.xi for t in setup.types])[pop.type_idx])
+
+
+def test_harnesses_form_the_per_type_view_once_per_menu(per_type_calls):
+    """compare_costs at the packaged default with two trials plays 15 menus
+    (5 sizes x 3 mechanisms) 30 times; find_stationary_rates plays each grid
+    point's menu and each refine step's menu against every trial."""
+    setup = load_config(None)
+    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
+                  setup.experiment.user_counts, trials=2)
+    assert len(per_type_calls) == 15
+    per_type_calls.clear()
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
+                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    assert len(per_type_calls) == 2 + 1
 
 
 def test_forced_all_mode_retains_every_revoker(rng):
@@ -273,6 +307,27 @@ def test_stationary_search_designs_once_per_point_and_step(rng, design_calls):
     find_stationary_rates(types, cfg, model, p_grid=[0.0, 0.05], q_grid=[0.0, 0.5],
                           trials=3, seed=0, refine_steps=1, refine_trials=3)
     assert len(design_calls) == 2 * 2 + 1
+
+
+@pytest.mark.parametrize("harness, bad, rule", [
+    ("stationary", {"trials": 0}, "trials must be positive"),
+    ("stationary", {"p_grid": []}, "p_grid must not be empty"),
+    ("stationary", {"q_grid": [2.0]}, "q_grid values must lie in [0, 1]"),
+    ("stationary", {"refine_damping": 0.0}, "refine_damping must lie in (0, 1]"),
+    ("compare", {"trials": 0}, "trials must be positive"),
+    ("compare", {"user_counts": []}, "user_counts must not be empty"),
+    ("compare", {"mechanisms": []}, "mechanisms must not be empty"),
+])
+def test_harnesses_check_their_arguments(harness, bad, rule):
+    """The harnesses meet the rules ExperimentConfig states for the keys that
+    feed them, as a ValueError naming the argument, before any play."""
+    setup = load_config(None)
+    args = (setup.types, setup.cfg, setup.sampling)
+    with pytest.raises(ValueError, match="^" + re.escape(rule)):
+        if harness == "stationary":
+            find_stationary_rates(*args, **{"p_grid": [0.0], "q_grid": [0.5], **bad})
+        else:
+            compare_costs(*args, **bad)
 
 
 def test_compare_costs_rejects_repeated_mechanisms(rng):

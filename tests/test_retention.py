@@ -18,7 +18,12 @@ from fedincentives.retention import (
     retention_objective,
 )
 
-from game_oracles import min_cut_retention_oracle, retention_enumeration, retention_pieces
+from game_oracles import (
+    min_cut_retention_oracle,
+    retention_enumeration,
+    retention_pieces,
+    retention_solve_oracle,
+)
 
 
 def _setup(v, xi, losses, theta=None, rl=None, lam=1.0, gamma=1.0):
@@ -302,3 +307,67 @@ def test_exact_dominates_empty(rng):
         pop, terms, cfg = _random_retention_instance(rng, n)
         res = optimal_retention(list(range(n)), pop, terms, cfg)
         assert res.objective <= 0.0
+
+
+def _oracle_instance(rng, kind):
+    """Random Stage-IV instance on 0-60 of 80 users.  "ties" draws every
+    value from a few exact ones, so that keys, objectives and crossings tie
+    exactly; "zero loss" gives some revokers l = 0 (e = 0); "positive" keeps
+    every c >= 0, "mixed" lets c take either sign; "lambda 0" removes the
+    unlearning term (g = 0)."""
+    I = 80
+    if kind == "ties":
+        pick = lambda *vals: rng.choice(vals, size=I)
+        d, theta, xi = pick(1.0, 2.0), pick(1.0, 2.0, 4.0), pick(0.5, 1.0)
+        loss, r, v = pick(0.5, 1.0), pick(0.0, 1.0, 3.0), pick(-4.0, -1.0, 0.0, 0.5, 1.0)
+        cfg = GameConfig(T=10.0, lam=0.5, gamma=1.0)
+    else:
+        d = rng.uniform(50.0, 500.0, size=I)
+        theta = rng.uniform(0.5, 10.0, size=I)
+        xi = rng.uniform(100.0, 2500.0, size=I)
+        loss = rng.uniform(0.0, 1.0, size=I)
+        r = rng.uniform(0.0, 2e5, size=I)
+        v = rng.normal(0.0, 0.04, size=I)
+        cfg = GameConfig(lam=0.0 if kind == "lambda 0" else 0.04,
+                         gamma=float(10.0 ** rng.uniform(-10, -6)))
+        if kind == "positive":
+            v = np.abs(v)
+    if kind == "zero loss":
+        loss[rng.random(I) < 0.3] = 0.0
+    terms = UserTerms(d=d, r=r, theta=theta, xi=xi, loss=loss)
+    pop = Population(type_idx=np.zeros(I, dtype=int), loss=loss, shapley=v)
+    n = int(rng.integers(0, 61))
+    revokers = np.sort(rng.choice(I, size=n, replace=False))
+    return revokers, pop, terms, cfg
+
+
+def test_solve_matches_the_pre_trim_oracle_bit_for_bit(rng):
+    """The solve returns the bytes of the solve as written before its gathers
+    were trimmed: retained ids, payments and objective, on random instances
+    with exact ties, zero-loss revokers, c of one sign or both, and lam = 0,
+    and with payments of exactly zero."""
+
+    def same_bytes(revokers, pop, terms, cfg):
+        got = optimal_retention(revokers, pop, terms, cfg)
+        want = retention_solve_oracle(revokers, pop, terms, cfg)
+        assert got.retained.tobytes() == want.retained.tobytes()
+        assert got.incentives.tobytes() == want.incentives.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        return got
+
+    kinds = ("ties", "zero loss", "positive", "mixed", "lambda 0")
+    sizes, zeros = set(), 0
+    for k in range(400):
+        revokers, pop, terms, cfg = _oracle_instance(rng, kinds[k % len(kinds)])
+        sizes.add(len(revokers))
+        kept = same_bytes(revokers, pop, terms, cfg).retained
+        if k % len(kinds) == 0:
+            # r does not enter f(S): give the retained revokers the reward that
+            # leaves them exactly indifferent at the settled leaver mass, exact
+            # in these dyadic values, so that their payments are zeros
+            leave = float(np.sum(terms.loss[np.setdiff1d(revokers, kept)] ** 2))
+            r = terms.r.copy()
+            r[kept] = (terms.xi * terms.loss * terms.d + terms.theta * terms.d * cfg.lam * leave)[kept]
+            paid = same_bytes(revokers, pop, replace(terms, r=r), cfg).incentives
+            zeros += int(np.count_nonzero(paid == 0.0))
+    assert {0, 1, 60} <= sizes and zeros >= 100

@@ -323,8 +323,22 @@ def test_exact_tie_stays_in_both_directions():
 def test_sweeps_match_the_pre_hoist_oracle(rng):
     """Both sweep directions, with the margin's fixed part formed once per
     call, settle where the sweeps that form the whole margin every time
-    settle, after as many sweeps: on random instances, on the same with
-    stayers moved to the edge of revoking, and on exact ties."""
+    settle, after as many sweeps: on an all-stay instance, on a cascade
+    where each ascent sweep adds one revoker, on random instances, on the
+    same with stayers moved to the edge of revoking, and on exact ties."""
+    # user k revokes once k others have (margin k + 0.5 - 1 - mass); the
+    # last user never does, so the ascent takes 6 adding sweeps and 1 more
+    cascade = _manual_setup(rl=[k + 0.5 for k in range(6)] + [50.0], xi=[1.0] * 7,
+                            losses=[1.0] * 7)
+    all_stay = _manual_setup(rl=[5.0, 4.0, 3.0], xi=[1.0] * 3, losses=[1.0] * 3)
+    for drawn, revokers, sweeps in ((all_stay, 0, 1), (cascade, 6, 7)):
+        for solve, start_high in ((lower_equilibrium, False), (upper_equilibrium, True)):
+            oracle = sweep_profile_oracle(*drawn, start_high)
+            profile = solve(*drawn)
+            assert np.array_equal(profile.x, oracle.x)
+            assert profile.iterations == oracle.iterations
+        low = lower_equilibrium(*drawn)
+        assert (int(low.x.sum()), low.iterations) == (revokers, sweeps)
     seen = {"cascade": 0, "descent": 0, "one user": 0, "lambda 0": 0, "q_bar 1": 0,
             "zero loss": 0, "duplicates": 0, "tie": 0}
     for k in range(900):
