@@ -358,13 +358,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         setup = load_config(args.config)
+        if args.seed is not None:
+            setup.cfg = replace(setup.cfg, seed=args.seed)
     except ValueError as exc:
-        # ConfigError subclasses ValueError; domain validation raised during
-        # loading is a configuration problem too
+        # ConfigError subclasses ValueError; a domain rule broken while
+        # loading, or by the --seed override, is a configuration problem too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is None:
-        args.seed = setup.cfg.seed
+    args.seed = setup.cfg.seed
     try:
         return args.func(args, setup)
     except (ValueError, ZeroDivisionError, RuntimeError, np.linalg.LinAlgError) as exc:

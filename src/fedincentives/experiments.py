@@ -66,7 +66,8 @@ _STREAM_COMPARE = 4
 # through each name and reads their `revokers` argument, and run_pipeline
 # calls the first up to 20 revokers and the second beyond.  The split only
 # names the call for the tracer; it goes when the tracer gives Stage IV one
-# span.
+# span.  retention_incentives is imported for the tracer alone, which patches
+# it here; no play calls it.
 optimal_retention_exact = optimal_retention_heuristic = optimal_retention
 
 
@@ -148,7 +149,6 @@ def run_pipeline(
     types: list[UserTypeSpec],
     cfg: GameConfig,
     population: Population,
-    retention: str | None = None,
 ) -> Outcome:
     """Acceptance, revocation equilibrium, retention and realized cost of one
     population under a given menu (mechanism_contract prices it).
@@ -156,10 +156,9 @@ def run_pipeline(
     Stage II is resolved once into the users' terms, which every later stage
     reads.  The population is only read: the play's revoke and retained masks
     go on the Outcome, so one draw can be shared across mechanisms (common
-    random numbers).  NRI retains nobody, and RAR and LLA retain optimally,
-    unless `retention` forces a Stage-IV mode (optimal / none / all), which
-    gives controlled comparisons that differ in retention only.  Optimal
-    retention keeps the least minimizer of the Stage-IV objective.
+    random numbers).  NRI retains nobody, and RAR and LLA keep the least
+    minimizer of the Stage-IV objective.  The mechanism picks Stage IV alone,
+    so playing a menu as NRI ablates Stage IV and nothing else.
     """
     mech = _mechanism_name(mechanism)
     terms = UserTerms.of(population, contract, types)
@@ -168,16 +167,10 @@ def run_pipeline(
     revoke = lower_equilibrium(terms, cfg, q_bar).x
     revokers = np.flatnonzero(revoke)
 
-    mode = retention if retention is not None else ("none" if mech == "NRI" else "optimal")
-    if mode not in ("none", "all", "optimal"):
-        raise ValueError(f"unknown retention mode {mode!r}")
     retention_result: RetentionResult | None = None
-    if mode == "none" or len(revokers) == 0:
+    if mech == "NRI" or len(revokers) == 0:
         retained_ids = np.array([], dtype=int)
         payments = np.zeros(0)
-    elif mode == "all":
-        retained_ids = revokers
-        payments = retention_incentives(retained_ids, revokers, population, terms, cfg)
     else:
         solve = optimal_retention_exact if len(revokers) <= 20 else optimal_retention_heuristic
         retention_result = solve(revokers, population, terms, cfg)
@@ -315,7 +308,7 @@ def find_stationary_rates(
             revoked += np.count_nonzero(outcome.revoke)
             retained += np.count_nonzero(outcome.retained)
             cost_acc += outcome.cost
-        p_hat = revoked / users if users else 0.0
+        p_hat = revoked / users
         q_hat = retained / revoked if revoked else 0.0
         return p_hat, q_hat, cost_acc / len(populations)
 

@@ -371,19 +371,18 @@ def scaffold_train(
 def check_gap_bound(
     trace: TrainTrace,
     problem: LearnProblem,
-    d0: float | None = None,
     b_fit: float | None = None,
-    rel_tol: float = 1e-9,
 ) -> dict:
     """Fit or verify the decay envelope gap_t <= (b*V + d0)/(t+1).
 
-    V = sigma^2/I * sum_i 1/s_i is the batch-limited noise scale; d0 defaults
-    to the observed initial gap.  The check uses mean + 2 stderr so seed
-    noise cannot fail a true bound.  Returns the smallest feasible constant
-    b_min, the implied bound curve, and a pass flag when b_fit was supplied.
+    V = sigma^2/I * sum_i 1/s_i is the batch-limited noise scale and d0 the
+    observed initial gap.  The check uses mean + 2 stderr so seed noise
+    cannot fail a true bound, and a relative slack of 1e-9.  Returns the
+    smallest feasible constant b_min, the implied bound curve, and a pass
+    flag when b_fit was supplied.
     """
-    if d0 is None:
-        d0 = float(trace.gap[0])
+    d0 = float(trace.gap[0])
+    rel_tol = 1e-9
     V = problem.noise_sigma2 / problem.users * float(np.sum(1.0 / problem.batch_sizes))
     t = trace.rounds.astype(float)
     upper = trace.gap + 2.0 * trace.gap_stderr

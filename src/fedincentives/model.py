@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -203,19 +202,17 @@ class Population:
         return len(self.type_idx)
 
 
-# the per-user products UserTerms forms once and take gathers
-_PRODUCTS = ("l2", "theta_d", "xi_l_d")
-
-
 @dataclass(frozen=True)
 class UserTerms:
     """Stage II played out: each user's menu item and cost rates, gathered
     from its type's column of Contract.type_terms, and its realized loss.
     Stages III-IV read users' terms only from here.
 
-    The per-user products that several stages read, l2 = l^2, theta_d =
-    theta d and xi_l_d = (xi l) d, are formed once, on first use, and
-    `take` gathers the formed ones instead of forming them again.
+    The per-user products that several stages read are formed once, on
+    construction, since every play reads all three: l2 = l^2, a leaver's
+    burden; theta_d = theta d, the training cost per round and the unlearning
+    weight; xi_l_d = (xi l) d, the privacy cost of staying.  Being
+    elementwise, the products `take` forms have the bits of gathering them.
     """
 
     d: np.ndarray
@@ -223,34 +220,23 @@ class UserTerms:
     theta: np.ndarray
     xi: np.ndarray
     loss: np.ndarray
+    l2: np.ndarray = field(init=False)
+    theta_d: np.ndarray = field(init=False)
+    xi_l_d: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "l2", self.loss ** 2)
+        object.__setattr__(self, "theta_d", self.theta * self.d)
+        object.__setattr__(self, "xi_l_d", self.xi * self.loss * self.d)
 
     @classmethod
     def of(cls, population, contract, types) -> "UserTerms":
         d, r, theta, xi = contract.type_terms(types).take(population.type_idx, axis=1)
         return cls(d=d, r=r, theta=theta, xi=xi, loss=population.loss)
 
-    @cached_property
-    def l2(self) -> np.ndarray:
-        """Squared losses: the burden each user leaves behind."""
-        return self.loss ** 2
-
-    @cached_property
-    def theta_d(self) -> np.ndarray:
-        """theta d, the training cost per round and the unlearning weight."""
-        return self.theta * self.d
-
-    @cached_property
-    def xi_l_d(self) -> np.ndarray:
-        """(xi l) d, the privacy cost of staying."""
-        return self.xi * self.loss * self.d
-
     def take(self, users) -> "UserTerms":
         """The terms of the given users (an index, index array or mask)."""
-        taken = UserTerms(*(getattr(self, f.name)[users] for f in fields(self)))
-        for name in _PRODUCTS:
-            if name in vars(self):
-                object.__setattr__(taken, name, vars(self)[name][users])
-        return taken
+        return UserTerms(*(getattr(self, f.name)[users] for f in fields(self) if f.init))
 
     def stay_base(self, sunk=0.0, users=...):
         """r - sunk - xi l d, the fixed part of the stay margin, of the users
@@ -413,7 +399,7 @@ def stage4_realized_cost(
     cfg: GameConfig,
     revoke: np.ndarray,
     retained: np.ndarray,
-    incentives: np.ndarray | None = None,
+    incentives: np.ndarray,
 ) -> tuple[float, dict[str, float]]:
     """Realized server cost after retention, for revoker and retained masks.
 
@@ -425,9 +411,7 @@ def stage4_realized_cost(
     stay = ~revoke | retained
     accuracy = float(population.shapley[stay].sum())
     rewards = cfg.gamma * _running_sum(terms.r[stay])
-    retention = 0.0
-    if incentives is not None and retained.any():
-        retention = cfg.gamma * float(incentives[retained].sum())
+    retention = cfg.gamma * float(incentives[retained].sum())
     total = accuracy + rewards + retention
     parts = {
         "accuracy": accuracy,

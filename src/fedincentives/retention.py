@@ -16,8 +16,8 @@ minimizer S is {i : k_i(L) < G(S)} for the keys k_i(L) = (c_i + L g_i) / e_i
 at L = E_tot - E(S) in [0, E_tot], so it is a prefix of the key order there.
 The incentive payment makes each retained user exactly indifferent between
 staying and leaving; it may be negative, a charge to stay.  e, theta d and
-the payments' (xi l) d are the per-play products that Stage III formed on
-UserTerms, gathered for the revokers; c keeps its own grouping.
+the payments' (xi l) d are the per-play products that UserTerms formed in
+Stage II, gathered for the revokers; c keeps its own grouping.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ class RetentionResult:
 
 def _pieces(revokers, population, terms, cfg) -> tuple[np.ndarray, np.ndarray]:
     """The revokers' ids and the rows c, gamma g and e of f(S), in one
-    (3, n) array gathered from the play's terms and the products Stage III
-    formed there (l^2 and theta d): c = v + gamma xi l d, the direct cost of
+    (3, n) array gathered from the play's terms and the products formed
+    there (l^2 and theta d): c = v + gamma xi l d, the direct cost of
     keeping the user; g = theta d lam, the unlearning sensitivity; e = l^2,
     the burden the user adds if they finally leave."""
     ids = np.asarray(revokers, dtype=int)

@@ -387,6 +387,16 @@ def test_out_of_domain_value_exit_1(tmp_path, capsys, command, old, new, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "compare"])
+def test_negative_seed_flag_exit_1(cfg_path, tmp_path, capsys, command):
+    """--seed meets GameConfig's seed rule as a configuration error, before
+    any population is drawn."""
+    out = str(tmp_path / "o")
+    assert _run([command, "--config", cfg_path, "--seed", "-1", "--out-dir", out]) == 1
+    assert "config error: seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -22,8 +22,10 @@ from fedincentives.model import (
     UserTypeSpec,
     _require,
     mean_retention_rate,
+    stage4_realized_cost,
 )
 from fedincentives.population import SamplingModel, realized_rates, sample_population
+from fedincentives.retention import retention_incentives
 
 from conftest import random_cfg, random_types
 
@@ -40,11 +42,11 @@ def _economy(rng, J=None, count_hi=60):
     return types, cfg, model
 
 
-def _play(mechanism, types, cfg, model, seed, **kwargs):
+def _play(mechanism, types, cfg, model, seed):
     """The mechanism's own menu played against the population drawn at seed."""
     contract = mechanism_contract(mechanism, types, cfg)
     pop = sample_population(types, model, seed)
-    return run_pipeline(mechanism, contract, types, cfg, pop, **kwargs)
+    return run_pipeline(mechanism, contract, types, cfg, pop)
 
 
 def _same_menu(a, b):
@@ -102,19 +104,24 @@ def test_nri_never_pays_retention(rng):
 
 def test_optimal_retention_weakly_beats_forced_modes(rng):
     """With the contract and revocation outcome held fixed, the optimal
-    Stage-IV choice can only lower realized cost versus retaining nobody
-    and versus retaining everyone."""
+    Stage-IV choice can only lower realized cost versus retaining nobody (the
+    menu played as NRI) and versus retaining everyone (every revoker paid its
+    indifference payment)."""
     for trial in range(25):
         types, cfg, model = _economy(rng)
         pop = sample_population(types, model, seed=trial)
-        base = dict(contract=design_contract(types, cfg), types=types, cfg=cfg,
-                    population=pop)
-        opt = run_pipeline("RAR", retention="optimal", **base)
-        none = run_pipeline("RAR", retention="none", **base)
+        contract = design_contract(types, cfg)
+        base = dict(contract=contract, types=types, cfg=cfg, population=pop)
+        opt = run_pipeline("RAR", **base)
+        none = run_pipeline("NRI", **base)
         scale = max(1.0, abs(none.cost))
         assert opt.cost <= none.cost + 1e-9 * scale
-        allr = run_pipeline("RAR", retention="all", **base)
-        assert opt.cost <= allr.cost + 1e-9 * scale
+        terms = UserTerms.of(pop, contract, types)
+        revokers = np.flatnonzero(none.revoke)
+        paid = np.zeros(len(pop))
+        paid[revokers] = retention_incentives(revokers, revokers, pop, terms, cfg)
+        all_cost, _ = stage4_realized_cost(pop, terms, cfg, none.revoke, none.revoke, paid)
+        assert opt.cost <= all_cost + 1e-9 * scale
         if opt.retention is not None:
             gap = opt.cost - none.cost
             assert gap == pytest.approx(opt.retention.objective, rel=1e-9, abs=1e-9)
@@ -156,10 +163,9 @@ def packaged():
     return setup, menu, sample_population(setup.types, setup.sampling, seed=0)
 
 
-@pytest.mark.parametrize("retention", ["all", "optimal"])
-def test_outcome_books_every_retention_payment(packaged, retention):
+def test_outcome_books_every_retention_payment(packaged):
     setup, menu, pop = packaged
-    o = run_pipeline("RAR", menu, setup.types, setup.cfg, pop, retention=retention)
+    o = run_pipeline("RAR", menu, setup.types, setup.cfg, pop)
     retained = o.retained
     assert retained.any()
     assert not o.incentives[~retained].any()
@@ -167,15 +173,15 @@ def test_outcome_books_every_retention_payment(packaged, retention):
     assert booked == o.cost_parts["retention_rewards"]
 
 
-@pytest.mark.parametrize("retention", ["none", "all", "optimal"])
-def test_run_pipeline_resolves_stage_two_once(packaged, per_type_calls, retention):
+@pytest.mark.parametrize("mechanism", ["NRI", "RAR"])
+def test_run_pipeline_resolves_stage_two_once(packaged, per_type_calls, mechanism):
     """A fresh menu's first play forms its per-type view, and later plays of
     the same menu with the same types only gather from it."""
     setup, menu, pop = packaged
     fresh = replace(menu)
-    first = run_pipeline("RAR", fresh, setup.types, setup.cfg, pop, retention=retention)
+    first = run_pipeline(mechanism, fresh, setup.types, setup.cfg, pop)
     assert per_type_calls == [fresh]
-    second = run_pipeline("RAR", fresh, list(setup.types), setup.cfg, pop, retention=retention)
+    second = run_pipeline(mechanism, fresh, list(setup.types), setup.cfg, pop)
     assert per_type_calls == [fresh]
     assert first.cost == second.cost and np.array_equal(first.payoffs, second.payoffs)
 
@@ -206,27 +212,32 @@ def test_harnesses_form_the_per_type_view_once_per_menu(per_type_calls):
     assert len(per_type_calls) == 2 + 1
 
 
-def test_forced_all_mode_retains_every_revoker(rng):
-    hits = 0
-    for trial in range(40):
-        types, cfg, model = _economy(rng)
-        out = _play("RAR", types, cfg, model, seed=trial, retention="all")
-        if out.revoke.any():
-            assert np.array_equal(out.retained, out.revoke)
-            assert out.q_hat == 1.0
-            hits += 1
-            if hits >= 3:
-                return
-    assert hits > 0, "no revocation observed in any economy"
+def test_nri_play_ablates_stage_four(packaged):
+    """The RAR menu played as NRI reaches the same revocation equilibrium,
+    bit for bit, retains nobody, and books the Stage-IV cost of paying no
+    one; the RAR play retains someone on this draw and saves its objective."""
+    setup, menu, pop = packaged
+    rar = run_pipeline("RAR", menu, setup.types, setup.cfg, pop)
+    nri = run_pipeline("NRI", menu, setup.types, setup.cfg, pop)
+    assert rar.retained.any()
+    assert np.array_equal(nri.revoke, rar.revoke)
+    assert nri.retention is None and not nri.retained.any() and not nri.incentives.any()
+    terms = UserTerms.of(pop, menu, setup.types)
+    cost, parts = stage4_realized_cost(pop, terms, setup.cfg, rar.revoke, nri.retained,
+                                       np.zeros(len(pop)))
+    assert (nri.cost, nri.cost_parts) == (cost, parts)
+    assert rar.cost - nri.cost == pytest.approx(rar.retention.objective, rel=1e-9, abs=1e-12)
 
 
 def test_lla_retention_mode_switch(rng):
+    """LLA's menu played as NRI reaches LLA's equilibrium and retains nobody;
+    an unknown mechanism name is rejected."""
     types, cfg, model = _economy(rng)
     for trial in range(10):
-        out = _play("LLA", types, cfg, model, seed=trial, retention="none")
-        assert not out.retained.any()
-    with pytest.raises(ValueError):
-        _play("RAR", types, cfg, model, seed=0, retention="sometimes")
+        lla = _play("LLA", types, cfg, model, seed=trial)
+        ablated = run_pipeline("NRI", lla.contract, types, cfg, lla.population)
+        assert np.array_equal(ablated.revoke, lla.revoke)
+        assert not ablated.retained.any()
     contract = design_contract(types, cfg)
     pop = sample_population(types, model, seed=0)
     with pytest.raises(ValueError):

@@ -282,7 +282,9 @@ def test_stage4_no_revokers():
     contract = design_contract(types, cfg)
     pop = replace(_two_user_population(), shapley=np.array([0.3, -0.1]))
     none = np.zeros(2, dtype=bool)
-    total, parts = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg, none, none)
+    total, parts = stage4_realized_cost(
+        pop, UserTerms.of(pop, contract, types), cfg, none, none, np.zeros(2)
+    )
     rl = sum(contract.per_type()[1][i] for i in (0, 1))
     assert total == pytest.approx(0.2 + cfg.gamma * rl)
     assert parts["retention_rewards"] == 0.0
@@ -295,7 +297,9 @@ def test_stage4_empty_population():
     contract = design_contract(types, cfg)
     pop = Population(type_idx=np.array([], dtype=int), loss=np.array([]), shapley=np.array([]))
     none = np.zeros(0, dtype=bool)
-    total, _ = stage4_realized_cost(pop, UserTerms.of(pop, contract, types), cfg, none, none)
+    total, _ = stage4_realized_cost(
+        pop, UserTerms.of(pop, contract, types), cfg, none, none, np.zeros(0)
+    )
     assert total == 0.0
 
 
@@ -317,13 +321,13 @@ def test_stage4_difference_equals_retention_objective(rng):
     revoke[[2, 5, 7, 9]] = True
     revokers = np.flatnonzero(revoke)
     terms = UserTerms.of(pop, contract, types)
-    base, _ = stage4_realized_cost(pop, terms, cfg, revoke, np.zeros(n, dtype=bool))
+    base, _ = stage4_realized_cost(pop, terms, cfg, revoke, np.zeros(n, dtype=bool), np.zeros(n))
     for subset in ([], [5], [2, 9], [2, 5, 7, 9]):
         retained = np.zeros(n, dtype=bool)
         retained[subset] = True
         vec = np.zeros(n)
         vec[subset] = retention_incentives(subset, revokers, pop, terms, cfg)
-        total, _ = stage4_realized_cost(pop, terms, cfg, revoke, retained, incentives=vec)
+        total, _ = stage4_realized_cost(pop, terms, cfg, revoke, retained, vec)
         f = retention_objective(subset, revokers, pop, terms, cfg)
         assert total - base == pytest.approx(f, rel=1e-9, abs=1e-12)
 

@@ -365,3 +365,43 @@ def test_sweeps_match_the_pre_hoist_oracle(rng):
         seen["zero loss"] += int(np.any(terms.loss == 0.0))
         seen["duplicates"] += int(k % 3 != 2 and len(np.unique(terms.r)) < len(terms.r))
     assert min(seen.values()) >= 20, seen
+
+
+def test_ascent_keeps_a_revoker_whose_join_lowers_the_mass():
+    """np.sum's rounding depends on where the summands sit, so a zero-loss
+    revoker that joins between positive-loss ones can lower the leavers'
+    squared-loss mass by an ulp.  A zero-loss user whose reward is that lower
+    mass M2 revokes at the mass M1 without them (margin M2 - M1 < 0), and at
+    M2 their margin is 0.0: the ascent keeps them revoking, since a revoker
+    never returns, and settles."""
+    rng = np.random.default_rng(11)
+    m = 10
+    n = 2 * m - 1
+    for _ in range(200):
+        # positive losses at even ids, zero-loss users between them
+        loss = np.zeros(n)
+        loss[::2] = rng.uniform(0.1, 1.0, size=m)
+        first = loss > 0.0
+        mass_first = float((loss ** 2)[first].sum())
+        joins = [k for k in range(1, n, 2)
+                 if float((loss ** 2)[first | (np.arange(n) == k)].sum()) < mass_first]
+        if joins:
+            break
+    else:
+        pytest.fail("no draw where a zero-loss join lowers the mass")
+    k = joins[0]
+    final = first.copy()
+    final[k] = True
+    mass_final = float((loss ** 2)[final].sum())
+    # theta = d = lam = 1 and q_bar = 0, so w = 1; positive-loss users have
+    # r = 0 < xi l d and revoke at mass 0; the other zero-loss users never do
+    r = np.where(first, 0.0, 100.0)
+    r[k] = mass_final
+    ones = np.ones(n)
+    terms = UserTerms(d=ones, r=r, theta=ones, xi=ones, loss=loss)
+    cfg = GameConfig(T=50.0, lam=1.0)
+    assert mass_final - mass_first < 0.0
+    low = lower_equilibrium(terms, cfg, 0.0)
+    assert np.array_equal(low.x, final)
+    assert low.iterations == 3
+    assert verify_nash(low.x, terms, cfg, 0.0)

@@ -56,7 +56,7 @@ def test_per_type_view_and_stay_margin_oracle(seed, J, tied):
     for i in np.flatnonzero(~revoke | kept):
         rewards += contract.r[position(pop.type_idx[i])]
     terms = UserTerms.of(pop, contract, types)
-    _, parts = stage4_realized_cost(pop, terms, cfg, revoke, kept)
+    _, parts = stage4_realized_cost(pop, terms, cfg, revoke, kept, np.zeros(n))
     assert parts["learning_rewards"] == rewards * cfg.gamma
 
     # realized payoffs are Stage-III payoffs at x = the final leavers, q_bar = 0
@@ -114,9 +114,9 @@ def test_stage3_payoff_is_the_payoff_vector_entry(rng):
 
 
 def test_user_terms_products_follow_their_fields(rng):
-    """l2, theta_d and xi_l_d are formed once per terms: take gathers the
-    formed ones, with the bits of forming them on the taken users, and a
-    replaced field gets products formed from it."""
+    """l2, theta_d and xi_l_d are formed once per terms, on construction:
+    take forms them on the taken users with the bits of gathering the formed
+    ones, and a replaced field gets products formed from it."""
     n = 50
     terms = UserTerms(*(rng.uniform(0.1, 2.0, size=n) for _ in range(5)))
 
@@ -130,8 +130,9 @@ def test_user_terms_products_follow_their_fields(rng):
         assert got.tobytes() == want.tobytes()
     assert held(terms)[0] is terms.l2  # formed once
     users = rng.integers(0, n, size=20)
-    for got, want in zip(held(terms.take(users)), formed(terms.take(users))):
-        assert got.tobytes() == want.tobytes()
+    taken = terms.take(users)
+    for got, want, whole in zip(held(taken), formed(taken), held(terms)):
+        assert got.tobytes() == want.tobytes() == whole[users].tobytes()
     moved = replace(terms, loss=terms.loss * 0.5, theta=terms.theta + 1.0, xi=terms.xi * 3.0)
     for got, want in zip(held(moved), formed(moved)):
         assert got.tobytes() == want.tobytes()
