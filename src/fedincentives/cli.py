@@ -33,7 +33,7 @@ from .experiments import (
     run_pipeline,
 )
 from .learning import StepSchedule, check_gap_bound, scaffold_train
-from .model import UserTerms, mean_retention_rate
+from .model import UserTerms
 from .population import sample_population
 from .revocation import lower_equilibrium, upper_equilibrium
 
@@ -127,7 +127,7 @@ def _cmd_equilibrium(args, setup) -> int:
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
     population = sample_population(setup.types, setup.sampling, args.seed)
     terms = UserTerms.of(population, contract, setup.types)
-    q_bar = mean_retention_rate(setup.types)
+    q_bar = contract.type_terms(setup.types)[1]
     lower = lower_equilibrium(terms, setup.cfg, q_bar)
     upper = upper_equilibrium(terms, setup.cfg, q_bar)
     path = _write_equilibrium(args, population, lower.x)

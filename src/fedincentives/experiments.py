@@ -36,7 +36,6 @@ from .model import (
     UserTerms,
     UserTypeSpec,
     _require,
-    mean_retention_rate,
     stage4_realized_cost,
 )
 from .population import SamplingModel, realized_rates, sample_population
@@ -76,13 +75,19 @@ def _trial_seed(seed: int, stream: int, index: int, trial: int) -> int:
     return int(np.random.SeedSequence([int(seed), stream, index, trial]).generate_state(1)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class Outcome:
-    """Everything observable after the four stages have played out."""
+    """Everything observable after the four stages have played out.
+
+    The realized payoffs are formed from the play's terms whenever they are
+    read, since the stationary-rate search never reads them; an Outcome
+    therefore keeps the play's terms alive for as long as it lives."""
 
     mechanism: str
     contract: Contract
     population: Population
+    terms: UserTerms  # Stage II's terms, which the payoffs are formed from
+    cfg: GameConfig
     revoke: np.ndarray  # Stage III's equilibrium profile, per user
     retained: np.ndarray  # Stage IV's choice, a subset of revoke
     q_bar: float
@@ -90,9 +95,16 @@ class Outcome:
     incentives: np.ndarray  # per-user retention payment, 0 off the retained set
     cost: float
     cost_parts: dict
-    payoffs: np.ndarray
     p_hat: float
     q_hat: float
+
+    @property
+    def payoffs(self) -> np.ndarray:
+        """Each user's realized payoff (UserTerms.payoffs) at the squared-loss
+        mass of the final leavers; retained is a subset of revoke, so XOR
+        leaves the leavers."""
+        leave_mass = float(self.terms.l2[self.revoke ^ self.retained].sum())
+        return self.terms.payoffs(self.revoke, leave_mass, self.cfg)
 
 
 def _mechanism_name(mechanism: str) -> str:
@@ -162,7 +174,7 @@ def run_pipeline(
     """
     mech = _mechanism_name(mechanism)
     terms = UserTerms.of(population, contract, types)
-    q_bar = mean_retention_rate(types)
+    q_bar = contract.type_terms(types)[1]
 
     revoke = lower_equilibrium(terms, cfg, q_bar).x
     revokers = np.flatnonzero(revoke)
@@ -179,11 +191,6 @@ def run_pipeline(
 
     retained = np.zeros(len(population), dtype=bool)
     retained[retained_ids] = True
-    # the payoffs' temporaries are a play's memory peak, so they are formed
-    # before the per-user incentives are laid out; retained is a subset of
-    # revoke, so XOR leaves the leavers
-    leave_mass = float(terms.l2[revoke ^ retained].sum())
-    payoffs = terms.payoffs(revoke, leave_mass, cfg)
     incentives = np.zeros(len(population))
     incentives[retained_ids] = payments
 
@@ -193,6 +200,8 @@ def run_pipeline(
         mechanism=mech,
         contract=contract,
         population=population,
+        terms=terms,
+        cfg=cfg,
         revoke=revoke,
         retained=retained,
         q_bar=q_bar,
@@ -200,7 +209,6 @@ def run_pipeline(
         incentives=incentives,
         cost=cost,
         cost_parts=parts,
-        payoffs=payoffs,
         p_hat=p_hat,
         q_hat=q_hat,
     )
@@ -242,7 +250,15 @@ def compare_costs(
             for key, contract in menus.items():
                 outcome = run_pipeline(key, contract, scaled, cfg, population)
                 costs[key].append(outcome.cost)
-                payoffs[key].append(float(outcome.payoffs.mean()))
+                realized = outcome.payoffs
+                payoffs[key].append(float(realized.mean()))
+                # an outcome holds its play's terms: drop it before the next
+                # play, or two plays' full-size arrays are alive at once.  The
+                # payoffs, formed last, live on until the next play's replace
+                # them; with no late array alive, glibc hands the dropped play's
+                # heap back to the system and the next play faults it back in
+                # (three times the page faults at I = 50,000)
+                del outcome
         for key in menus:
             arr = np.array(costs[key])
             rows.append(
@@ -308,6 +324,7 @@ def find_stationary_rates(
             revoked += np.count_nonzero(outcome.revoke)
             retained += np.count_nonzero(outcome.retained)
             cost_acc += outcome.cost
+            del outcome  # as in compare_costs
         p_hat = revoked / users
         q_hat = retained / revoked if revoked else 0.0
         return p_hat, q_hat, cost_acc / len(populations)

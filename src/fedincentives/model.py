@@ -25,8 +25,6 @@ __all__ = [
     "UserTerms",
     "TypeRates",
     "pooled_blocks",
-    "stage3_payoff",
-    "stage1_expected_cost",
     "stage4_realized_cost",
     "truncated_normal_moments",
     "mean_retention_rate",
@@ -133,7 +131,7 @@ def pooled_blocks(d) -> list[list[int]]:
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contract:
     """Menu contract in ascending order of aggregated marginal cost.
 
@@ -141,7 +139,8 @@ class Contract:
     reward r, and the rates pi, kappa, A, B it was priced at.  order[k] is
     the index into the original type list of the k-th item, so order inverts
     the stable sort applied before pricing.  The menu checks its shape and
-    ordering on construction.
+    ordering on construction.  Like every record that holds arrays, it
+    compares by identity.
     """
 
     d: np.ndarray
@@ -165,15 +164,18 @@ class Contract:
         r[self.order] = self.r
         return d, r
 
-    def type_terms(self, types) -> np.ndarray:
-        """Rows d, r, theta and xi indexed by original type: each type's item
-        and cost rates.  The first call forms them and later calls with equal
-        types read the same (4, J) array, so each play of the menu only
-        gathers; like the menu's own arrays it is read, never written."""
+    def type_terms(self, types) -> tuple[np.ndarray, float]:
+        """The menu as the types read it: rows d, r, theta and xi indexed by
+        original type, each type's item and cost rates, and q_bar, the types'
+        mean retention rate, which every play anticipates.  The first call
+        forms them and later calls with equal types read the same (4, J)
+        array and float, so each play of the menu only gathers; like the
+        menu's own arrays the rows are read, never written."""
         key = tuple(types)
         kept = self.__dict__.get("_type_terms")
         if kept is None or kept[0] != key:
-            kept = key, np.array([*self.per_type(), [t.theta for t in key], [t.xi for t in key]])
+            rows = np.array([*self.per_type(), [t.theta for t in key], [t.xi for t in key]])
+            kept = key, (rows, mean_retention_rate(key))
             object.__setattr__(self, "_type_terms", kept)
         return kept[1]
 
@@ -188,7 +190,7 @@ class Contract:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
     """Realized users as drawn: per-user type index, loss and contribution
     score.  The game's outcome is held on experiments.Outcome, so one draw
@@ -202,7 +204,7 @@ class Population:
         return len(self.type_idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserTerms:
     """Stage II played out: each user's menu item and cost rates, gathered
     from its type's column of Contract.type_terms, and its realized loss.
@@ -231,7 +233,7 @@ class UserTerms:
 
     @classmethod
     def of(cls, population, contract, types) -> "UserTerms":
-        d, r, theta, xi = contract.type_terms(types).take(population.type_idx, axis=1)
+        d, r, theta, xi = contract.type_terms(types)[0].take(population.type_idx, axis=1)
         return cls(d=d, r=r, theta=theta, xi=xi, loss=population.loss)
 
     def take(self, users) -> "UserTerms":
@@ -360,37 +362,7 @@ class TypeRates:
         return self.A, B
 
 
-# --- stage payoffs and costs ---
-
-
-def stage3_payoff(
-    idx: int,
-    x: np.ndarray,
-    terms: UserTerms,
-    cfg: GameConfig,
-    q_bar: float,
-) -> float:
-    """Realized payoff of user idx under revocation profile x: UserTerms.payoffs
-    with the burden expected of the revokers x, (1 - q_bar) sum_k x_k l_k^2,
-    where q_bar is the anticipated retention rate of revokers."""
-    x = np.asarray(x, dtype=bool)
-    leaver_mass = (1.0 - q_bar) * float(terms.l2[x].sum())
-    return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
-
-
-def stage1_expected_cost(
-    contract: Contract, types_sorted: list[UserTypeSpec], cfg: GameConfig
-) -> float:
-    """Expected server cost of a contract (accuracy + rewards + expected
-    retention incentives), for types in the contract's pi order, summed term
-    by term: the reference the reduced form sum_j A_j/d_j + B_j d_j meets."""
-    X = TypeRates.of(types_sorted, cfg).X
-    total = 0.0
-    for t, x, d, r in zip(types_sorted, X, contract.d, contract.r):
-        total += cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / (cfg.T * d)
-        total += cfg.gamma * t.count * (1.0 - t.p) * r
-        total += cfg.gamma * t.count * t.p * t.q * x * d
-    return total
+# --- realized cost ---
 
 
 def stage4_realized_cost(

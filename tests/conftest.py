@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedincentives.model import Contract, GameConfig, TypeRates, UserTypeSpec
+from fedincentives import model
+from fedincentives.model import Contract, GameConfig, TypeRates, UserTerms, UserTypeSpec
 
 
 def random_types(rng, J=None, count_hi=2000):
@@ -68,4 +69,35 @@ def type_rates_calls(monkeypatch):
         return of(cls, types, cfg)
 
     monkeypatch.setattr(TypeRates, "of", classmethod(counted))
+    return calls
+
+
+@pytest.fixture
+def q_bar_calls(monkeypatch):
+    """Every mean_retention_rate call, counted: Contract.type_terms forms
+    q_bar with it, once per menu and types, next to the per-type rows."""
+    calls = []
+    rate = model.mean_retention_rate
+
+    def counted(types):
+        calls.append(types)
+        return rate(types)
+
+    monkeypatch.setattr(model, "mean_retention_rate", counted)
+    return calls
+
+
+@pytest.fixture
+def payoffs_calls(monkeypatch):
+    """Every UserTerms.payoffs call, counted: Outcome.payoffs forms the
+    realized payoffs with it each time they are read, and no play forms them
+    otherwise."""
+    calls = []
+    payoffs = UserTerms.payoffs
+
+    def counted(self, revoke, burden, cfg):
+        calls.append(self)
+        return payoffs(self, revoke, burden, cfg)
+
+    monkeypatch.setattr(UserTerms, "payoffs", counted)
     return calls

@@ -9,7 +9,12 @@ anew on every sweep; `retention_enumeration`
 scores every subset of revokers, `min_cut_retention_oracle` solves Stage IV
 as a minimum s-t cut and `retention_solve_oracle` keeps the solve as written
 before its gathers were trimmed, all for `retention.optimal_retention`.
-Tests compare the library against them.
+`stage1_expected_cost` sums the expected server cost term by term, the
+reference that the reduced form of `model.TypeRates.cost_coefficients` meets;
+`stage3_payoff` is one user's entry of `UserTerms.payoffs` under a revocation
+profile; `eager_payoffs_oracle` forms a play's realized payoffs as
+`experiments.run_pipeline` did on every play before `Outcome.payoffs` formed
+them on read.  Tests compare the library against them.
 """
 import math
 from dataclasses import dataclass
@@ -17,7 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fedincentives.model import GameConfig, Population, UserTerms
+from fedincentives.model import (
+    Contract,
+    GameConfig,
+    Population,
+    TypeRates,
+    UserTerms,
+    UserTypeSpec,
+)
 from fedincentives.retention import RetentionResult
 from fedincentives.revocation import verify_nash
 
@@ -95,6 +107,36 @@ def _equal_runs(d) -> Pooling:
         else:
             blocks.append([j])
     return Pooling(d=list(d), blocks=blocks)
+
+
+def stage1_expected_cost(
+    contract: Contract, types_sorted: list[UserTypeSpec], cfg: GameConfig
+) -> float:
+    """Expected server cost of a contract (accuracy + rewards + expected
+    retention incentives), for types in the contract's pi order, summed term
+    by term: the reference the reduced form sum_j A_j/d_j + B_j d_j meets."""
+    X = TypeRates.of(types_sorted, cfg).X
+    total = 0.0
+    for t, x, d, r in zip(types_sorted, X, contract.d, contract.r):
+        total += cfg.rho * t.count * (1.0 - t.p + t.p * t.q) / (cfg.T * d)
+        total += cfg.gamma * t.count * (1.0 - t.p) * r
+        total += cfg.gamma * t.count * t.p * t.q * x * d
+    return total
+
+
+def stage3_payoff(
+    idx: int,
+    x: np.ndarray,
+    terms: UserTerms,
+    cfg: GameConfig,
+    q_bar: float,
+) -> float:
+    """Realized payoff of user idx under revocation profile x: UserTerms.payoffs
+    with the burden expected of the revokers x, (1 - q_bar) sum_k x_k l_k^2,
+    where q_bar is the anticipated retention rate of revokers."""
+    x = np.asarray(x, dtype=bool)
+    leaver_mass = (1.0 - q_bar) * float(terms.l2[x].sum())
+    return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
 
 
 def all_equilibria(terms, cfg, q_bar) -> np.ndarray:
@@ -380,3 +422,18 @@ def retention_solve_oracle(
     sel = np.zeros(n, dtype=bool)
     sel[_order(pieces, at[size : size + 1])[0, :size]] = True
     return rv.result(sel, float(best[size]))
+
+
+# --- the realized payoffs as every play formed them ---
+
+
+def eager_payoffs_oracle(terms, cfg, revoke, retained) -> np.ndarray:
+    """The realized payoffs as experiments.run_pipeline formed them on every
+    play before Outcome.payoffs formed them on read: the final leavers' mass,
+    then UserTerms.payoffs with its stay margin written out, in the same
+    operations, order and groupings."""
+    # retained is a subset of revoke, so XOR leaves the leavers
+    leave_mass = float(terms.l2[revoke ^ retained].sum())
+    train_cost = terms.theta_d * cfg.T
+    stay = terms.r - train_cost - terms.xi_l_d - terms.theta_d * cfg.lam * leave_mass
+    return np.where(revoke, -train_cost, stay)

@@ -34,13 +34,12 @@ from fedincentives.model import (
     UserTypeSpec,
     mean_retention_rate,
     pooled_blocks,
-    stage1_expected_cost,
 )
 from fedincentives.population import sample_population
 from fedincentives.retention import optimal_retention, retention_objective
 from fedincentives.revocation import lower_equilibrium, verify_nash
 
-from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle
+from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle, stage1_expected_cost
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

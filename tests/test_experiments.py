@@ -1,6 +1,7 @@
 """Pipeline assembly and mechanism comparison."""
 import re
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fedincentives.population import SamplingModel, realized_rates, sample_popul
 from fedincentives.retention import retention_incentives
 
 from conftest import random_cfg, random_types
+from game_oracles import eager_payoffs_oracle
 
 
 def _economy(rng, J=None, count_hi=60):
@@ -186,30 +188,121 @@ def test_run_pipeline_resolves_stage_two_once(packaged, per_type_calls, mechanis
     assert first.cost == second.cost and np.array_equal(first.payoffs, second.payoffs)
 
 
-def test_per_type_view_follows_the_types(packaged, per_type_calls):
-    """Types that differ from the ones a menu's view was formed for form it
-    anew, and users read the new types' cost rates."""
+def test_per_type_view_follows_the_types(packaged, per_type_calls, q_bar_calls):
+    """Types that differ from the ones a menu's view was formed for form its
+    rows and q_bar anew, and users read the new types' cost rates and the
+    play the new q_bar.  No row reads the config, so another config plays
+    from the same view."""
     setup, menu, pop = packaged
     fresh = replace(menu)
     UserTerms.of(pop, fresh, setup.types)
-    costlier = [replace(t, xi=2.0 * t.xi) for t in setup.types]
+    costlier = [replace(t, xi=2.0 * t.xi, q=t.q / 2.0) for t in setup.types]
     terms = UserTerms.of(pop, fresh, costlier)
-    assert len(per_type_calls) == 2
+    assert len(per_type_calls) == len(q_bar_calls) == 2
     assert np.array_equal(terms.xi, 2.0 * np.array([t.xi for t in setup.types])[pop.type_idx])
+    out = run_pipeline("RAR", fresh, costlier, setup.cfg, pop)
+    assert out.q_bar == mean_retention_rate(costlier) != mean_retention_rate(setup.types)
+    view = fresh.type_terms(costlier)
+    run_pipeline("RAR", fresh, costlier, replace(setup.cfg, lam=2.0 * setup.cfg.lam), pop)
+    assert fresh.type_terms(costlier) is view
+    assert len(per_type_calls) == len(q_bar_calls) == 2
 
 
-def test_harnesses_form_the_per_type_view_once_per_menu(per_type_calls):
+def test_harnesses_form_the_per_type_view_once_per_menu(per_type_calls, q_bar_calls):
     """compare_costs at the packaged default with two trials plays 15 menus
     (5 sizes x 3 mechanisms) 30 times; find_stationary_rates plays each grid
-    point's menu and each refine step's menu against every trial."""
+    point's menu and each refine step's menu against every trial.  Each menu
+    forms its rows and q_bar once."""
     setup = load_config(None)
     compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
                   setup.experiment.user_counts, trials=2)
-    assert len(per_type_calls) == 15
+    assert len(per_type_calls) == len(q_bar_calls) == 15
     per_type_calls.clear()
+    q_bar_calls.clear()
     find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
                           q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
-    assert len(per_type_calls) == 2 + 1
+    assert len(per_type_calls) == len(q_bar_calls) == 2 + 1
+
+
+def test_payoffs_are_formed_only_on_read(payoffs_calls):
+    """The stationary-rate search never reads the realized payoffs, so none
+    are formed; compare_costs reads each play's payoffs once."""
+    setup = load_config(None)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
+                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    assert payoffs_calls == []
+    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
+                  user_counts=[1000, 3000], trials=2)
+    assert len(payoffs_calls) == 2 * 2 * 3
+
+
+def test_payoffs_on_read_match_the_eager_formation(rng, packaged):
+    """Outcome.payoffs has the bytes of the payoffs every play formed before
+    they were formed on read, under each mechanism, on plays where nobody
+    revokes, where everyone revokes, and where some revokers are kept."""
+    seen = set()
+
+    def check(out):
+        want = eager_payoffs_oracle(out.terms, out.cfg, out.revoke, out.retained)
+        assert out.payoffs.tobytes() == want.tobytes()
+        revoked = np.count_nonzero(out.revoke)
+        seen.add((out.mechanism, "none" if revoked == 0 else
+                  "all" if revoked == len(out.revoke) else "some"))
+        if out.retained.any():
+            seen.add((out.mechanism, "kept"))
+
+    for trial in range(12):
+        types, cfg, model = _economy(rng)
+        for mechanism in MECHANISMS:
+            check(_play(mechanism, types, cfg, model, seed=trial))
+    setup, menu, pop = packaged
+    charged = replace(menu, r=np.full(len(menu.r), -1.0))  # everyone revokes
+    for mechanism in MECHANISMS:
+        for contract in (mechanism_contract(mechanism, setup.types, setup.cfg), charged):
+            check(run_pipeline(mechanism, contract, setup.types, setup.cfg, pop))
+    assert {(m, kind) for m in MECHANISMS for kind in ("none", "some", "all")} <= seen
+    assert {("RAR", "kept"), ("LLA", "kept")} <= seen
+
+
+def test_harnesses_drop_each_outcome_before_the_next_play(monkeypatch):
+    """An outcome keeps its play's terms for the payoffs read from it, so
+    compare_costs and find_stationary_rates let go of each outcome before
+    the next play: no play's terms are alive when the next run_pipeline call
+    starts."""
+    played = []
+    play = experiments.run_pipeline
+
+    def guarded(*args):
+        assert [ref for ref in played if ref() is not None] == []
+        outcome = play(*args)
+        played.append(weakref.ref(outcome.terms))
+        return outcome
+
+    monkeypatch.setattr(experiments, "run_pipeline", guarded)
+    setup = load_config(None)
+    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
+                  user_counts=[1000, 2000], trials=2)
+    assert len(played) == 2 * 2 * 3
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
+                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    assert len(played) == 2 * 2 * 3 + 2 * 3 + 2
+
+
+def test_array_records_compare_by_identity(packaged):
+    """Records that hold arrays compare by identity: two copies with equal
+    values compare unequal without raising, and each equals itself."""
+    setup, menu, pop = packaged
+    out = run_pipeline("RAR", menu, setup.types, setup.cfg, pop)
+
+    def copied(record):
+        values = {f.name: getattr(record, f.name) for f in fields(record) if f.init}
+        return replace(record, **{k: v.copy() for k, v in values.items()
+                                  if isinstance(v, np.ndarray)})
+
+    for record in (menu, pop, out.terms, out, UserTerms(*(np.ones(3),) * 5)):
+        twin = copied(record)
+        assert record == record and twin == twin
+        assert (record == twin) is False and (record != twin) is True
 
 
 def test_nri_play_ablates_stage_four(packaged):

@@ -12,13 +12,12 @@ from fedincentives.model import (
     TypeRates,
     UserTerms,
     UserTypeSpec,
-    stage1_expected_cost,
-    stage3_payoff,
     stage4_realized_cost,
     truncated_normal_moments,
 )
 
 from conftest import random_cfg, random_types
+from game_oracles import stage1_expected_cost, stage3_payoff
 
 
 def _spec(**kw):

@@ -10,12 +10,16 @@ from fedincentives.model import (
     GameConfig,
     Population,
     UserTerms,
-    stage3_payoff,
 )
 from fedincentives.revocation import lower_equilibrium, upper_equilibrium, verify_nash
 
 from conftest import random_cfg, random_types
-from game_oracles import all_equilibria, least_equilibrium_oracle, sweep_profile_oracle
+from game_oracles import (
+    all_equilibria,
+    least_equilibrium_oracle,
+    stage3_payoff,
+    sweep_profile_oracle,
+)
 
 
 def _manual_setup(rl, xi, losses, theta=None, lam=1.0, q_bar=0.0):

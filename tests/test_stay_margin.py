@@ -10,12 +10,12 @@ from fedincentives.model import (
     GameConfig,
     Population,
     UserTerms,
-    stage3_payoff,
     stage4_realized_cost,
 )
 from fedincentives.retention import retention_incentives
 
 from conftest import random_cfg, random_types
+from game_oracles import stage3_payoff
 
 
 @pytest.mark.parametrize(
