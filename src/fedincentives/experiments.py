@@ -79,9 +79,9 @@ def _trial_seed(seed: int, stream: int, index: int, trial: int) -> int:
 class Outcome:
     """Everything observable after the four stages have played out.
 
-    The realized payoffs are formed from the play's terms whenever they are
-    read, since the stationary-rate search never reads them; an Outcome
-    therefore keeps the play's terms alive for as long as it lives."""
+    The realized rates and payoffs are formed whenever they are read, since
+    the stationary-rate search reads neither; an Outcome therefore keeps the
+    play's terms alive for as long as it lives."""
 
     mechanism: str
     contract: Contract
@@ -95,8 +95,16 @@ class Outcome:
     incentives: np.ndarray  # per-user retention payment, 0 off the retained set
     cost: float
     cost_parts: dict
-    p_hat: float
-    q_hat: float
+
+    @property
+    def p_hat(self) -> float:
+        """The realized revocation rate (realized_rates)."""
+        return realized_rates(self.revoke, self.retained)[0]
+
+    @property
+    def q_hat(self) -> float:
+        """The realized retention rate among revokers (realized_rates)."""
+        return realized_rates(self.revoke, self.retained)[1]
 
     @property
     def payoffs(self) -> np.ndarray:
@@ -195,7 +203,6 @@ def run_pipeline(
     incentives[retained_ids] = payments
 
     cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
-    p_hat, q_hat = realized_rates(revoke, retained)
     return Outcome(
         mechanism=mech,
         contract=contract,
@@ -209,8 +216,6 @@ def run_pipeline(
         incentives=incentives,
         cost=cost,
         cost_parts=parts,
-        p_hat=p_hat,
-        q_hat=q_hat,
     )
 
 

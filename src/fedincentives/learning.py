@@ -12,8 +12,9 @@ until the distance to the remaining-users optimum drops below a target.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -162,14 +163,16 @@ class TrainTrace:
 
     gap: np.ndarray
     gap_stderr: np.ndarray
-    rounds: np.ndarray
+
+    @property
+    def rounds(self) -> np.ndarray:
+        return np.arange(len(self.gap))
 
 
 @dataclass(frozen=True)
 class UnlearnSpec:
     leavers: tuple
     epsilon: float
-    start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _require(
@@ -204,7 +207,7 @@ def make_problem(
     _check_keys(users=users, dim=dim, data_size=data_size, iota=iota, noise_sigma2=noise_sigma2,
                 mu=mu, condition=condition, hessian_spread=hessian_spread, b_scale=b_scale)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C454152]))
-    eig = mu * np.logspace(0.0, math.log10(condition), dim) if condition > 1 else np.full(dim, mu)
+    eig = mu * np.logspace(0.0, math.log10(condition), dim)
     Q = np.empty((users, dim, dim))
     for i in range(users):
         scale = 1.0 + hessian_spread * rng.uniform(-1.0, 1.0)
@@ -228,13 +231,7 @@ def restrict_problem(problem: LearnProblem, keep: list[int]) -> LearnProblem:
     """Sub-problem over a user subset (same sampling parameters)."""
     keep = list(keep)
     _require((len(keep) >= 1, "keep must be nonempty"))
-    return LearnProblem(
-        Q=problem.Q[keep],
-        b=problem.b[keep],
-        data_sizes=problem.data_sizes[keep],
-        iota=problem.iota,
-        noise_sigma2=problem.noise_sigma2,
-    )
+    return replace(problem, Q=problem.Q[keep], b=problem.b[keep], data_sizes=problem.data_sizes[keep])
 
 
 # --- training core ---
@@ -248,24 +245,22 @@ def _seed_list(seeds) -> list[int]:
 
 def _run_scaffold(
     problem: LearnProblem,
-    rounds: int,
     schedule: StepSchedule,
     seeds,
     w0: np.ndarray | None,
     local_steps: int,
-    reference: np.ndarray,
-    stop_norm: float | None = None,
-    collect_updates: bool = False,
 ):
-    """Shared driver.  Tracks per-seed squared distance to `reference`.
+    """The batched round kernel, run one round per step of the generator.
 
-    stop_norm halts once the seed-mean distance (not squared) falls below it
-    and returns the stopping round.  collect_updates returns the per-round
-    per-user aggregate updates of seed 0 (used by the attribution oracle).
+    Yields (W, None) before the first round, then (W, Y) after each round:
+    W is the seeds' server models, shape (seeds, dim), and Y that round's
+    local models, shape (users, seeds, dim).  Y is a buffer the next round
+    overwrites, so a caller that keeps any of it must copy it.  It never
+    stops; callers take as many rounds as they need.
     """
     seed_ids = _seed_list(seeds)
     n_seeds = len(seed_ids)
-    _check_keys(rounds=rounds, local_steps=local_steps, seeds=n_seeds)
+    _check_keys(local_steps=local_steps, seeds=n_seeds)
     # the rule relating a schedule to a problem; no schedule's stepsize rises
     cap, eta0 = 1.0 / (12.0 * problem.smoothness), schedule.value(0)
     _require((eta0 <= cap * (1.0 + 1e-9), f"stepsize {eta0:.6g} exceeds stability cap {cap:.6g}"))
@@ -282,15 +277,7 @@ def _run_scaffold(
     comp_std = np.sqrt(sigma2 / (dim * s_i)) if sigma2 > 0 else np.zeros(users)
 
     W = np.tile(w0, (n_seeds, 1))
-    sq = np.sum((W - reference) ** 2, axis=1)
-    gap_mean = [float(np.mean(sq))]
-    gap_err = [float(np.std(sq) / math.sqrt(n_seeds))]
-    dist_mean = [float(np.mean(np.sqrt(sq)))]
-    updates = []
-
-    stop_round = None
-    if stop_norm is not None and dist_mean[0] <= stop_norm:
-        stop_round = 0
+    yield W, None
 
     # Round buffers, reused: each seed draws its round's noise as one
     # contiguous (steps, users, dim) block, so its stream is consumed in the
@@ -307,8 +294,7 @@ def _run_scaffold(
     Y = np.empty_like(cv)
     G = np.empty_like(cv)
 
-    t = 0
-    while t < rounds and stop_round is None:
+    for t in itertools.count():
         eta_bar = schedule.value(t)
         eta = eta_bar / local_steps
         if noise is not None:
@@ -333,23 +319,8 @@ def _run_scaffold(
             G += cv_mean
             G *= eta
             Y -= G
-        if collect_updates:
-            updates.append(Y[:, 0, :] - W[0])
         W = Y.mean(axis=0)
-        t += 1
-        sq = np.sum((W - reference) ** 2, axis=1)
-        gap_mean.append(float(np.mean(sq)))
-        gap_err.append(float(np.std(sq) / math.sqrt(n_seeds)))
-        dist_mean.append(float(np.mean(np.sqrt(sq))))
-        if stop_norm is not None and dist_mean[-1] <= stop_norm:
-            stop_round = t
-
-    trace = TrainTrace(
-        gap=np.array(gap_mean),
-        gap_stderr=np.array(gap_err),
-        rounds=np.arange(len(gap_mean)),
-    )
-    return trace, stop_round, updates
+        yield W, Y
 
 
 def scaffold_train(
@@ -362,10 +333,14 @@ def scaffold_train(
 ) -> TrainTrace:
     """Train for a fixed number of rounds; returns the gap trajectory
     E||w_t - w*||^2 estimated over the given seeds."""
-    trace, _, _ = _run_scaffold(
-        problem, rounds, schedule, seeds, w0, local_steps, reference=problem.w_star
-    )
-    return trace
+    _check_keys(rounds=rounds)
+    run = _run_scaffold(problem, schedule, seeds, w0, local_steps)
+    gap, err = [], []
+    for W, _ in itertools.islice(run, rounds + 1):
+        sq = np.sum((W - problem.w_star) ** 2, axis=1)
+        gap.append(float(np.mean(sq)))
+        err.append(float(np.std(sq) / math.sqrt(len(sq))))
+    return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
 
 
 def check_gap_bound(
@@ -419,20 +394,12 @@ def unlearn_continue(
     _require((leavers < set(range(problem.users)), "leavers must be a proper subset of the users"))
     keep = [i for i in range(problem.users) if i not in leavers]
     rest = restrict_problem(problem, keep)
-    start = spec.start if spec.start is not None else problem.w_star
-    _, stop_round, _ = _run_scaffold(
-        rest,
-        max_rounds,
-        schedule,
-        seeds,
-        start,
-        local_steps,
-        reference=rest.w_star,
-        stop_norm=spec.epsilon,
-    )
-    if stop_round is None:
-        raise RuntimeError(f"unlearning did not reach epsilon within {max_rounds} rounds")
-    return stop_round
+    _check_keys(rounds=max_rounds)
+    run = _run_scaffold(rest, schedule, seeds, problem.w_star, local_steps)
+    for t, (W, _) in enumerate(itertools.islice(run, max_rounds + 1)):
+        if np.mean(np.sqrt(np.sum((W - rest.w_star) ** 2, axis=1))) <= spec.epsilon:
+            return t
+    raise RuntimeError(f"unlearning did not reach epsilon within {max_rounds} rounds")
 
 
 def training_loss_metric(problem: LearnProblem, w: np.ndarray) -> np.ndarray:
@@ -463,16 +430,10 @@ def federated_shapley_exact(
     """
     users = problem.users
     _require((users <= 8, "exact attribution limited to 8 users"))
-    _, _, updates = _run_scaffold(
-        problem,
-        rounds,
-        schedule,
-        [seed],
-        None,
-        local_steps,
-        reference=problem.w_star,
-        collect_updates=True,
-    )
+    _check_keys(rounds=rounds)
+    # each round's per-user updates, taken from the server model the round started at
+    run = itertools.islice(_run_scaffold(problem, schedule, [seed], None, local_steps), rounds + 1)
+    updates = [Y[:, 0, :] - W[0] for (W, _), (_, Y) in itertools.pairwise(run)]
     # row m of X marks the members of coalition m; joined[m, i] is m with i
     masks = np.arange(1 << users)
     X = ((masks[:, None] >> np.arange(users)) & 1).astype(bool)

@@ -71,7 +71,6 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
     trace = TrainTrace(
         gap=np.array(gap_mean),
         gap_stderr=np.array(gap_err),
-        rounds=np.arange(len(gap_mean)),
     )
     return trace, stop_round, updates
 

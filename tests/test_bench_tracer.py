@@ -128,3 +128,50 @@ def test_traced_sweeps_are_the_oracle_iterations(monkeypatch):
     assert all(type(count) is int for count in sweeps)
     assert sweeps == expected
     assert min(expected) >= 3
+
+
+LAB_INI = """
+[game]
+count = 50
+
+[types.1]
+theta = 2.0
+xi = 2000
+loss_mu = 0.55
+
+[learning]
+users = 3
+dim = 4
+data_size = 16
+noise_sigma2 = 0.01
+rounds = {rounds}
+seeds = {seeds}
+schedule = inverse_t
+step_c = 0.4
+step_shift = 5
+"""
+
+
+def test_traced_verify_bounds_counts_every_training_run(monkeypatch, tmp_path):
+    """verify-bounds trains four times through cli.scaffold_train, where the
+    tracer counts bounds-lab's seed-rounds: 40 for the noiseless contraction,
+    rounds x seeds for the decay envelope and max(60, rounds // 2) x seeds
+    for each of the two batch-doubling runs.  A training call moved out of
+    cli would leave those counts at zero without failing the run."""
+    for module_name, attr, *_ in tracer.PATCHES:
+        module = importlib.import_module(f"fedincentives.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    traced = tracer.Tracer()
+    traced.install()
+    cli = importlib.import_module("fedincentives.cli")
+    rounds, seeds = 80, 3
+    config = tmp_path / "lab.ini"
+    config.write_text(LAB_INI.format(rounds=rounds, seeds=seeds))
+    assert cli.main(["verify-bounds", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    train = [attrs for name, *_, attrs in traced.spans if name == "learning.train"]
+    assert len(train) == 4
+    seed_rounds = sum(attrs["seed_rounds"] for attrs in train)
+    assert seed_rounds == 40 + rounds * seeds + 2 * max(60, rounds // 2) * seeds
+    metrics = tracer.summarize(traced.spans, 0.0)
+    assert metrics["learning.train_calls"] == 4
+    assert metrics["learning.seed_rounds"] == seed_rounds

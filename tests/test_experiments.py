@@ -236,6 +236,31 @@ def test_payoffs_are_formed_only_on_read(payoffs_calls):
     assert len(payoffs_calls) == 2 * 2 * 3
 
 
+def test_realized_rates_are_formed_only_on_read(monkeypatch):
+    """No play counts its revokers and retained users for the realized
+    rates: the stationary-rate search pools its own counts, compare_costs
+    reads no rates, and an outcome counts each time p_hat or q_hat is read."""
+    calls = []
+    rates = experiments.realized_rates
+
+    def counted(revoke, retained):
+        calls.append(revoke)
+        return rates(revoke, retained)
+
+    monkeypatch.setattr(experiments, "realized_rates", counted)
+    setup = load_config(None)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
+                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
+                  user_counts=[1000], trials=2)
+    population = sample_population(setup.types, setup.sampling, 0)
+    contract = mechanism_contract("RAR", setup.types, setup.cfg)
+    out = run_pipeline("RAR", contract, setup.types, setup.cfg, population)
+    assert calls == []
+    assert (out.p_hat, out.q_hat) == rates(out.revoke, out.retained)
+    assert len(calls) == 2
+
+
 def test_payoffs_on_read_match_the_eager_formation(rng, packaged):
     """Outcome.payoffs has the bytes of the payoffs every play formed before
     they were formed on read, under each mechanism, on plays where nobody

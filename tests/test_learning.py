@@ -1,4 +1,6 @@
 """Synthetic training lab: convergence shapes, unlearning, attribution."""
+import itertools
+
 import numpy as np
 import pytest
 from learning_oracles import run_scaffold_loop, shapley_loop
@@ -23,6 +25,18 @@ def _problem(seed=0, **kw):
                 mu=0.5, condition=4.0, hessian_spread=0.2, rotate=True)
     base.update(kw)
     return make_problem(seed=seed, **base)
+
+
+def _collected_updates(problem, rounds, schedule, seed, local_steps=5):
+    """One seed's per-user update of each round, taken from the round
+    generator: that round's local models less the server model it started at."""
+    run = _run_scaffold(problem, schedule, [seed], None, local_steps)
+    W_prev, _ = next(run)
+    updates = []
+    for W, Y in itertools.islice(run, rounds):
+        updates.append(Y[:, 0, :] - W_prev[0])
+        W_prev = W
+    return updates
 
 
 def test_make_problem_closed_forms():
@@ -359,8 +373,7 @@ def test_shapley_matches_the_coalition_loop():
                             hessian_spread=0.3, rotate=True)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
         phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
-        _, _, updates = _run_scaffold(prob, 5, sch, [seed], None, 5, prob.w_star,
-                                      collect_updates=True)
+        updates = _collected_updates(prob, 5, sch, seed)
         ref_phi, ref_total = shapley_loop(prob, updates)
         assert np.max(np.abs(phi - ref_phi)) <= 1e-12 * np.max(np.abs(ref_phi))
         assert total == pytest.approx(ref_total, rel=1e-12)
@@ -420,9 +433,8 @@ def test_unlearn_stop_round_matches_the_loop_kernel(shape):
 def test_collected_updates_match_the_loop_kernel(shape, rtol):
     prob = _kernel_problem(shape)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
-    args = (prob, 40, sch, [4], None, 5, prob.w_star)
-    _, _, updates = _run_scaffold(*args, collect_updates=True)
-    _, _, ref = run_scaffold_loop(*args, collect_updates=True)
+    updates = _collected_updates(prob, 40, sch, 4)
+    _, _, ref = run_scaffold_loop(prob, 40, sch, [4], None, 5, prob.w_star, collect_updates=True)
     assert len(updates) == len(ref) == 40
     for new, old in zip(updates, ref):
         _assert_matches(new, old, rtol, scale=np.max(np.abs(old)))
@@ -437,3 +449,47 @@ def test_joint_seeds_average_the_single_seed_runs():
     joint = scaffold_train(prob, 100, sch, [0, 3, 7])
     single = np.mean([scaffold_train(prob, 100, sch, [s]).gap for s in (0, 3, 7)], axis=0)
     np.testing.assert_allclose(joint.gap, single, rtol=1e-14, atol=0.0)
+
+
+# --- pinned outputs ---
+
+# No CLI output covers unlearning or attribution, so their results are pinned
+# here, bit for bit: any change to the round kernel's operations or noise
+# streams, or to the statistic a caller reads from it, moves them.
+PINNED_UNLEARN_ROUNDS = {
+    ("scalar", (0, 2)): 74,
+    ("scalar", (4,)): 47,
+    ("rotated", (0, 2)): 342,
+    ("rotated", (4,)): 272,
+}
+PINNED_SHAPLEY = {
+    "scalar": (
+        ["-0x1.943b2bd3f93e0p-3", "-0x1.9497367e25236p-3",
+         "-0x1.995db51bfefe1p-3", "-0x1.90eb5e32f0341p-3"],
+        "-0x1.94c6dd684364ep-1",
+    ),
+    "rotated": (
+        ["-0x1.1f1ac6414da03p-7", "-0x1.1aaf22b80eb23p-7",
+         "-0x1.20ea925d07e1fp-7", "-0x1.1db051a7661f9p-7"],
+        "-0x1.1e19333f72950p-5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, shape", [("scalar", SCALAR), ("rotated", ROTATED)])
+def test_unlearn_stop_rounds_are_pinned(name, shape):
+    prob = _kernel_problem(shape)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    for leavers in ((0, 2), (4,)):
+        rounds = unlearn_continue(prob, UnlearnSpec(leavers=leavers, epsilon=0.05), sch, range(6))
+        assert rounds == PINNED_UNLEARN_ROUNDS[name, leavers]
+
+
+@pytest.mark.parametrize("name, shape", [("scalar", SCALAR), ("rotated", ROTATED)])
+def test_shapley_values_are_pinned(name, shape):
+    prob = make_problem(users=4, dim=6, data_size=16, seed=2, noise_sigma2=1e-3, mu=0.5, **shape)
+    sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
+    phi, total = federated_shapley_exact(prob, 5, sch, seed=3, with_total=True)
+    want_phi, want_total = PINNED_SHAPLEY[name]
+    assert phi.tobytes() == np.array([float.fromhex(h) for h in want_phi]).tobytes()
+    assert np.float64(total).tobytes() == np.float64(float.fromhex(want_total)).tobytes()
