@@ -32,7 +32,7 @@ from .experiments import (
     mechanism_contract,
     run_pipeline,
 )
-from .learning import StepSchedule, check_gap_bound, scaffold_train
+from .learning import StepSchedule, check_gap_bound, make_problem, scaffold_train
 from .model import UserTerms
 from .population import sample_population
 from .revocation import lower_equilibrium, upper_equilibrium
@@ -125,7 +125,7 @@ def _cmd_contract(args, setup) -> int:
 
 def _cmd_equilibrium(args, setup) -> int:
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
-    population = sample_population(setup.types, setup.sampling, args.seed)
+    population = sample_population(setup.types, setup.sampling, setup.cfg.seed)
     terms = UserTerms.of(population, contract, setup.types)
     q_bar = contract.type_terms(setup.types)[1]
     lower = lower_equilibrium(terms, setup.cfg, q_bar)
@@ -142,7 +142,7 @@ def _cmd_equilibrium(args, setup) -> int:
 
 def _pipeline(args, setup):
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
-    population = sample_population(setup.types, setup.sampling, args.seed)
+    population = sample_population(setup.types, setup.sampling, setup.cfg.seed)
     return run_pipeline(args.mechanism, contract, setup.types, setup.cfg, population)
 
 
@@ -166,7 +166,7 @@ def _cmd_simulate(args, setup) -> int:
     _write_retention(args, outcome)
     summary = {
         "mechanism": outcome.mechanism,
-        "seed": args.seed,
+        "seed": setup.cfg.seed,
         "users": len(population),
         "cost": _fmt(outcome.cost),
         "cost_parts": {k: _fmt(v) for k, v in sorted(outcome.cost_parts.items())},
@@ -185,16 +185,10 @@ def _cmd_simulate(args, setup) -> int:
 
 
 def _cmd_compare(args, setup) -> int:
-    trials = args.trials if args.trials is not None else setup.experiment.trials
-    rows_dict = compare_costs(
-        setup.types,
-        setup.cfg,
-        setup.sampling,
-        mechanisms=[m.upper() for m in setup.experiment.mechanisms],
-        user_counts=setup.experiment.user_counts,
-        trials=trials,
-        seed=args.seed,
-    )
+    exp = setup.experiment
+    if args.trials is not None:
+        exp = replace(exp, trials=args.trials)
+    rows_dict = compare_costs(setup.types, setup.cfg, setup.sampling, exp)
     rows = [
         [r["mechanism"], r["I"], r["cost_mean"], r["cost_stderr"], r["payoff_mean"]]
         for r in rows_dict
@@ -206,7 +200,7 @@ def _cmd_compare(args, setup) -> int:
         rows,
         args.format,
     )
-    print(f"compare: {len(rows)} rows over {trials} trials, written to {path}")
+    print(f"compare: {len(rows)} rows over {exp.trials} trials, written to {path}")
     largest = max(r["I"] for r in rows_dict)
     at_top = {r["mechanism"]: r["cost_mean"] for r in rows_dict if r["I"] == largest}
     if "RAR" in at_top:
@@ -219,19 +213,10 @@ def _cmd_compare(args, setup) -> int:
 
 
 def _cmd_sweep(args, setup) -> int:
-    trials = args.trials if args.trials is not None else setup.experiment.sweep_trials
-    search = find_stationary_rates(
-        setup.types,
-        setup.cfg,
-        setup.sampling,
-        p_grid=setup.experiment.p_grid,
-        q_grid=setup.experiment.q_grid,
-        trials=trials,
-        seed=args.seed,
-        refine_steps=setup.experiment.refine_steps,
-        refine_damping=setup.experiment.refine_damping,
-        refine_trials=setup.experiment.refine_trials,
-    )
+    exp = setup.experiment
+    if args.trials is not None:
+        exp = replace(exp, sweep_trials=args.trials)
+    search = find_stationary_rates(setup.types, setup.cfg, setup.sampling, exp)
     rows = [[r["p"], r["q"], r["p_hat"], r["q_hat"], r["cost"]] for r in search.grid]
     path = write_table(
         args.out_dir, "sweep", ["p", "q", "p_hat", "q_hat", "cost"], rows, args.format
@@ -244,7 +229,7 @@ def _cmd_sweep(args, setup) -> int:
 
 def _cmd_verify_bounds(args, setup) -> int:
     learn = setup.learn
-    problem = learn.make_problem(seed=args.seed)
+    problem = make_problem(learn, setup.cfg.seed)
     checks: list[tuple[str, bool, str]] = []
 
     # 1. noiseless contraction at the stability-cap stepsize
@@ -365,7 +350,6 @@ def main(argv=None) -> int:
         # loading, or by the --seed override, is a configuration problem too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    args.seed = setup.cfg.seed
     try:
         return args.func(args, setup)
     except (ValueError, ZeroDivisionError, RuntimeError, np.linalg.LinAlgError) as exc:

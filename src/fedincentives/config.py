@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
-from .experiments import _check_args
-from .learning import LearnProblem, StepSchedule, _check_keys, make_problem
+from .experiments import ExperimentConfig
+from .learning import LearnConfig
 from .model import GameConfig, UserTypeSpec, truncated_normal_moments
 from .population import SamplingModel
 
 __all__ = [
     "ConfigError",
-    "LearnConfig",
-    "ExperimentConfig",
     "ExperimentSetup",
     "load_config",
     "default_config_path",
@@ -79,70 +77,6 @@ _RETIRED = {
 }
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    """[learning]: one field per key, whose default is the key's default.
-    Each key's rule is the learning lab's, so a library caller meets it too."""
-
-    users: int = 10
-    dim: int = 16
-    data_size: int = 64
-    iota: float = 0.25
-    noise_sigma2: float = 0.01
-    rounds: int = 600
-    local_steps: int = 5
-    schedule: str = "inverse_t"
-    step_c: float = 2.0
-    step_shift: float = 23.0
-    seeds: int = 100
-    mu: float = 1.0
-    condition: float = 1.0
-    hessian_spread: float = 0.0
-    rotate: bool = False
-    b_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_keys(**vars(self))
-
-    def make_schedule(self) -> StepSchedule:
-        return StepSchedule(kind=self.schedule, c=self.step_c, shift=self.step_shift)
-
-    def make_problem(self, seed: int) -> LearnProblem:
-        return make_problem(
-            users=self.users,
-            dim=self.dim,
-            data_size=self.data_size,
-            seed=seed,
-            iota=self.iota,
-            noise_sigma2=self.noise_sigma2,
-            mu=self.mu,
-            condition=self.condition,
-            hessian_spread=self.hessian_spread,
-            rotate=self.rotate,
-            b_scale=self.b_scale,
-        )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """[experiment]: one field per key, whose default is the key's default.
-    Each key's rule is the harnesses', so a library caller meets it too;
-    load_config checks user_counts against the number of types."""
-
-    trials: int = 50
-    user_counts: list[int] = field(default_factory=lambda: [1000, 2000, 3000, 4000, 5000])
-    p_grid: list[float] = field(default_factory=lambda: [i / 1000.0 for i in range(11)])
-    q_grid: list[float] = field(default_factory=lambda: [i / 10.0 for i in range(11)])
-    sweep_trials: int = 20
-    refine_steps: int = 4
-    refine_damping: float = 0.5
-    refine_trials: int = 20
-    mechanisms: list[str] = field(default_factory=lambda: ["NRI", "LLA", "RAR"])
-
-    def __post_init__(self) -> None:
-        _check_args(**vars(self))
-
-
 @dataclass
 class ExperimentSetup:
     types: list[UserTypeSpec]
@@ -189,10 +123,10 @@ def _read_section(parser, name: str, defaults: dict) -> dict:
     return values
 
 
-def _record(section: str, record, values: dict):
-    """record(**values), its rule errors named by section."""
+def _checked(section: str, build, values: dict):
+    """build(**values), its rule errors named by section."""
     try:
-        return record(**values)
+        return build(**values)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -215,7 +149,10 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     if path is None:
         path = default_config_path()
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
@@ -226,7 +163,8 @@ def load_config(path: str | None = None) -> ExperimentSetup:
             continue
         if section.startswith("types."):
             suffix = section[len("types.") :]
-            if not suffix.isdigit() or int(suffix) < 1:
+            # only the canonical spelling, so [types.01] cannot alias [types.1]
+            if not (suffix.isdecimal() and suffix == str(int(suffix)) and int(suffix) >= 1):
                 raise ConfigError(f"bad type section name [{section}]")
             type_sections[int(suffix)] = section
         else:
@@ -287,12 +225,9 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         shapley_sigma=_spread_to_sigma(game["shapley_spread"], spread_is_std, "[game] shapley_spread"),
     )
 
-    learn = _record("learning", LearnConfig, learn_raw)
-    experiment = _record("experiment", ExperimentConfig, exp_raw)
-    if min(experiment.user_counts) < len(types):
-        raise ConfigError(
-            f"[experiment] user_counts values must be at least {len(types)}, the number of types"
-        )
+    learn = _checked("learning", LearnConfig, learn_raw)
+    experiment = _checked("experiment", ExperimentConfig, exp_raw)
+    _checked("experiment", experiment.check_user_counts, {"types": types})
 
     return ExperimentSetup(
         types=types,

@@ -24,7 +24,7 @@ through the rewards and the revocation margins that follow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .retention import RetentionResult, optimal_retention, retention_incentives
 from .revocation import lower_equilibrium
 
 __all__ = [
+    "ExperimentConfig",
     "Outcome",
     "StationarySearch",
     "mechanism_contract",
@@ -123,30 +124,43 @@ def _mechanism_name(mechanism: str) -> str:
     return mech
 
 
-# (argument, condition, rule) of the harnesses' arguments and the
-# [experiment] keys that feed them, in the order they are checked
-_RULES = (
-    ("trials", lambda v: v >= 1, "trials must be positive"),
-    ("sweep_trials", lambda v: v >= 1, "sweep_trials must be positive"),
-    ("refine_trials", lambda v: v >= 1, "refine_trials must be positive"),
-    ("refine_steps", lambda v: v >= 0, "refine_steps must be nonnegative"),
-    ("refine_damping", lambda v: 0.0 < v <= 1.0, "refine_damping must lie in (0, 1]"),
-    ("user_counts", lambda v: len(v) >= 1, "user_counts must not be empty"),
-    ("p_grid", lambda v: len(v) >= 1, "p_grid must not be empty"),
-    ("q_grid", lambda v: len(v) >= 1, "q_grid must not be empty"),
-    ("mechanisms", lambda v: len(v) >= 1, "mechanisms must not be empty"),
-    ("p_grid", lambda v: all(0.0 <= p < 1.0 for p in v), "p_grid values must lie in [0, 1)"),
-    ("q_grid", lambda v: all(0.0 <= q <= 1.0 for q in v), "q_grid values must lie in [0, 1]"),
-)
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """[experiment]: one field per key, whose default is the key's default.
+    It checks each key's rule when built, so a harness meets only valid ones."""
 
+    trials: int = 50
+    user_counts: list[int] = field(default_factory=lambda: [1000, 2000, 3000, 4000, 5000])
+    p_grid: list[float] = field(default_factory=lambda: [i / 1000.0 for i in range(11)])
+    q_grid: list[float] = field(default_factory=lambda: [i / 10.0 for i in range(11)])
+    sweep_trials: int = 20
+    refine_steps: int = 4
+    refine_damping: float = 0.5
+    refine_trials: int = 20
+    mechanisms: list[str] = field(default_factory=lambda: ["NRI", "LLA", "RAR"])
 
-def _check_args(**values) -> None:
-    """Check the given arguments against their rules; mechanisms must each
-    name one of MECHANISMS, and no two the same."""
-    _require(*((holds(values[key]), rule) for key, holds, rule in _RULES if key in values))
-    named = [_mechanism_name(mech) for mech in values.get("mechanisms", ())]
-    _require(*((name not in named[:k], f"mechanisms must name {name} only once")
-               for k, name in enumerate(named)))
+    def __post_init__(self) -> None:
+        _require(
+            (self.trials >= 1, "trials must be positive"),
+            (self.sweep_trials >= 1, "sweep_trials must be positive"),
+            (self.refine_trials >= 1, "refine_trials must be positive"),
+            (self.refine_steps >= 0, "refine_steps must be nonnegative"),
+            (0.0 < self.refine_damping <= 1.0, "refine_damping must lie in (0, 1]"),
+            (len(self.user_counts) >= 1, "user_counts must not be empty"),
+            (len(self.p_grid) >= 1, "p_grid must not be empty"),
+            (len(self.q_grid) >= 1, "q_grid must not be empty"),
+            (len(self.mechanisms) >= 1, "mechanisms must not be empty"),
+            (all(0.0 <= p < 1.0 for p in self.p_grid), "p_grid values must lie in [0, 1)"),
+            (all(0.0 <= q <= 1.0 for q in self.q_grid), "q_grid values must lie in [0, 1]"),
+        )
+        named = [_mechanism_name(mech) for mech in self.mechanisms]
+        _require(*((name not in named[:k], f"mechanisms must name {name} only once")
+                   for k, name in enumerate(named)))
+
+    def check_user_counts(self, types: list[UserTypeSpec]) -> None:
+        """Each size must give every type at least one user."""
+        _require((min(self.user_counts) >= len(types),
+                  f"user_counts values must be at least {len(types)}, the number of types"))
 
 
 def mechanism_contract(
@@ -223,34 +237,29 @@ def compare_costs(
     types: list[UserTypeSpec],
     cfg: GameConfig,
     sampling: SamplingModel,
-    mechanisms=MECHANISMS,
-    user_counts=None,
-    trials: int = 50,
-    seed: int = 0,
+    exp: ExperimentConfig,
 ) -> list[dict]:
     """Mean realized cost and user payoff per mechanism and population size.
 
-    Populations are scaled proportionally to the requested totals and shared
-    across mechanisms within a trial; each mechanism's menu is designed once
-    per size.  Returns one row per (mechanism, I) with cost mean, standard
-    error and mean user payoff.
+    Populations are scaled from the types to each of exp.user_counts, drawn
+    from cfg.seed and shared across exp.mechanisms in each of exp.trials
+    trials; each mechanism's menu is designed once per size.  Returns one row
+    per (mechanism, I) with cost mean, standard error and mean user payoff.
     """
-    if user_counts is None:
-        user_counts = [sum(t.count for t in types)]
-    _check_args(mechanisms=mechanisms, user_counts=user_counts, trials=trials)
+    exp.check_user_counts(types)
     base_total = sum(t.count for t in types)
     rows = []
-    for size_index, total in enumerate(user_counts):
+    for size_index, total in enumerate(exp.user_counts):
         scaled = [
             replace(t, count=max(1, round(t.count * total / base_total))) for t in types
         ]
-        menus = {m.upper(): mechanism_contract(m, scaled, cfg) for m in mechanisms}
+        menus = {m.upper(): mechanism_contract(m, scaled, cfg) for m in exp.mechanisms}
         costs = {key: [] for key in menus}
         payoffs = {key: [] for key in menus}
         actual_total = sum(t.count for t in scaled)
-        for trial in range(trials):
+        for trial in range(exp.trials):
             population = sample_population(
-                scaled, sampling, _trial_seed(seed, _STREAM_COMPARE, size_index, trial)
+                scaled, sampling, _trial_seed(cfg.seed, _STREAM_COMPARE, size_index, trial)
             )
             for key, contract in menus.items():
                 outcome = run_pipeline(key, contract, scaled, cfg, population)
@@ -290,31 +299,24 @@ def find_stationary_rates(
     types: list[UserTypeSpec],
     cfg: GameConfig,
     sampling: SamplingModel,
-    p_grid,
-    q_grid,
-    trials: int = 20,
-    seed: int = 0,
-    refine_steps: int = 4,
-    refine_damping: float = 0.5,
-    refine_trials: int = 20,
+    exp: ExperimentConfig,
 ) -> StationarySearch:
     """Locate (p, q) whose realized counterpart reproduces itself under RAR.
 
     Users' historical revocation/retention rates (p, q) feed the contract
     design, but the rates realized in simulation depend on the contract in
-    turn.  Every grid point overrides all types' historical rates, designs
-    RAR's menu once, plays it against `trials` populations (drawn once and
-    shared by every grid point, since the draws do not depend on p or q),
-    and pools realized rates.  The best point by Euclidean distance then
-    seeds a damped fixed-point iteration on fresh trials; refine_steps = 0
-    returns the grid point itself.
+    turn.  Every point of exp.p_grid x exp.q_grid overrides all types'
+    historical rates, designs RAR's menu once, plays it against
+    exp.sweep_trials populations (drawn once from cfg.seed and shared by
+    every grid point, since the draws do not depend on p or q), and pools
+    realized rates.  The best point by Euclidean distance then seeds
+    exp.refine_steps damped fixed-point steps on exp.refine_trials fresh
+    trials each; refine_steps = 0 returns the grid point itself.
     """
-    _check_args(p_grid=p_grid, q_grid=q_grid, trials=trials, refine_steps=refine_steps,
-                refine_damping=refine_damping, refine_trials=refine_trials)
 
     def draw(stream: int, step: int, n_trials: int) -> list[Population]:
         return [
-            sample_population(types, sampling, _trial_seed(seed, stream, step, trial))
+            sample_population(types, sampling, _trial_seed(cfg.seed, stream, step, trial))
             for trial in range(n_trials)
         ]
 
@@ -334,11 +336,11 @@ def find_stationary_rates(
         q_hat = retained / revoked if revoked else 0.0
         return p_hat, q_hat, cost_acc / len(populations)
 
-    grid_populations = draw(_STREAM_SWEEP, 0, trials)
+    grid_populations = draw(_STREAM_SWEEP, 0, exp.sweep_trials)
     rows = []
     best = None
-    for p in p_grid:
-        for q in q_grid:
+    for p in exp.p_grid:
+        for q in exp.q_grid:
             p_hat, q_hat, cost = measure(p, q, grid_populations)
             dist = float(np.hypot(p_hat - p, q_hat - q))
             rows.append(
@@ -349,11 +351,11 @@ def find_stationary_rates(
     p_star, q_star = best[1], best[2]
 
     refined = False
-    for step in range(refine_steps):
-        populations = draw(_STREAM_REFINE, step + 1, refine_trials)
+    for step in range(exp.refine_steps):
+        populations = draw(_STREAM_REFINE, step + 1, exp.refine_trials)
         p_hat, q_hat, _ = measure(p_star, q_star, populations)
-        p_star = (1.0 - refine_damping) * p_star + refine_damping * p_hat
-        q_star = (1.0 - refine_damping) * q_star + refine_damping * q_hat
+        p_star = (1.0 - exp.refine_damping) * p_star + exp.refine_damping * p_hat
+        q_star = (1.0 - exp.refine_damping) * q_star + exp.refine_damping * q_hat
         p_star = min(max(p_star, 0.0), 0.999)
         q_star = min(max(q_star, 0.0), 1.0)
         refined = True

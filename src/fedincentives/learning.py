@@ -22,6 +22,7 @@ import numpy as np
 from .model import _require
 
 __all__ = [
+    "LearnConfig",
     "LearnProblem",
     "StepSchedule",
     "TrainTrace",
@@ -40,8 +41,8 @@ __all__ = [
 
 
 # One rule per [learning] key, worded as that key and stated as what must hold
-# (so a NaN fails).  make_problem, LearnProblem, StepSchedule and each training
-# run check their arguments here, and config.LearnConfig its keys.
+# (so a NaN fails).  LearnConfig checks its keys here, and LearnProblem,
+# StepSchedule and each training run their arguments.
 _RULES = {
     "users": (lambda v: v >= 1, "users must be positive"),
     "dim": (lambda v: v >= 1, "dim must be positive"),
@@ -64,6 +65,35 @@ _RULES = {
 def _check_keys(**values) -> None:
     """Check each value, in order, against its key's rule (rotate has none)."""
     _require(*((_RULES[key][0](v), _RULES[key][1]) for key, v in values.items() if key in _RULES))
+
+
+@dataclass(frozen=True)
+class LearnConfig:
+    """[learning]: one field per key, whose default is the key's default.
+    It checks each key's rule when built, so make_problem meets only valid ones."""
+
+    users: int = 10
+    dim: int = 16
+    data_size: int = 64
+    iota: float = 0.25
+    noise_sigma2: float = 0.01
+    rounds: int = 600
+    local_steps: int = 5
+    schedule: str = "inverse_t"
+    step_c: float = 2.0
+    step_shift: float = 23.0
+    seeds: int = 100
+    mu: float = 1.0
+    condition: float = 1.0
+    hessian_spread: float = 0.0
+    rotate: bool = False
+    b_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_keys(**vars(self))
+
+    def make_schedule(self) -> StepSchedule:
+        return StepSchedule(kind=self.schedule, c=self.step_c, shift=self.step_shift)
 
 
 @dataclass
@@ -184,46 +214,33 @@ class UnlearnSpec:
 # --- generation ---
 
 
-def make_problem(
-    users: int,
-    dim: int,
-    data_size: int,
-    seed: int,
-    iota: float = 0.25,
-    noise_sigma2: float = 0.0,
-    mu: float = 1.0,
-    condition: float = 1.0,
-    hessian_spread: float = 0.0,
-    rotate: bool = False,
-    b_scale: float = 1.0,
-) -> LearnProblem:
+def make_problem(learn: LearnConfig, seed: int) -> LearnProblem:
     """Random instance with controllable curvature and heterogeneity.
 
     The base Hessian has eigenvalues log-spaced in [mu, mu*condition]; each
     user scales it by 1 + hessian_spread*u_i with u_i uniform in [-1, 1] and
     optionally conjugates by a random rotation, so users disagree while
-    staying positive definite.
+    staying positive definite.  Every size and shape comes from learn.
     """
-    _check_keys(users=users, dim=dim, data_size=data_size, iota=iota, noise_sigma2=noise_sigma2,
-                mu=mu, condition=condition, hessian_spread=hessian_spread, b_scale=b_scale)
+    users, dim = learn.users, learn.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C454152]))
-    eig = mu * np.logspace(0.0, math.log10(condition), dim)
+    eig = learn.mu * np.logspace(0.0, math.log10(learn.condition), dim)
     Q = np.empty((users, dim, dim))
     for i in range(users):
-        scale = 1.0 + hessian_spread * rng.uniform(-1.0, 1.0)
+        scale = 1.0 + learn.hessian_spread * rng.uniform(-1.0, 1.0)
         base = np.diag(eig * scale)
-        if rotate:
+        if learn.rotate:
             mat = rng.standard_normal((dim, dim))
             orth, _ = np.linalg.qr(mat)
             base = orth @ base @ orth.T
         Q[i] = 0.5 * (base + base.T)
-    b = b_scale * rng.standard_normal((users, dim))
+    b = learn.b_scale * rng.standard_normal((users, dim))
     return LearnProblem(
         Q=Q,
         b=b,
-        data_sizes=np.full(users, data_size),
-        iota=iota,
-        noise_sigma2=noise_sigma2,
+        data_sizes=np.full(users, learn.data_size),
+        iota=learn.iota,
+        noise_sigma2=learn.noise_sigma2,
     )
 
 

@@ -19,6 +19,7 @@ from fedincentives.config import load_config
 from fedincentives.contract import design_contract, optimal_data_sizes, verify_ir_ic
 from fedincentives.experiments import find_stationary_rates, mechanism_contract, run_pipeline
 from fedincentives.learning import (
+    LearnConfig,
     LearnProblem,
     StepSchedule,
     UnlearnSpec,
@@ -280,18 +281,9 @@ def test_criterion_06_benchmark_ordering(shipped, benchmark_runs):
 
 
 def test_criterion_07_stationary_rates(shipped):
-    exp = shipped.experiment
+    exp = replace(shipped.experiment, sweep_trials=2, refine_trials=5)
     search = find_stationary_rates(
-        shipped.types,
-        shipped.cfg,
-        shipped.sampling,
-        p_grid=exp.p_grid,
-        q_grid=exp.q_grid,
-        trials=2,
-        seed=0,
-        refine_steps=exp.refine_steps,
-        refine_damping=exp.refine_damping,
-        refine_trials=5,
+        shipped.types, replace(shipped.cfg, seed=0), shipped.sampling, exp
     )
     ok = 1e-3 <= search.p_star <= 6e-3 and 0.35 <= search.q_star <= 0.65
     _report(7, "stationary churn rates", ok,
@@ -301,7 +293,7 @@ def test_criterion_07_stationary_rates(shipped):
 
 def test_criterion_08_convergence_shapes(shipped):
     learn = shipped.learn
-    problem = learn.make_problem(seed=0)
+    problem = make_problem(learn, 0)
 
     quiet = LearnProblem(Q=problem.Q, b=problem.b, data_sizes=problem.data_sizes,
                          iota=problem.iota, noise_sigma2=0.0)
@@ -373,9 +365,10 @@ def test_criterion_10_shapley_axioms():
     worst_eff = worst_sym = 0.0
     for seed in range(100):
         users = 2 + seed % 5
-        prob = make_problem(users=users, dim=5, data_size=16, seed=seed,
+        learn = LearnConfig(users=users, dim=5, data_size=16,
                             noise_sigma2=1e-3 if seed % 2 else 0.0, mu=0.5,
                             condition=3.0, hessian_spread=0.3, rotate=True)
+        prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
         phi, total = federated_shapley_exact(prob, 3, sch, seed=seed, with_total=True)
         worst_eff = max(worst_eff,

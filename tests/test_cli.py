@@ -326,6 +326,27 @@ def test_bad_config_exit_1(tmp_path, capsys):
     assert _run(["contract", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "theta = 2.0\n[types.1]\ntheta = 2.0\nxi = 900\n",
+        "[types.1]\ntheta = 2.0\ntheta = 3.0\nxi = 900\n",
+        "[types.1]\ntheta = 2.0\nxi = 900\n\n[types.1]\ntheta = 3.0\n",
+        "[types.1]\ntheta = 2.0\nxi = 900\nnonsense\n",
+    ],
+    ids=["no-section-header", "repeated-key", "repeated-section", "line-without-equals"],
+)
+def test_malformed_ini_exit_1(tmp_path, capsys, body):
+    """A file the INI parser refuses is a configuration error like any
+    other: exit 1 with a `config error:` message, not an escaped exception."""
+    path = tmp_path / "malformed.ini"
+    path.write_text(body)
+    assert _run(["contract", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_experiment_setting_exit_1(tmp_path, capsys):
     path = tmp_path / "empty.ini"
     path.write_text(SMALL.replace("p_grid = 0.0, 0.05", "p_grid ="))

@@ -1,17 +1,13 @@
 """Configuration parsing, defaults and failure modes."""
+import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 
-from fedincentives.config import (
-    ConfigError,
-    ExperimentConfig,
-    LearnConfig,
-    default_config_path,
-    load_config,
-)
-from fedincentives.learning import scaffold_train
+from fedincentives.config import ConfigError, default_config_path, load_config
+from fedincentives.experiments import ExperimentConfig
+from fedincentives.learning import LearnConfig, make_problem, scaffold_train
 from fedincentives.model import GameConfig, truncated_normal_moments
 
 
@@ -117,6 +113,17 @@ xi = 900
     assert [t.theta for t in setup.types] == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("number", ["01", "001", "0", "+1", "1_0", "\u0661", "\uff11"])
+def test_type_section_number_is_canonical(tmp_path, number):
+    """Only a type number's canonical ASCII spelling names a type, so
+    [types.01] cannot silently replace [types.1]."""
+    body = MINIMAL + f"\n[types.{number}]\ntheta = 4.0\nxi = 1700\n"
+    with pytest.raises(ConfigError, match=re.escape(f"bad type section name [types.{number}]")):
+        load_config(_write(tmp_path, body))
+    ten = load_config(_write(tmp_path, MINIMAL + "\n[types.10]\ntheta = 4.0\nxi = 1700\n"))
+    assert [(t.theta, t.xi) for t in ten.types] == [(2.0, 900.0), (4.0, 1700.0)]
+
+
 def test_unknown_key_is_an_error_with_key_name(tmp_path):
     body = MINIMAL + "\n[game]\nlamda = 0.05\n"
     with pytest.raises(ConfigError, match="lamda"):
@@ -197,7 +204,7 @@ step_c = 0.001
 seeds = 2
 """
     setup = load_config(_write(tmp_path, body))
-    prob = setup.learn.make_problem(seed=0)
+    prob = make_problem(setup.learn, 0)
     assert prob.users == 3 and prob.dim == 4
     sch = setup.learn.make_schedule()
     scaffold_train(prob, 1, sch, [0])  # under the problem's stability cap

@@ -11,6 +11,7 @@ from fedincentives.config import load_config
 from fedincentives.contract import design_contract
 from fedincentives.experiments import (
     MECHANISMS,
+    ExperimentConfig,
     compare_costs,
     find_stationary_rates,
     mechanism_contract,
@@ -208,19 +209,22 @@ def test_per_type_view_follows_the_types(packaged, per_type_calls, q_bar_calls):
     assert len(per_type_calls) == len(q_bar_calls) == 2
 
 
+# a stationary-rate search of two grid points and one refine step
+SMALL_SWEEP = ExperimentConfig(p_grid=[0.0, 0.002], q_grid=[0.5], sweep_trials=3,
+                               refine_steps=1, refine_trials=2)
+
+
 def test_harnesses_form_the_per_type_view_once_per_menu(per_type_calls, q_bar_calls):
     """compare_costs at the packaged default with two trials plays 15 menus
     (5 sizes x 3 mechanisms) 30 times; find_stationary_rates plays each grid
     point's menu and each refine step's menu against every trial.  Each menu
     forms its rows and q_bar once."""
     setup = load_config(None)
-    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
-                  setup.experiment.user_counts, trials=2)
+    compare_costs(setup.types, setup.cfg, setup.sampling, replace(setup.experiment, trials=2))
     assert len(per_type_calls) == len(q_bar_calls) == 15
     per_type_calls.clear()
     q_bar_calls.clear()
-    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
-                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, SMALL_SWEEP)
     assert len(per_type_calls) == len(q_bar_calls) == 2 + 1
 
 
@@ -228,11 +232,10 @@ def test_payoffs_are_formed_only_on_read(payoffs_calls):
     """The stationary-rate search never reads the realized payoffs, so none
     are formed; compare_costs reads each play's payoffs once."""
     setup = load_config(None)
-    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
-                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, SMALL_SWEEP)
     assert payoffs_calls == []
-    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
-                  user_counts=[1000, 3000], trials=2)
+    exp = replace(setup.experiment, user_counts=[1000, 3000], trials=2)
+    compare_costs(setup.types, setup.cfg, setup.sampling, exp)
     assert len(payoffs_calls) == 2 * 2 * 3
 
 
@@ -249,10 +252,9 @@ def test_realized_rates_are_formed_only_on_read(monkeypatch):
 
     monkeypatch.setattr(experiments, "realized_rates", counted)
     setup = load_config(None)
-    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
-                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
-    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
-                  user_counts=[1000], trials=2)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, SMALL_SWEEP)
+    exp = replace(setup.experiment, user_counts=[1000], trials=2)
+    compare_costs(setup.types, setup.cfg, setup.sampling, exp)
     population = sample_population(setup.types, setup.sampling, 0)
     contract = mechanism_contract("RAR", setup.types, setup.cfg)
     out = run_pipeline("RAR", contract, setup.types, setup.cfg, population)
@@ -305,11 +307,10 @@ def test_harnesses_drop_each_outcome_before_the_next_play(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_pipeline", guarded)
     setup = load_config(None)
-    compare_costs(setup.types, setup.cfg, setup.sampling, setup.experiment.mechanisms,
-                  user_counts=[1000, 2000], trials=2)
+    exp = replace(setup.experiment, user_counts=[1000, 2000], trials=2)
+    compare_costs(setup.types, setup.cfg, setup.sampling, exp)
     assert len(played) == 2 * 2 * 3
-    find_stationary_rates(setup.types, setup.cfg, setup.sampling, p_grid=[0.0, 0.002],
-                          q_grid=[0.5], trials=3, refine_steps=1, refine_trials=2)
+    find_stationary_rates(setup.types, setup.cfg, setup.sampling, SMALL_SWEEP)
     assert len(played) == 2 * 2 * 3 + 2 * 3 + 2
 
 
@@ -382,8 +383,8 @@ def test_compare_costs_shares_draws_across_mechanisms(rng):
     types, cfg, model = _economy(rng, J=2, count_hi=40)
 
     def rows(*mechanisms):
-        return compare_costs(types, cfg, model, mechanisms=mechanisms,
-                             user_counts=[40], trials=3, seed=1)
+        exp = ExperimentConfig(mechanisms=list(mechanisms), user_counts=[40], trials=3)
+        return compare_costs(types, replace(cfg, seed=1), model, exp)
 
     assert rows("RAR", "NRI") == rows("RAR") + rows("NRI")
 
@@ -405,8 +406,8 @@ def design_calls(monkeypatch):
 def test_compare_costs_designs_each_menu_once_per_size(rng, design_calls):
     types, cfg, model = _economy(rng, J=2, count_hi=30)
     total = sum(t.count for t in types)
-    compare_costs(types, cfg, model, mechanisms=("RAR", "NRI"),
-                  user_counts=[total, 2 * total], trials=3, seed=0)
+    exp = ExperimentConfig(mechanisms=["RAR", "NRI"], user_counts=[total, 2 * total], trials=3)
+    compare_costs(types, cfg, model, exp)
     assert len(design_calls) == 2 * 2
 
 
@@ -425,7 +426,9 @@ def test_compare_costs_checks_rules_once_per_size(rng, monkeypatch):
 
     def rule_checks(trials):
         checks.clear()
-        compare_costs(types, cfg, model, user_counts=[total, 2 * total], trials=trials, seed=0)
+        exp = ExperimentConfig(user_counts=[total, 2 * total], trials=trials,
+                               mechanisms=list(MECHANISMS))
+        compare_costs(types, cfg, model, exp)
         return len(checks)
 
     assert rule_checks(1) == rule_checks(3) > 0
@@ -433,13 +436,14 @@ def test_compare_costs_checks_rules_once_per_size(rng, monkeypatch):
 
 def test_stationary_search_designs_once_per_point_and_step(rng, design_calls):
     types, cfg, model = _economy(rng, J=2, count_hi=30)
-    find_stationary_rates(types, cfg, model, p_grid=[0.0, 0.05], q_grid=[0.0, 0.5],
-                          trials=3, seed=0, refine_steps=1, refine_trials=3)
+    exp = ExperimentConfig(p_grid=[0.0, 0.05], q_grid=[0.0, 0.5], sweep_trials=3,
+                           refine_steps=1, refine_trials=3)
+    find_stationary_rates(types, cfg, model, exp)
     assert len(design_calls) == 2 * 2 + 1
 
 
 @pytest.mark.parametrize("harness, bad, rule", [
-    ("stationary", {"trials": 0}, "trials must be positive"),
+    ("stationary", {"sweep_trials": 0}, "sweep_trials must be positive"),
     ("stationary", {"p_grid": []}, "p_grid must not be empty"),
     ("stationary", {"q_grid": [2.0]}, "q_grid values must lie in [0, 1]"),
     ("stationary", {"refine_damping": 0.0}, "refine_damping must lie in (0, 1]"),
@@ -448,29 +452,36 @@ def test_stationary_search_designs_once_per_point_and_step(rng, design_calls):
     ("compare", {"mechanisms": []}, "mechanisms must not be empty"),
 ])
 def test_harnesses_check_their_arguments(harness, bad, rule):
-    """The harnesses meet the rules ExperimentConfig states for the keys that
-    feed them, as a ValueError naming the argument, before any play."""
-    setup = load_config(None)
-    args = (setup.types, setup.cfg, setup.sampling)
+    """Each harness takes its settings as an ExperimentConfig, which refuses
+    a field that breaks its rule when built, as a ValueError naming the
+    field, so no play starts from it."""
     with pytest.raises(ValueError, match="^" + re.escape(rule)):
-        if harness == "stationary":
-            find_stationary_rates(*args, **{"p_grid": [0.0], "q_grid": [0.5], **bad})
-        else:
-            compare_costs(*args, **bad)
+        ExperimentConfig(**bad)
+
+
+def test_compare_costs_checks_user_counts_against_the_types(rng, monkeypatch):
+    """Every size must give each type a user: compare_costs refuses a
+    smaller one before any play, rather than playing one user per type."""
+    types, cfg, model = _economy(rng, J=3, count_hi=30)
+    monkeypatch.setattr(experiments, "run_pipeline", None)
+    for counts in ([-3000], [len(types) - 1], [40, 2]):
+        exp = ExperimentConfig(user_counts=counts, trials=1)
+        with pytest.raises(ValueError, match="^user_counts values must be at least 3, the number"):
+            compare_costs(types, cfg, model, exp)
 
 
 def test_compare_costs_rejects_repeated_mechanisms(rng):
     types, cfg, model = _economy(rng, J=2, count_hi=40)
     with pytest.raises(ValueError, match="only once"):
-        compare_costs(types, cfg, model, mechanisms=("RAR", "rar", "NRI"),
-                      user_counts=[40], trials=2)
+        exp = ExperimentConfig(mechanisms=["RAR", "rar", "NRI"], user_counts=[40], trials=2)
+        compare_costs(types, cfg, model, exp)
 
 
 def test_compare_costs_row_schema(rng):
     types, cfg, model = _economy(rng, J=2, count_hi=30)
     total = sum(t.count for t in types)
-    rows = compare_costs(types, cfg, model, user_counts=[total, 2 * total],
-                         trials=2, seed=2)
+    exp = ExperimentConfig(user_counts=[total, 2 * total], trials=2, mechanisms=list(MECHANISMS))
+    rows = compare_costs(types, replace(cfg, seed=2), model, exp)
     assert len(rows) == 2 * len(MECHANISMS)
     seen = {(r["mechanism"], r["I"]) for r in rows}
     assert len(seen) == len(rows)
@@ -484,9 +495,9 @@ def test_compare_costs_row_schema(rng):
 
 def test_population_scaling_preserves_type_mix(rng):
     types, cfg, model = _economy(rng, J=3, count_hi=30)
-    rows = compare_costs(types, cfg, model, mechanisms=("NRI",),
-                         user_counts=[3 * sum(t.count for t in types)],
-                         trials=1, seed=0)
+    exp = ExperimentConfig(mechanisms=["NRI"], user_counts=[3 * sum(t.count for t in types)],
+                           trials=1)
+    rows = compare_costs(types, cfg, model, exp)
     expect = sum(max(1, round(t.count * 3)) for t in types)
     assert rows[0]["I"] == expect
 

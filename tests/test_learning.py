@@ -6,6 +6,7 @@ import pytest
 from learning_oracles import run_scaffold_loop, shapley_loop
 
 from fedincentives.learning import (
+    LearnConfig,
     LearnProblem,
     StepSchedule,
     UnlearnSpec,
@@ -24,7 +25,7 @@ def _problem(seed=0, **kw):
     base = dict(users=6, dim=8, data_size=32, iota=0.25, noise_sigma2=0.0,
                 mu=0.5, condition=4.0, hessian_spread=0.2, rotate=True)
     base.update(kw)
-    return make_problem(seed=seed, **base)
+    return make_problem(LearnConfig(**base), seed)
 
 
 def _collected_updates(problem, rounds, schedule, seed, local_steps=5):
@@ -65,7 +66,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LearnProblem(Q=asym, b=np.zeros((2, 3)), data_sizes=np.array([4, 4]))
     with pytest.raises(ValueError):
-        make_problem(users=0, dim=4, data_size=8, seed=0)
+        make_problem(LearnConfig(users=0, dim=4, data_size=8, noise_sigma2=0.0), 0)
     Q = np.tile(np.eye(3), (2, 1, 1))
     b = np.zeros((2, 3))
     sizes = np.array([4, 4])
@@ -89,8 +90,9 @@ def test_problem_validation():
     ],
 )
 def test_make_problem_states_its_rules(key, value):
-    """Each argument out of its domain, NaN included, is refused by name;
-    condition 0.5 must not be built as condition 1."""
+    """Each LearnConfig field out of its domain, NaN included, is refused by
+    name before make_problem draws; condition 0.5 must not be built as
+    condition 1."""
     with pytest.raises(ValueError, match=f"^{key} must"):
         _problem(**{key: value})
 
@@ -173,8 +175,8 @@ def test_noiseless_geometric_contraction():
 
 
 def test_inverse_t_scaled_gap_bounded():
-    prob = make_problem(users=10, dim=16, data_size=64, seed=0, iota=0.25,
-                        noise_sigma2=1e-2, mu=1.0, condition=1.0)
+    prob = make_problem(LearnConfig(users=10, dim=16, data_size=64, iota=0.25,
+                                    noise_sigma2=1e-2, mu=1.0, condition=1.0), 0)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
     trace = scaffold_train(prob, 500, sch, range(40), w0=prob.w_star)
     scaled = (trace.rounds[100:] + 1.0) * trace.gap[100:]
@@ -182,8 +184,8 @@ def test_inverse_t_scaled_gap_bounded():
 
 
 def test_gap_bound_fit_and_verification():
-    prob = make_problem(users=8, dim=8, data_size=16, seed=2, iota=0.25,
-                        noise_sigma2=1e-2, mu=1.0, condition=1.0)
+    prob = make_problem(LearnConfig(users=8, dim=8, data_size=16, iota=0.25,
+                                    noise_sigma2=1e-2, mu=1.0, condition=1.0), 2)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
     trace = scaffold_train(prob, 300, sch, range(40), w0=prob.w_star)
     rep = check_gap_bound(trace, prob)
@@ -208,28 +210,27 @@ def test_gap_bound_noiseless_zero_constant():
 def test_doubling_batches_halves_noise_term():
     """Same seeds make the comparison exact: iterates are linear in the
     injected noise, so scaling its std by 1/sqrt(2) scales the gap by 1/2."""
-    kw = dict(users=8, dim=8, seed=4, iota=0.25, noise_sigma2=2e-2,
-              mu=1.0, condition=1.0)
+    kw = dict(users=8, dim=8, iota=0.25, noise_sigma2=2e-2, mu=1.0, condition=1.0)
     sch = StepSchedule("constant", 1.0 / 24.0)
     floors = []
     for ds in (16, 32):
-        prob = make_problem(data_size=ds, **kw)
+        prob = make_problem(LearnConfig(data_size=ds, **kw), 4)
         trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star)
         floors.append(float(np.mean(trace.gap[80:])))
     assert floors[1] / floors[0] == pytest.approx(0.5, abs=1e-9)
     # and independent seeds still land within the 20% window
-    prob = make_problem(data_size=16, **kw)
+    prob = make_problem(LearnConfig(data_size=16, **kw), 4)
     trace = scaffold_train(prob, 160, sch, range(60, 90), w0=prob.w_star)
     indep = float(np.mean(trace.gap[80:]))
     assert 0.4 <= floors[1] / indep <= 0.6
 
 
 def test_plateau_scales_with_noise_variance():
-    kw = dict(users=8, dim=8, data_size=16, seed=5, iota=0.25, mu=1.0, condition=1.0)
+    kw = dict(users=8, dim=8, data_size=16, iota=0.25, mu=1.0, condition=1.0)
     sch = StepSchedule("constant", 1.0 / 24.0)
     plateaus = []
     for sig2 in (1e-2, 4e-2):
-        prob = make_problem(noise_sigma2=sig2, **kw)
+        prob = make_problem(LearnConfig(noise_sigma2=sig2, **kw), 5)
         trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star)
         plateaus.append(float(np.mean(trace.gap[80:])))
     assert plateaus[1] / plateaus[0] == pytest.approx(4.0, abs=1e-9)
@@ -257,8 +258,8 @@ def test_unlearning_zero_gradient_leaver_free():
 
 def test_unlearning_rounds_track_leaver_burden():
     """Leaver sets with 4x the squared gradient mass need more rounds."""
-    base = make_problem(users=6, dim=8, data_size=32, seed=7, iota=0.25,
-                        noise_sigma2=1e-6, mu=1.0, condition=1.0)
+    base = make_problem(LearnConfig(users=6, dim=8, data_size=32, iota=0.25,
+                                    noise_sigma2=1e-6, mu=1.0, condition=1.0), 7)
     u = np.zeros(base.dim)
     u[0] = 1.0
     r = np.array([1.0, 2.0, 1.5, 0.5, 1.2, -6.2])  # sums to zero: w* = 0
@@ -274,8 +275,8 @@ def test_unlearning_rounds_track_leaver_burden():
 def test_unlearning_epsilon_halving_rate():
     """In the noise-dominated 1/t regime, halving epsilon costs about 4x
     the rounds (within a factor of 2)."""
-    base = make_problem(users=4, dim=8, data_size=4, seed=9, iota=0.25,
-                        noise_sigma2=1.0, mu=1.0, condition=1.0, b_scale=1.0)
+    base = make_problem(LearnConfig(users=4, dim=8, data_size=4, iota=0.25, noise_sigma2=1.0,
+                                    mu=1.0, condition=1.0, b_scale=1.0), 9)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
     t1 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.015), sch, range(40))
     t2 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.0075), sch, range(40))
@@ -351,9 +352,9 @@ def test_shapley_symmetry_for_identical_users():
 
 def test_shapley_efficiency_random_problems():
     for seed in range(20):
-        prob = make_problem(users=int(3 + seed % 4), dim=6, data_size=16,
-                            seed=seed, noise_sigma2=1e-3, mu=0.5,
-                            condition=3.0, hessian_spread=0.3, rotate=True)
+        learn = LearnConfig(users=int(3 + seed % 4), dim=6, data_size=16, noise_sigma2=1e-3,
+                            mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
+        prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
         phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
         assert phi.sum() == pytest.approx(total, abs=1e-9 * max(1.0, abs(total)))
@@ -368,9 +369,9 @@ def test_shapley_rejects_large_coalitions():
 
 def test_shapley_matches_the_coalition_loop():
     for seed in range(8):
-        prob = make_problem(users=seed + 1, dim=6, data_size=16, seed=seed,
-                            noise_sigma2=1e-3, mu=0.5, condition=3.0,
-                            hessian_spread=0.3, rotate=True)
+        learn = LearnConfig(users=seed + 1, dim=6, data_size=16, noise_sigma2=1e-3,
+                            mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
+        prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
         phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
         updates = _collected_updates(prob, 5, sch, seed)
@@ -393,8 +394,8 @@ KERNEL_SHAPES = [
 
 
 def _kernel_problem(shape, noise_sigma2=1e-2):
-    return make_problem(users=5, dim=8, data_size=16, seed=1,
-                        noise_sigma2=noise_sigma2, mu=1.0, **shape)
+    learn = LearnConfig(users=5, dim=8, data_size=16, noise_sigma2=noise_sigma2, mu=1.0, **shape)
+    return make_problem(learn, 1)
 
 
 def _assert_matches(new, ref, rtol, scale=None):
@@ -487,7 +488,8 @@ def test_unlearn_stop_rounds_are_pinned(name, shape):
 
 @pytest.mark.parametrize("name, shape", [("scalar", SCALAR), ("rotated", ROTATED)])
 def test_shapley_values_are_pinned(name, shape):
-    prob = make_problem(users=4, dim=6, data_size=16, seed=2, noise_sigma2=1e-3, mu=0.5, **shape)
+    learn = LearnConfig(users=4, dim=6, data_size=16, noise_sigma2=1e-3, mu=0.5, **shape)
+    prob = make_problem(learn, 2)
     sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
     phi, total = federated_shapley_exact(prob, 5, sch, seed=3, with_total=True)
     want_phi, want_total = PINNED_SHAPLEY[name]

@@ -1,10 +1,10 @@
 """Population sampling and the stationary-rate search."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fedincentives.experiments import find_stationary_rates
+from fedincentives.experiments import ExperimentConfig, find_stationary_rates
 from fedincentives.model import GameConfig, UserTypeSpec, truncated_normal_moments
 from fedincentives.population import SamplingModel, realized_rates, sample_population
 
@@ -154,9 +154,9 @@ def test_stationary_search_no_churn_collapses_to_origin():
     spec, model, cfg = _pipeline_setup(count=120)
     quiet = UserTypeSpec(theta=spec.theta, xi=1.0, count=spec.count, p=spec.p,
                          q=spec.q, loss_mean=spec.loss_mean, loss_var=spec.loss_var)
-    res = find_stationary_rates([quiet], cfg, model, p_grid=[0.0, 0.1],
-                                q_grid=[0.0, 0.5], trials=2, seed=0,
-                                refine_steps=2, refine_trials=2)
+    exp = ExperimentConfig(p_grid=[0.0, 0.1], q_grid=[0.0, 0.5], sweep_trials=2,
+                           refine_steps=2, refine_trials=2)
+    res = find_stationary_rates([quiet], replace(cfg, seed=0), model, exp)
     assert res.p_star == 0.0 and res.q_star == 0.0
     assert res.refined
     assert all(row["p_hat"] == 0.0 for row in res.grid)
@@ -164,23 +164,24 @@ def test_stationary_search_no_churn_collapses_to_origin():
 
 def test_stationary_search_grid_geometry_and_determinism():
     spec, model, cfg = _pipeline_setup()
-    kw = dict(p_grid=[0.0, 0.05], q_grid=[0.0, 0.5], trials=2, seed=3,
-              refine_steps=1, refine_trials=2)
-    res = find_stationary_rates([spec], cfg, model, **kw)
+    cfg = replace(cfg, seed=3)
+    exp = ExperimentConfig(p_grid=[0.0, 0.05], q_grid=[0.0, 0.5], sweep_trials=2,
+                           refine_steps=1, refine_trials=2)
+    res = find_stationary_rates([spec], cfg, model, exp)
     assert len(res.grid) == 4
     for row in res.grid:
         assert 0.0 <= row["p_hat"] <= 1.0 and 0.0 <= row["q_hat"] <= 1.0
         assert row["dist"] == pytest.approx(
             np.hypot(row["p_hat"] - row["p"], row["q_hat"] - row["q"]))
     assert 0.0 <= res.p_star <= 0.999 and 0.0 <= res.q_star <= 1.0
-    again = find_stationary_rates([spec], cfg, model, **kw)
+    again = find_stationary_rates([spec], cfg, model, exp)
     assert again.p_star == res.p_star and again.q_star == res.q_star
     assert again.grid == res.grid
 
 
 def test_stationary_refine_steps_zero_returns_grid_point():
     spec, model, cfg = _pipeline_setup(count=150)
-    res = find_stationary_rates([spec], cfg, model, p_grid=[0.0, 0.02],
-                                q_grid=[0.5], trials=2, seed=5, refine_steps=0)
+    exp = ExperimentConfig(p_grid=[0.0, 0.02], q_grid=[0.5], sweep_trials=2, refine_steps=0)
+    res = find_stationary_rates([spec], replace(cfg, seed=5), model, exp)
     assert not res.refined
     assert (res.p_star, res.q_star) in {(0.0, 0.5), (0.02, 0.5)}

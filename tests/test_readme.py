@@ -5,7 +5,9 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
-from fedincentives.config import _GAME, ExperimentConfig, LearnConfig
+from fedincentives.config import _GAME
+from fedincentives.experiments import ExperimentConfig
+from fedincentives.learning import LearnConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

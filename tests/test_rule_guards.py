@@ -4,12 +4,15 @@ so a library caller and a config file meet the same rule."""
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fedincentives
 from fedincentives.config import ConfigError, load_config
+from fedincentives.experiments import ExperimentConfig, compare_costs, find_stationary_rates
+from fedincentives.learning import LearnConfig, make_problem
 
 SOURCE = "".join(
     path.read_text() for path in sorted(Path(fedincentives.__file__).parent.glob("*.py"))
@@ -70,3 +73,16 @@ def test_each_rule_stated_once(tmp_path, section, setting, rule):
     # only load_config's cross-section rule is written with its section
     stated = SOURCE.count('"' + rule) + SOURCE.count(f'"[{section}] {rule}')
     assert stated == 1, f"{rule!r} is stated {stated} times"
+
+
+def test_each_setting_reaches_the_code_as_its_record():
+    """The harnesses take [experiment]'s settings as one ExperimentConfig and
+    make_problem takes [learning]'s as one LearnConfig: none of them restates
+    a setting, or its default, as a parameter.  The harnesses draw from
+    cfg.seed, so neither takes a seed of its own."""
+    settings = {f.name for f in fields(ExperimentConfig)} | {f.name for f in fields(LearnConfig)}
+    for function in (compare_costs, find_stationary_rates, make_problem):
+        restated = settings & set(inspect.signature(function).parameters)
+        assert not restated, f"{function.__name__} restates {sorted(restated)}"
+    for harness in (compare_costs, find_stationary_rates):
+        assert "seed" not in inspect.signature(harness).parameters
