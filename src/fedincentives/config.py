@@ -139,6 +139,21 @@ def _spread_to_sigma(spread: float, spread_is_std: bool, where: str) -> float:
     return spread ** 0.5
 
 
+def _parse_error(path: str, exc: configparser.Error) -> str:
+    """The parser's complaint as one line naming the file and the line.
+
+    These four are the errors ConfigParser.read raises.
+    """
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}, line {exc.lineno}: no [section] header before {exc.line.strip()!r}"
+    if isinstance(exc, configparser.ParsingError):
+        lines = ", ".join(str(lineno) for lineno, _ in exc.errors)
+        return f"{path}, line {lines}: expected 'key = value'"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}, line {exc.lineno}: key {exc.option!r} repeats in [{exc.section}]"
+    return f"{path}, line {exc.lineno}: section [{exc.section}] repeats"
+
+
 def load_config(path: str | None = None) -> ExperimentSetup:
     """Parse and validate a configuration file into runnable objects.
 
@@ -152,7 +167,7 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_parse_error(path, exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

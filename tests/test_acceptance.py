@@ -352,7 +352,7 @@ def test_criterion_09_unlearning_monotonicity():
     burdens = np.abs(r[order]) ** 2
     rounds = [
         unlearn_continue(problem, UnlearnSpec(leavers=(int(i),), epsilon=0.05),
-                         schedule, range(100))
+                         schedule, range(100), local_steps=5)
         for i in order
     ]
     rho = float(stats.spearmanr(burdens, rounds).statistic)
@@ -370,7 +370,8 @@ def test_criterion_10_shapley_axioms():
                             condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi, total = federated_shapley_exact(prob, 3, sch, seed=seed, with_total=True)
+        phi, total = federated_shapley_exact(prob, 3, sch, seed=seed, local_steps=5,
+                                             with_total=True)
         worst_eff = max(worst_eff,
                         abs(phi.sum() - total) / max(1.0, abs(total)))
         Q, b = prob.Q.copy(), prob.b.copy()
@@ -378,7 +379,7 @@ def test_criterion_10_shapley_axioms():
         twin = LearnProblem(Q=Q, b=b, data_sizes=prob.data_sizes, iota=prob.iota,
                             noise_sigma2=0.0)
         sch2 = StepSchedule("inverse_t", 20.0 / (12.0 * twin.smoothness), 19.0)
-        phi2 = federated_shapley_exact(twin, 3, sch2, seed=seed)
+        phi2 = federated_shapley_exact(twin, 3, sch2, seed=seed, local_steps=5)
         worst_sym = max(worst_sym, abs(phi2[0] - phi2[1]))
     ok = worst_eff <= 1e-9 and worst_sym <= 1e-9
     _report(10, "attribution axioms", ok,

@@ -3,11 +3,12 @@ import hashlib
 import json
 import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
-from fedincentives import experiments
+from fedincentives import experiments, learning
 from fedincentives.cli import main
 from fedincentives.config import default_config_path
 
@@ -160,6 +161,27 @@ def test_verify_bounds_csv_and_checks(cfg_path, tmp_path, capsys):
     assert "[PASS] geometric contraction" in text
     assert "[PASS] scaled-gap boundedness" in text
     assert "[PASS] batch-doubling noise floor" in text
+
+
+def test_verify_bounds_leaves_no_thread_running(tmp_path, monkeypatch):
+    """32 seeds of 768-normal blocks on two CPUs draw their noise on a helper
+    thread, which the run stops and joins before it returns."""
+    monkeypatch.setattr(learning, "_cpus", lambda: 2)
+    drawn_on = set()
+    draw = learning._draw
+
+    def spy(gens, buf):
+        drawn_on.add(threading.get_ident())
+        draw(gens, buf)
+
+    monkeypatch.setattr(learning, "_draw", spy)
+    body = SMALL.replace("users = 3", "users = 8").replace("dim = 4", "dim = 16")
+    path = tmp_path / "threaded.ini"
+    path.write_text(body.replace("seeds = 5", "seeds = 32"))
+    before = threading.active_count()
+    assert _run(["verify-bounds", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert threading.active_count() == before
+    assert len(drawn_on) == 2
 
 
 # SMALL's learning lab has Q_i = mu I, where every contraction term but one
@@ -327,23 +349,25 @@ def test_bad_config_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, line",
     [
-        "theta = 2.0\n[types.1]\ntheta = 2.0\nxi = 900\n",
-        "[types.1]\ntheta = 2.0\ntheta = 3.0\nxi = 900\n",
-        "[types.1]\ntheta = 2.0\nxi = 900\n\n[types.1]\ntheta = 3.0\n",
-        "[types.1]\ntheta = 2.0\nxi = 900\nnonsense\n",
+        ("theta = 2.0\n[types.1]\ntheta = 2.0\nxi = 900\n", 1),
+        ("[types.1]\ntheta = 2.0\ntheta = 3.0\nxi = 900\n", 3),
+        ("[types.1]\ntheta = 2.0\nxi = 900\n\n[types.1]\ntheta = 3.0\n", 5),
+        ("[types.1]\ntheta = 2.0\nxi = 900\nnonsense\n", 4),
     ],
     ids=["no-section-header", "repeated-key", "repeated-section", "line-without-equals"],
 )
-def test_malformed_ini_exit_1(tmp_path, capsys, body):
+def test_malformed_ini_exit_1(tmp_path, capsys, body, line):
     """A file the INI parser refuses is a configuration error like any
-    other: exit 1 with a `config error:` message, not an escaped exception."""
+    other: exit 1 with a one-line `config error:` message naming the file
+    and the line, not an escaped exception."""
     path = tmp_path / "malformed.ini"
     path.write_text(body)
     assert _run(["contract", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
+    assert err.startswith(f"config error: {path}, line {line}: ")
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -207,7 +207,8 @@ seeds = 2
     prob = make_problem(setup.learn, 0)
     assert prob.users == 3 and prob.dim == 4
     sch = setup.learn.make_schedule()
-    scaffold_train(prob, 1, sch, [0])  # under the problem's stability cap
+    # under the problem's stability cap
+    scaffold_train(prob, 1, sch, [0], local_steps=setup.learn.local_steps)
     assert sch.value(5) == 0.001
 
 

@@ -1,5 +1,6 @@
 """Synthetic training lab: convergence shapes, unlearning, attribution."""
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fedincentives.learning import (
     training_loss_metric,
     unlearn_continue,
 )
+from fedincentives import learning
 from fedincentives.learning import _run_scaffold
 
 
@@ -60,22 +62,25 @@ def test_make_problem_determinism():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        LearnProblem(Q=np.ones((2, 3, 3)), b=np.zeros((2, 3)), data_sizes=np.array([4, 4]))
+        LearnProblem(Q=np.ones((2, 3, 3)), b=np.zeros((2, 3)), data_sizes=np.array([4, 4]),
+                     iota=0.25, noise_sigma2=0.0)
     asym = np.tile(np.eye(3), (2, 1, 1))
     asym[0, 0, 1] = 0.5
     with pytest.raises(ValueError):
-        LearnProblem(Q=asym, b=np.zeros((2, 3)), data_sizes=np.array([4, 4]))
+        LearnProblem(Q=asym, b=np.zeros((2, 3)), data_sizes=np.array([4, 4]),
+                     iota=0.25, noise_sigma2=0.0)
     with pytest.raises(ValueError):
         make_problem(LearnConfig(users=0, dim=4, data_size=8, noise_sigma2=0.0), 0)
     Q = np.tile(np.eye(3), (2, 1, 1))
     b = np.zeros((2, 3))
     sizes = np.array([4, 4])
     with pytest.raises(ValueError, match="^Q must be finite"):
-        LearnProblem(Q=np.where(Q > 0, np.nan, 0.0), b=b, data_sizes=sizes)
+        LearnProblem(Q=np.where(Q > 0, np.nan, 0.0), b=b, data_sizes=sizes,
+                     iota=0.25, noise_sigma2=0.0)
     with pytest.raises(ValueError, match="^b must be finite"):
-        LearnProblem(Q=Q, b=np.full((2, 3), np.inf), data_sizes=sizes)
+        LearnProblem(Q=Q, b=np.full((2, 3), np.inf), data_sizes=sizes, iota=0.25, noise_sigma2=0.0)
     with pytest.raises(ValueError, match="^noise_sigma2 must"):
-        LearnProblem(Q=Q, b=b, data_sizes=sizes, noise_sigma2=np.inf)
+        LearnProblem(Q=Q, b=b, data_sizes=sizes, noise_sigma2=np.inf, iota=0.25)
 
 
 @pytest.mark.parametrize(
@@ -139,11 +144,11 @@ def test_restrict_problem_optimum_moves():
 def test_schedule_validation_and_values():
     prob = _problem()
     cap = 1.0 / (12.0 * prob.smoothness)
-    scaffold_train(prob, 1, StepSchedule("constant", cap), [0])
+    scaffold_train(prob, 1, StepSchedule("constant", cap), [0], local_steps=5)
     with pytest.raises(ValueError, match="exceeds stability cap"):
-        scaffold_train(prob, 1, StepSchedule("constant", cap * 1.5), [0])
+        scaffold_train(prob, 1, StepSchedule("constant", cap * 1.5), [0], local_steps=5)
     sch = StepSchedule("inverse_t", 12.0 * cap, 11.0)
-    scaffold_train(prob, 1, sch, [0])  # first value exactly at the cap
+    scaffold_train(prob, 1, sch, [0], local_steps=5)  # first value exactly at the cap
     assert sch.value(0) == pytest.approx(cap)
     assert sch.value(9) == pytest.approx(12.0 * cap / 21.0)
     with pytest.raises(ValueError, match="^schedule must"):
@@ -155,7 +160,7 @@ def test_schedule_validation_and_values():
 def test_fixed_point_stays_at_optimum():
     prob = _problem(noise_sigma2=0.0)
     sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
-    trace = scaffold_train(prob, 20, sch, [0], w0=prob.w_star)
+    trace = scaffold_train(prob, 20, sch, [0], w0=prob.w_star, local_steps=5)
     assert np.all(trace.gap < 1e-24)
 
 
@@ -164,7 +169,7 @@ def test_noiseless_geometric_contraction():
     eta = 1.0 / (12.0 * prob.smoothness)
     sch = StepSchedule("constant", eta)
     w0 = prob.w_star + np.ones(prob.dim) / np.sqrt(prob.dim)
-    trace = scaffold_train(prob, 60, sch, [0], w0=w0)
+    trace = scaffold_train(prob, 60, sch, [0], w0=w0, local_steps=5)
     target = 1.0 - prob.mu * eta / 2.0
     gaps = trace.gap
     assert np.all(np.diff(gaps) <= 0.0)
@@ -178,7 +183,7 @@ def test_inverse_t_scaled_gap_bounded():
     prob = make_problem(LearnConfig(users=10, dim=16, data_size=64, iota=0.25,
                                     noise_sigma2=1e-2, mu=1.0, condition=1.0), 0)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
-    trace = scaffold_train(prob, 500, sch, range(40), w0=prob.w_star)
+    trace = scaffold_train(prob, 500, sch, range(40), w0=prob.w_star, local_steps=5)
     scaled = (trace.rounds[100:] + 1.0) * trace.gap[100:]
     assert np.max(scaled) <= 2.0 * scaled[0]
 
@@ -187,7 +192,7 @@ def test_gap_bound_fit_and_verification():
     prob = make_problem(LearnConfig(users=8, dim=8, data_size=16, iota=0.25,
                                     noise_sigma2=1e-2, mu=1.0, condition=1.0), 2)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
-    trace = scaffold_train(prob, 300, sch, range(40), w0=prob.w_star)
+    trace = scaffold_train(prob, 300, sch, range(40), w0=prob.w_star, local_steps=5)
     rep = check_gap_bound(trace, prob)
     assert rep["V"] == pytest.approx(1e-2 / 8 * 8 / 4.0)
     assert rep["b_min"] > 0
@@ -201,7 +206,7 @@ def test_gap_bound_fit_and_verification():
 def test_gap_bound_noiseless_zero_constant():
     prob = _problem(noise_sigma2=0.0)
     sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
-    trace = scaffold_train(prob, 30, sch, [0], w0=prob.w_star)
+    trace = scaffold_train(prob, 30, sch, [0], w0=prob.w_star, local_steps=5)
     rep = check_gap_bound(trace, prob, b_fit=0.0)
     assert rep["b_min"] == 0.0
     assert rep["ok"]
@@ -215,12 +220,12 @@ def test_doubling_batches_halves_noise_term():
     floors = []
     for ds in (16, 32):
         prob = make_problem(LearnConfig(data_size=ds, **kw), 4)
-        trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star)
+        trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star, local_steps=5)
         floors.append(float(np.mean(trace.gap[80:])))
     assert floors[1] / floors[0] == pytest.approx(0.5, abs=1e-9)
     # and independent seeds still land within the 20% window
     prob = make_problem(LearnConfig(data_size=16, **kw), 4)
-    trace = scaffold_train(prob, 160, sch, range(60, 90), w0=prob.w_star)
+    trace = scaffold_train(prob, 160, sch, range(60, 90), w0=prob.w_star, local_steps=5)
     indep = float(np.mean(trace.gap[80:]))
     assert 0.4 <= floors[1] / indep <= 0.6
 
@@ -231,7 +236,7 @@ def test_plateau_scales_with_noise_variance():
     plateaus = []
     for sig2 in (1e-2, 4e-2):
         prob = make_problem(LearnConfig(noise_sigma2=sig2, **kw), 5)
-        trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star)
+        trace = scaffold_train(prob, 160, sch, range(30), w0=prob.w_star, local_steps=5)
         plateaus.append(float(np.mean(trace.gap[80:])))
     assert plateaus[1] / plateaus[0] == pytest.approx(4.0, abs=1e-9)
 
@@ -252,7 +257,8 @@ def test_unlearning_zero_gradient_leaver_free():
     rest = restrict_problem(shifted, [0, 1, 2, 4])
     assert np.linalg.norm(rest.w_star - shifted.w_star) < 1e-9
     sch = StepSchedule("constant", 1.0 / (12.0 * shifted.smoothness))
-    rounds = unlearn_continue(shifted, UnlearnSpec(leavers=(3,), epsilon=1e-6), sch, [0])
+    rounds = unlearn_continue(shifted, UnlearnSpec(leavers=(3,), epsilon=1e-6), sch, [0],
+                              local_steps=5)
     assert rounds == 0
 
 
@@ -267,8 +273,10 @@ def test_unlearning_rounds_track_leaver_burden():
                         iota=0.25, noise_sigma2=1e-6)
     assert np.linalg.norm(prob.w_star) < 1e-12
     sch = StepSchedule("constant", 1.0 / 24.0)
-    t_small = unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=0.02), sch, range(20))
-    t_big = unlearn_continue(prob, UnlearnSpec(leavers=(1,), epsilon=0.02), sch, range(20))
+    t_small = unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=0.02), sch, range(20),
+                               local_steps=5)
+    t_big = unlearn_continue(prob, UnlearnSpec(leavers=(1,), epsilon=0.02), sch, range(20),
+                             local_steps=5)
     assert t_big > t_small
 
 
@@ -278,8 +286,10 @@ def test_unlearning_epsilon_halving_rate():
     base = make_problem(LearnConfig(users=4, dim=8, data_size=4, iota=0.25, noise_sigma2=1.0,
                                     mu=1.0, condition=1.0, b_scale=1.0), 9)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
-    t1 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.015), sch, range(40))
-    t2 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.0075), sch, range(40))
+    t1 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.015), sch, range(40),
+                          local_steps=5)
+    t2 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.0075), sch, range(40),
+                          local_steps=5)
     assert t1 >= 100  # both targets sit below the transient, in the noise tail
     assert 2.0 <= t2 / t1 <= 8.0
 
@@ -289,7 +299,7 @@ def test_unlearning_budget_exhaustion_raises():
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     with pytest.raises(RuntimeError):
         unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=1e-9), sch, [0],
-                         max_rounds=3)
+                         local_steps=5, max_rounds=3)
 
 
 def test_unlearn_spec_validation():
@@ -298,7 +308,8 @@ def test_unlearn_spec_validation():
     with pytest.raises(ValueError, match="^leavers must be nonempty"):
         UnlearnSpec(leavers=(), epsilon=0.1)
     with pytest.raises(ValueError, match="^leavers must be a proper subset"):
-        unlearn_continue(prob, UnlearnSpec(leavers=(0, 1, 2, 3), epsilon=0.1), sch, [0])
+        unlearn_continue(prob, UnlearnSpec(leavers=(0, 1, 2, 3), epsilon=0.1), sch, [0],
+                         local_steps=5)
     for epsilon in (0.0, np.nan):
         with pytest.raises(ValueError, match="^epsilon must"):
             UnlearnSpec(leavers=(0,), epsilon=epsilon)
@@ -326,7 +337,7 @@ def test_loss_metric_matches_finite_differences():
 def test_loss_metric_identical_users_equal():
     prob = _problem(users=4, hessian_spread=0.0, rotate=False)
     b = np.tile(prob.b[0], (4, 1))
-    same = LearnProblem(Q=prob.Q, b=b, data_sizes=prob.data_sizes, iota=prob.iota)
+    same = LearnProblem(Q=prob.Q, b=b, data_sizes=prob.data_sizes, iota=prob.iota, noise_sigma2=0.0)
     losses = training_loss_metric(same, same.w_star)
     assert np.allclose(losses, losses[0])
 
@@ -334,7 +345,7 @@ def test_loss_metric_identical_users_equal():
 def test_shapley_single_user_gets_everything():
     prob = _problem(users=1, noise_sigma2=0.0)
     sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
-    phi, total = federated_shapley_exact(prob, 6, sch, with_total=True)
+    phi, total = federated_shapley_exact(prob, 6, sch, local_steps=5, with_total=True)
     assert phi[0] == pytest.approx(total, rel=1e-12)
     assert total < 0  # training from w=0 reduces the global loss
 
@@ -344,9 +355,9 @@ def test_shapley_symmetry_for_identical_users():
     Q = base.Q.copy()
     b = base.b.copy()
     Q[1], b[1] = Q[0], b[0]
-    dup = LearnProblem(Q=Q, b=b, data_sizes=base.data_sizes, iota=base.iota)
+    dup = LearnProblem(Q=Q, b=b, data_sizes=base.data_sizes, iota=base.iota, noise_sigma2=0.0)
     sch = StepSchedule("constant", 1.0 / (12.0 * dup.smoothness))
-    phi = federated_shapley_exact(dup, 8, sch)
+    phi = federated_shapley_exact(dup, 8, sch, local_steps=5)
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
 
 
@@ -356,7 +367,8 @@ def test_shapley_efficiency_random_problems():
                             mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
+        phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, local_steps=5,
+                                             with_total=True)
         assert phi.sum() == pytest.approx(total, abs=1e-9 * max(1.0, abs(total)))
 
 
@@ -364,7 +376,7 @@ def test_shapley_rejects_large_coalitions():
     prob = _problem(users=9)
     sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
     with pytest.raises(ValueError):
-        federated_shapley_exact(prob, 2, sch)
+        federated_shapley_exact(prob, 2, sch, local_steps=5)
 
 
 def test_shapley_matches_the_coalition_loop():
@@ -373,7 +385,8 @@ def test_shapley_matches_the_coalition_loop():
                             mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, with_total=True)
+        phi, total = federated_shapley_exact(prob, 5, sch, seed=seed, local_steps=5,
+                                             with_total=True)
         updates = _collected_updates(prob, 5, sch, seed)
         ref_phi, ref_total = shapley_loop(prob, updates)
         assert np.max(np.abs(phi - ref_phi)) <= 1e-12 * np.max(np.abs(ref_phi))
@@ -411,7 +424,7 @@ def _assert_matches(new, ref, rtol, scale=None):
 def test_scaffold_train_matches_the_loop_kernel(shape, rtol, noise_sigma2):
     prob = _kernel_problem(shape, noise_sigma2)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
-    trace = scaffold_train(prob, 200, sch, range(6))
+    trace = scaffold_train(prob, 200, sch, range(6), local_steps=5)
     ref, _, _ = run_scaffold_loop(prob, 200, sch, range(6), None, 5, prob.w_star)
     _assert_matches(trace.gap, ref.gap, rtol)
     # without noise the seeds agree and the stderr is rounding dust
@@ -424,7 +437,8 @@ def test_unlearn_stop_round_matches_the_loop_kernel(shape):
     rest = restrict_problem(prob, [1, 3, 4])
     epsilon = 0.1 * float(np.linalg.norm(prob.w_star - rest.w_star))
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    rounds = unlearn_continue(prob, UnlearnSpec(leavers=(0, 2), epsilon=epsilon), sch, range(6))
+    rounds = unlearn_continue(prob, UnlearnSpec(leavers=(0, 2), epsilon=epsilon), sch, range(6),
+                              local_steps=5)
     _, ref, _ = run_scaffold_loop(rest, 100000, sch, range(6), prob.w_star, 5, rest.w_star,
                                   stop_norm=epsilon)
     assert rounds == ref > 0
@@ -447,8 +461,10 @@ def test_joint_seeds_average_the_single_seed_runs():
     along the wrong axis would mix the streams."""
     prob = _kernel_problem(ROTATED)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
-    joint = scaffold_train(prob, 100, sch, [0, 3, 7])
-    single = np.mean([scaffold_train(prob, 100, sch, [s]).gap for s in (0, 3, 7)], axis=0)
+    joint = scaffold_train(prob, 100, sch, [0, 3, 7], local_steps=5)
+    single = np.mean(
+        [scaffold_train(prob, 100, sch, [s], local_steps=5).gap for s in (0, 3, 7)], axis=0
+    )
     np.testing.assert_allclose(joint.gap, single, rtol=1e-14, atol=0.0)
 
 
@@ -482,7 +498,8 @@ def test_unlearn_stop_rounds_are_pinned(name, shape):
     prob = _kernel_problem(shape)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     for leavers in ((0, 2), (4,)):
-        rounds = unlearn_continue(prob, UnlearnSpec(leavers=leavers, epsilon=0.05), sch, range(6))
+        rounds = unlearn_continue(prob, UnlearnSpec(leavers=leavers, epsilon=0.05), sch, range(6),
+                                  local_steps=5)
         assert rounds == PINNED_UNLEARN_ROUNDS[name, leavers]
 
 
@@ -491,7 +508,123 @@ def test_shapley_values_are_pinned(name, shape):
     learn = LearnConfig(users=4, dim=6, data_size=16, noise_sigma2=1e-3, mu=0.5, **shape)
     prob = make_problem(learn, 2)
     sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-    phi, total = federated_shapley_exact(prob, 5, sch, seed=3, with_total=True)
+    phi, total = federated_shapley_exact(prob, 5, sch, seed=3, local_steps=5, with_total=True)
     want_phi, want_total = PINNED_SHAPLEY[name]
     assert phi.tobytes() == np.array([float.fromhex(h) for h in want_phi]).tobytes()
     assert np.float64(total).tobytes() == np.float64(float.fromhex(want_total)).tobytes()
+
+
+# --- the noise drawn on several threads ---
+
+# 80 seeds of 768-normal blocks (8 draws of 6 users x 16) split into one range
+# per CPU at 1, 2, 3 and 5 CPUs.
+THREADED = LearnConfig(users=6, dim=16, data_size=16, noise_sigma2=1e-2, mu=1.0, **ROTATED)
+THREADED_STEPS = 7
+
+
+def _drawing_threads(monkeypatch, cpus):
+    """Report cpus CPUs to the kernel; returns the set that collects the
+    ident of each thread that draws noise."""
+    monkeypatch.setattr(learning, "_cpus", lambda: cpus)
+    idents = set()
+    draw = learning._draw
+
+    def spy(gens, buf):
+        idents.add(threading.get_ident())
+        draw(gens, buf)
+
+    monkeypatch.setattr(learning, "_draw", spy)
+    return idents
+
+
+def test_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    """Each seed draws its own stream into its own block, so any split of
+    the seeds into ranges gives the same training and unlearning bytes."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    flat = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
+    results = []
+    for cpus in (1, 2, 3, 5):
+        idents = _drawing_threads(monkeypatch, cpus)
+        trace = scaffold_train(prob, 30, sch, range(80), local_steps=THREADED_STEPS)
+        rounds = unlearn_continue(prob, spec, flat, range(80), local_steps=THREADED_STEPS)
+        assert len(idents) == cpus
+        results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))
+    assert results[0][2] > 0
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_no_noise_thread_outlives_a_run(monkeypatch):
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    idents = _drawing_threads(monkeypatch, 2)
+    before = threading.active_count()
+    scaffold_train(prob, 5, sch, range(32), local_steps=THREADED_STEPS)
+    assert threading.active_count() == before and len(idents) == 2
+    idents.clear()
+    # it stops well before its round budget
+    spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
+    assert unlearn_continue(prob, spec, sch, range(32), local_steps=THREADED_STEPS) < 1000
+    assert threading.active_count() == before and len(idents) == 2
+
+
+@pytest.mark.parametrize("stop", ["close", "drop"])
+def test_stopping_the_round_generator_joins_its_threads(monkeypatch, stop):
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    _drawing_threads(monkeypatch, 3)
+    before = threading.active_count()
+    run = _run_scaffold(prob, sch, range(48), None, THREADED_STEPS)
+    list(itertools.islice(run, 3))
+    assert threading.active_count() == before + 2
+    if stop == "close":
+        run.close()
+    else:
+        del run
+    assert threading.active_count() == before
+
+
+def test_a_helper_threads_exception_reaches_the_caller(monkeypatch):
+    """The last seed draws on a helper thread; its generator breaks in the
+    third round, and the training call raises that error and stops."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    _drawing_threads(monkeypatch, 2)
+    raised_on = []
+
+    class Breaking:
+        def __init__(self, gen):
+            self.gen, self.calls = gen, 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            if self.calls == 3:
+                raised_on.append(threading.get_ident())
+                raise FloatingPointError("stream broke")
+            return self.gen.standard_normal(out=out)
+
+    made = []
+    default_rng = np.random.default_rng
+
+    def rng(seed):
+        made.append(Breaking(default_rng(seed)) if len(made) == 31 else default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    before = threading.active_count()
+    caught = []
+
+    def train():
+        try:
+            scaffold_train(prob, 5, sch, range(32), local_steps=THREADED_STEPS)
+        except FloatingPointError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=train, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the caller hung"
+    assert [str(exc) for exc in caught] == ["stream broke"]
+    assert raised_on and raised_on[0] not in (caller.ident, threading.get_ident())
+    assert threading.active_count() == before

@@ -12,7 +12,14 @@ import pytest
 import fedincentives
 from fedincentives.config import ConfigError, load_config
 from fedincentives.experiments import ExperimentConfig, compare_costs, find_stationary_rates
-from fedincentives.learning import LearnConfig, make_problem
+from fedincentives.learning import (
+    LearnConfig,
+    LearnProblem,
+    federated_shapley_exact,
+    make_problem,
+    scaffold_train,
+    unlearn_continue,
+)
 
 SOURCE = "".join(
     path.read_text() for path in sorted(Path(fedincentives.__file__).parent.glob("*.py"))
@@ -79,10 +86,17 @@ def test_each_setting_reaches_the_code_as_its_record():
     """The harnesses take [experiment]'s settings as one ExperimentConfig and
     make_problem takes [learning]'s as one LearnConfig: none of them restates
     a setting, or its default, as a parameter.  The harnesses draw from
-    cfg.seed, so neither takes a seed of its own."""
+    cfg.seed, so neither takes a seed of its own.  The lab's problem and
+    training runs take some [learning] settings one by one, but none gives
+    such a parameter a default of its own, so each caller states it."""
     settings = {f.name for f in fields(ExperimentConfig)} | {f.name for f in fields(LearnConfig)}
     for function in (compare_costs, find_stationary_rates, make_problem):
         restated = settings & set(inspect.signature(function).parameters)
         assert not restated, f"{function.__name__} restates {sorted(restated)}"
     for harness in (compare_costs, find_stationary_rates):
         assert "seed" not in inspect.signature(harness).parameters
+    for function in (LearnProblem, scaffold_train, unlearn_continue, federated_shapley_exact):
+        params = inspect.signature(function).parameters
+        defaulted = {name for name in settings & set(params)
+                     if params[name].default is not inspect.Parameter.empty}
+        assert not defaulted, f"{function.__name__} restates the default of {sorted(defaulted)}"

@@ -1,5 +1,6 @@
 """The package runs on numpy and the standard library alone; scipy is a
-test-only oracle."""
+test-only oracle.  The learning lab's noise threads use `threading`, which
+start-up already loads, so no import pays for an executor or process pool."""
 import os
 import subprocess
 import sys
@@ -9,12 +10,12 @@ import fedincentives
 _PROBE = (
     "import sys\n"
     "import fedincentives, fedincentives.cli\n"
-    "print(' '.join(sorted(m for m in sys.modules"
-    " if m == 'scipy' or m.startswith('scipy.'))))\n"
+    "print(' '.join(sorted(sys.modules)))\n"
 )
 
 
-def test_import_loads_no_scipy():
+def _loaded(*packages: str) -> list[str]:
+    """The modules of the given packages that importing the CLI loads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedincentives.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
@@ -24,4 +25,12 @@ def test_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == ""
+    return [m for m in done.stdout.split() if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_import_loads_no_scipy():
+    assert _loaded("scipy") == []
+
+
+def test_import_loads_no_executor_or_process_pool():
+    assert _loaded("concurrent.futures", "multiprocessing") == []
