@@ -263,10 +263,9 @@ def _seed_list(seeds) -> list[int]:
     return [int(s) for s in seeds]
 
 
-# A range must be long enough to pay for waking its thread: on a 2-vCPU VM
-# two ranges of 960-normal blocks took 1.2 times one thread's time at 2 seeds
-# each, 0.94 at 4 and 0.65 at 16.
-_MIN_SEEDS_PER_RANGE = 16
+# Each drawing thread needs this many seeds to pay for waking it: on a 2-vCPU VM
+# two threads of 960-normal blocks took 1.2, 0.94 and 0.65 times one at 2, 4, 16.
+_MIN_SEEDS_PER_THREAD = 16
 
 
 def _cpus() -> int:
@@ -276,63 +275,71 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw(gens, buf) -> None:
-    for gen, block in zip(gens, buf):
-        gen.standard_normal(out=block)
+class _NoiseAhead:
+    """Each round's noise, one (seeds, *shape) buffer with block k drawn from
+    gens[k], drawn a round ahead: while the caller works on round t, helper
+    threads (one per CPU past the first, at least _MIN_SEEDS_PER_THREAD seeds
+    each; numpy fills a block without the GIL) claim round t+1's seeds one at
+    a time from the high end.  next() draws the unclaimed ones from the low
+    end and waits for the rest before it opens round t+2, so each stream is
+    read in the same order for any CPU count; it raises a helper's error with
+    its round.  close() lets each helper finish its block, then joins it."""
 
-
-@contextlib.contextmanager
-def _noise_filler(gens, buf):
-    """Yield a function that fills buf[k] from gens[k] for every seed k.
-
-    The seeds split into contiguous ranges, one per available CPU and at
-    least _MIN_SEEDS_PER_RANGE seeds each.  The calling thread draws the
-    first range and one helper thread each of the others, at once: numpy
-    releases the GIL while it fills a block.  Each block depends on its own
-    stream alone, so the bytes are the same for any split.  An exception
-    raised in a helper is raised in the caller; on exit the helpers are
-    stopped and joined.
-    """
-    parts = max(1, min(_cpus(), len(gens) // _MIN_SEEDS_PER_RANGE))
-    if parts == 1:
-        yield lambda: _draw(gens, buf)
-        return
-    cuts = [len(gens) * r // parts for r in range(parts + 1)]
-    ranges = [(gens[lo:hi], buf[lo:hi]) for lo, hi in itertools.pairwise(cuts)]
-    # every round each party passes the barrier twice: at its start and its end
-    barrier = threading.Barrier(parts)
-    errors = []
-
-    def serve(gens, buf):
+    def __init__(self, gens, shape):
+        self._gens, self._cond, self._stop, self._errors = gens, threading.Condition(), False, []
+        # the open round's buffer, its unclaimed seeds [lo, hi) and the blocks helpers draw
+        self._buf, self._spare = (np.empty((len(gens), *shape)) for _ in range(2))
+        self._lo, self._hi, self._busy, self._helpers = 0, len(gens), 0, []
         try:
-            while True:
-                barrier.wait()
-                try:
-                    _draw(gens, buf)
-                except Exception as exc:  # raised in the caller at the round's end
-                    errors.append(exc)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            return  # stopped
+            for _ in range(min(_cpus(), len(gens) // _MIN_SEEDS_PER_THREAD) - 1):
+                helper = threading.Thread(target=self._serve, daemon=True)
+                helper.start()
+                self._helpers.append(helper)
+        except BaseException:
+            self.close()
+            raise
 
-    def fill():
-        barrier.wait()
-        _draw(*ranges[0])
-        barrier.wait()
-        if errors:
-            raise errors[0]
-
-    helpers = []
-    try:
-        for part in ranges[1:]:
-            helper = threading.Thread(target=serve, args=part, daemon=True)
-            helper.start()
-            helpers.append(helper)
-        yield fill
-    finally:
-        barrier.abort()
-        for helper in helpers:
+    def close(self) -> None:
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        for helper in self._helpers:
             helper.join()
+
+    def _serve(self) -> None:
+        k = None
+        while True:
+            with self._cond:
+                if k is not None:
+                    self._busy -= 1
+                    if not self._busy:
+                        self._cond.notify_all()
+                while not self._stop and self._lo >= self._hi:
+                    self._cond.wait()
+                if self._stop:
+                    return
+                self._hi, self._busy = self._hi - 1, self._busy + 1
+                k = self._hi
+            try:
+                self._gens[k].standard_normal(out=self._buf[k])
+            except Exception as exc:  # raised in the caller with its round
+                self._errors.append(exc)
+
+    def next(self) -> np.ndarray:
+        while True:
+            with self._cond:
+                if self._lo >= self._hi:
+                    break
+                k, self._lo = self._lo, self._lo + 1
+            self._gens[k].standard_normal(out=self._buf[k])
+        with self._cond:
+            self._cond.wait_for(lambda: not self._busy)
+            if self._errors:
+                raise self._errors[0]
+            ready, self._buf, self._spare = self._buf, self._spare, self._buf
+            self._lo, self._hi = 0, len(self._gens)
+            self._cond.notify_all()
+        return ready
 
 
 def _run_scaffold(
@@ -372,34 +379,28 @@ def _run_scaffold(
     W = np.tile(w0, (n_seeds, 1))
     yield W, None
 
-    # Round buffers, reused: each seed draws its round's noise as one
-    # contiguous (steps, users, dim) block, so its stream is consumed in the
-    # same order as a fresh draw; `noise` views it as (steps, users, seeds, dim).
+    # Each seed draws a round's noise as one contiguous (steps, users, dim) block,
+    # in a fresh draw's order; `noise` views it as (steps, users, seeds, dim).
     Q = problem.Q
     QT = np.ascontiguousarray(Q.transpose(0, 2, 1))
     b = problem.b[:, None, :]
-    if sigma2 > 0:
-        buf = np.empty((n_seeds, local_steps + 1, users, dim))
-        noise = buf.transpose(1, 2, 0, 3)
-        filler = _noise_filler(gens, buf)
-    else:
-        noise = None
-        filler = contextlib.nullcontext()
     cv = np.empty((users, n_seeds, dim))
     Y = np.empty_like(cv)
     G = np.empty_like(cv)
 
-    with filler as fill_noise:
+    drawer = _NoiseAhead(gens, (local_steps + 1, users, dim)) if sigma2 > 0 else None
+    with contextlib.closing(drawer) if drawer is not None else contextlib.nullcontext():
         for t in itertools.count():
             eta_bar = schedule.value(t)
             eta = eta_bar / local_steps
-            if noise is not None:
-                fill_noise()
+            if drawer is not None:
+                buf = drawer.next()
                 buf *= comp_std[:, None]
+                noise = buf.transpose(1, 2, 0, 3)
             # fresh corrections at the server point, one minibatch each
             np.matmul(W, QT, out=cv)
             cv += b
-            if noise is not None:
+            if drawer is not None:
                 cv += noise[0]
             cv_mean = cv.mean(axis=0)
             Y[...] = W
@@ -408,7 +409,7 @@ def _run_scaffold(
             for k in range(1, local_steps + 1):
                 np.matmul(Y, Q, out=G)
                 G += b
-                if noise is not None:
+                if drawer is not None:
                     G += noise[k]
                 G -= cv
                 G += cv_mean

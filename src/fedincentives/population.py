@@ -38,11 +38,12 @@ class SamplingModel:
         )
 
 
-def _truncated_draws(rng, mu: float, sigma: float, n: int) -> np.ndarray:
-    """Losses on [0, 1]: rejection sampling with an inverse-CDF fallback."""
+def _truncated_draws(rng, mu: float, sigma: float, out: np.ndarray) -> None:
+    """Fill out with losses on [0, 1]: rejection sampling, inverse-CDF fallback."""
+    n = len(out)
     if sigma == 0.0:
-        return np.full(n, min(max(mu, 0.0), 1.0))
-    out = np.empty(n)
+        out.fill(min(max(mu, 0.0), 1.0))
+        return
     filled = 0
     for _ in range(100):
         need = n - filled
@@ -63,7 +64,6 @@ def _truncated_draws(rng, mu: float, sigma: float, n: int) -> np.ndarray:
         inv_cdf = NormalDist().inv_cdf
         z = [inv_cdf(lo + u * (hi - lo)) for u in rng.uniform(size=n - filled)]
         out[filled:] = np.clip(mu + sign * sigma * np.array(z), 0.0, 1.0)
-    return out
 
 
 def sample_population(
@@ -76,13 +76,12 @@ def sample_population(
     if len(sampling.loss_mu) != len(types):
         raise ValueError("need one loss model per type")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_POPULATION]))
-    type_idx = []
-    losses = []
-    for j, t in enumerate(types):
-        type_idx.append(np.full(t.count, j, dtype=int))
-        losses.append(_truncated_draws(rng, sampling.loss_mu[j], sampling.loss_sigma[j], t.count))
-    type_idx = np.concatenate(type_idx)
-    loss = np.concatenate(losses)
+    counts = [t.count for t in types]
+    type_idx = np.repeat(np.arange(len(types)), counts)
+    loss = np.empty(len(type_idx))
+    parts = np.split(loss, np.cumsum(counts)[:-1])
+    for part, mu, sigma in zip(parts, sampling.loss_mu, sampling.loss_sigma):
+        _truncated_draws(rng, mu, sigma, part)
     shapley = rng.normal(sampling.shapley_mu, sampling.shapley_sigma, size=len(type_idx))
     return Population(type_idx=type_idx, loss=loss, shapley=shapley)
 

@@ -1,7 +1,10 @@
+import threading
+import types
+
 import numpy as np
 import pytest
 
-from fedincentives import model
+from fedincentives import learning, model
 from fedincentives.model import Contract, GameConfig, TypeRates, UserTerms, UserTypeSpec
 
 
@@ -39,6 +42,57 @@ def random_cfg(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    """Fail any test that ends with more live threads than it started with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, f"threads left running: {threading.enumerate()}"
+
+
+class _SpyStream:
+    """A Generator whose standard_normal(out=...) fills, the learning lab's
+    noise blocks, are counted and logged with the thread that drew them."""
+
+    def __init__(self, gen, spy):
+        self.gen, self.spy, self.index, self.blocks = gen, spy, len(spy.streams), 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        if out is None:
+            return self.gen.standard_normal(*args, **kwargs)
+        self.blocks += 1
+        thread = threading.get_ident()
+        self.spy.threads.add(thread)
+        if self.spy.breaks(self, thread):
+            self.spy.broke_on.append(thread)
+            raise FloatingPointError("stream broke")
+        return self.gen.standard_normal(*args, out=out, **kwargs)
+
+
+@pytest.fixture
+def noise_spy(monkeypatch):
+    """Wrap every Generator made from here on, and report spy.cpus(n) CPUs to
+    the learning lab.  spy.streams holds the wrapped generators in the order
+    they were made, spy.threads the idents of the threads that drew a noise
+    block; a block raises FloatingPointError where spy.breaks(stream, thread)
+    is true, and spy.broke_on logs the thread it raised on."""
+    spy = types.SimpleNamespace(
+        streams=[], threads=set(), broke_on=[], breaks=lambda stream, thread: False,
+        cpus=lambda n: monkeypatch.setattr(learning, "_cpus", lambda: n),
+    )
+    default_rng = np.random.default_rng
+
+    def spied(seed=None):
+        spy.streams.append(_SpyStream(default_rng(seed), spy))
+        return spy.streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spied)
+    return spy
 
 
 @pytest.fixture

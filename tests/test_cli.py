@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fedincentives import experiments, learning
+from fedincentives import experiments
 from fedincentives.cli import main
 from fedincentives.config import default_config_path
 
@@ -163,25 +163,18 @@ def test_verify_bounds_csv_and_checks(cfg_path, tmp_path, capsys):
     assert "[PASS] batch-doubling noise floor" in text
 
 
-def test_verify_bounds_leaves_no_thread_running(tmp_path, monkeypatch):
-    """32 seeds of 768-normal blocks on two CPUs draw their noise on a helper
-    thread, which the run stops and joins before it returns."""
-    monkeypatch.setattr(learning, "_cpus", lambda: 2)
-    drawn_on = set()
-    draw = learning._draw
-
-    def spy(gens, buf):
-        drawn_on.add(threading.get_ident())
-        draw(gens, buf)
-
-    monkeypatch.setattr(learning, "_draw", spy)
+def test_verify_bounds_leaves_no_thread_running(tmp_path, noise_spy):
+    """32 seeds of 768-normal blocks on two CPUs draw their noise on the
+    caller and a helper thread, which the run stops and joins before it
+    returns."""
+    noise_spy.cpus(2)
     body = SMALL.replace("users = 3", "users = 8").replace("dim = 4", "dim = 16")
     path = tmp_path / "threaded.ini"
     path.write_text(body.replace("seeds = 5", "seeds = 32"))
     before = threading.active_count()
     assert _run(["verify-bounds", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
     assert threading.active_count() == before
-    assert len(drawn_on) == 2
+    assert len(noise_spy.threads) == 2
 
 
 # SMALL's learning lab has Q_i = mu I, where every contraction term but one

@@ -1,6 +1,8 @@
 """Synthetic training lab: convergence shapes, unlearning, attribution."""
 import itertools
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -514,117 +516,163 @@ def test_shapley_values_are_pinned(name, shape):
     assert np.float64(total).tobytes() == np.float64(float.fromhex(want_total)).tobytes()
 
 
-# --- the noise drawn on several threads ---
+# --- the noise drawn a round ahead on several threads ---
 
-# 80 seeds of 768-normal blocks (8 draws of 6 users x 16) split into one range
-# per CPU at 1, 2, 3 and 5 CPUs.
+# 80 seeds of 768-normal blocks (8 draws of 6 users x 16), drawn by the caller
+# and one helper per CPU past the first at 1, 2, 3 and 5 CPUs.
 THREADED = LearnConfig(users=6, dim=16, data_size=16, noise_sigma2=1e-2, mu=1.0, **ROTATED)
 THREADED_STEPS = 7
 
 
-def _drawing_threads(monkeypatch, cpus):
-    """Report cpus CPUs to the kernel; returns the set that collects the
-    ident of each thread that draws noise."""
-    monkeypatch.setattr(learning, "_cpus", lambda: cpus)
-    idents = set()
-    draw = learning._draw
+def _in_thread(work):
+    """Run work on a thread of its own; return what it returned and the
+    thread's ident, or raise here what it raised.  A drawer that hangs fails
+    here instead of hanging the suite."""
+    outcome = []
 
-    def spy(gens, buf):
-        idents.add(threading.get_ident())
-        draw(gens, buf)
+    def run():
+        try:
+            outcome.append((work(), None))
+        except BaseException as exc:  # raised again on the test's thread
+            outcome.append((None, exc))
 
-    monkeypatch.setattr(learning, "_draw", spy)
-    return idents
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=20)
+    assert not thread.is_alive(), "the caller hung"
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result, thread.ident
 
 
-def test_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
-    """Each seed draws its own stream into its own block, so any split of
-    the seeds into ranges gives the same training and unlearning bytes."""
+def _until(done, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return done()
+
+
+def test_bytes_do_not_depend_on_the_cpu_count(noise_spy):
+    """Each seed draws its own stream into its own block, and a round opens
+    only once the last is drawn, so any number of drawing threads gives the
+    same training and unlearning bytes.  The threads switch every
+    microsecond, so a seed claimed twice or a round opened early shows."""
     prob = make_problem(THREADED, 1)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
     flat = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
     results = []
-    for cpus in (1, 2, 3, 5):
-        idents = _drawing_threads(monkeypatch, cpus)
-        trace = scaffold_train(prob, 30, sch, range(80), local_steps=THREADED_STEPS)
-        rounds = unlearn_continue(prob, spec, flat, range(80), local_steps=THREADED_STEPS)
-        assert len(idents) == cpus
-        results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 5):
+            noise_spy.cpus(cpus)
+            noise_spy.threads.clear()
+            trace = scaffold_train(prob, 30, sch, range(80), local_steps=THREADED_STEPS)
+            rounds = unlearn_continue(prob, spec, flat, range(80), local_steps=THREADED_STEPS)
+            assert len(noise_spy.threads) == cpus
+            results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))
+    finally:
+        sys.setswitchinterval(interval)
     assert results[0][2] > 0
     assert all(result == results[0] for result in results[1:])
 
 
-def test_no_noise_thread_outlives_a_run(monkeypatch):
+def test_no_noise_thread_outlives_a_run(noise_spy):
+    """Each run, on a thread of its own so that a join that hangs fails the
+    test, stops and joins its helper before it returns."""
     prob = make_problem(THREADED, 1)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    idents = _drawing_threads(monkeypatch, 2)
+    noise_spy.cpus(2)
     before = threading.active_count()
-    scaffold_train(prob, 5, sch, range(32), local_steps=THREADED_STEPS)
-    assert threading.active_count() == before and len(idents) == 2
-    idents.clear()
+    _in_thread(lambda: scaffold_train(prob, 5, sch, range(32), local_steps=THREADED_STEPS))
+    assert threading.active_count() == before and len(noise_spy.threads) == 2
+    noise_spy.threads.clear()
     # it stops well before its round budget
     spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
-    assert unlearn_continue(prob, spec, sch, range(32), local_steps=THREADED_STEPS) < 1000
-    assert threading.active_count() == before and len(idents) == 2
+    rounds, _ = _in_thread(
+        lambda: unlearn_continue(prob, spec, sch, range(32), local_steps=THREADED_STEPS))
+    assert rounds < 1000
+    assert threading.active_count() == before and len(noise_spy.threads) == 2
 
 
 @pytest.mark.parametrize("stop", ["close", "drop"])
-def test_stopping_the_round_generator_joins_its_threads(monkeypatch, stop):
+def test_stopping_the_round_generator_joins_its_threads(noise_spy, stop):
     prob = make_problem(THREADED, 1)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    _drawing_threads(monkeypatch, 3)
+    noise_spy.cpus(3)
     before = threading.active_count()
-    run = _run_scaffold(prob, sch, range(48), None, THREADED_STEPS)
-    list(itertools.islice(run, 3))
-    assert threading.active_count() == before + 2
-    if stop == "close":
-        run.close()
-    else:
-        del run
+
+    def read_three_rounds_and_stop():
+        run = _run_scaffold(prob, sch, range(48), None, THREADED_STEPS)
+        list(itertools.islice(run, 3))
+        running = threading.active_count()
+        if stop == "close":
+            run.close()
+        else:
+            del run
+        return running
+
+    running, _ = _in_thread(read_three_rounds_and_stop)
+    # the caller's thread and two helpers
+    assert running == before + 3
     assert threading.active_count() == before
 
 
-def test_a_helper_threads_exception_reaches_the_caller(monkeypatch):
-    """The last seed draws on a helper thread; its generator breaks in the
-    third round, and the training call raises that error and stops."""
+def test_a_helper_threads_exception_reaches_the_caller(noise_spy):
+    """The first block a helper draws raises; the training call raises that
+    error on its own thread and stops, and the helper is joined."""
     prob = make_problem(THREADED, 1)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    _drawing_threads(monkeypatch, 2)
-    raised_on = []
-
-    class Breaking:
-        def __init__(self, gen):
-            self.gen, self.calls = gen, 0
-
-        def standard_normal(self, out):
-            self.calls += 1
-            if self.calls == 3:
-                raised_on.append(threading.get_ident())
-                raise FloatingPointError("stream broke")
-            return self.gen.standard_normal(out=out)
-
-    made = []
-    default_rng = np.random.default_rng
-
-    def rng(seed):
-        made.append(Breaking(default_rng(seed)) if len(made) == 31 else default_rng(seed))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", rng)
-    before = threading.active_count()
-    caught = []
+    noise_spy.cpus(2)
+    trainer = []
 
     def train():
-        try:
-            scaffold_train(prob, 5, sch, range(32), local_steps=THREADED_STEPS)
-        except FloatingPointError as exc:
-            caught.append(exc)
+        trainer.append(threading.get_ident())
+        scaffold_train(prob, 200, sch, range(32), local_steps=THREADED_STEPS)
 
-    caller = threading.Thread(target=train, daemon=True)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "the caller hung"
-    assert [str(exc) for exc in caught] == ["stream broke"]
-    assert raised_on and raised_on[0] not in (caller.ident, threading.get_ident())
+    noise_spy.breaks = lambda stream, thread: not noise_spy.broke_on and thread not in trainer
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="stream broke"):
+        _in_thread(train)
+    assert len(noise_spy.broke_on) == 1
+    assert noise_spy.broke_on[0] not in (trainer[0], threading.get_ident())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, seeds", [(1, 8), (2, 32), (3, 48)])
+def test_the_noise_is_drawn_one_round_ahead_and_no_further(noise_spy, cpus, seeds):
+    """After the caller has read k rounds, every stream has drawn k or k + 1
+    blocks; left idle, the helpers draw all of round k + 1 and stop there."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    noise_spy.cpus(cpus)
+    noise_spy.streams.clear()
+    run = _run_scaffold(prob, sch, range(seeds), None, THREADED_STEPS)
+    next(run)
+    ahead = 0 if cpus == 1 else 1
+    for k in range(1, 5):
+        next(run)
+        assert all(k <= stream.blocks <= k + 1 for stream in noise_spy.streams)
+        assert _until(lambda: all(stream.blocks == k + ahead for stream in noise_spy.streams))
+        time.sleep(0.05)
+        assert [stream.blocks for stream in noise_spy.streams] == [k + ahead] * seeds
+    _in_thread(run.close)
+
+
+def test_a_helper_error_in_a_round_never_read_neither_hangs_nor_leaks(noise_spy):
+    """Seed 0's third block belongs to the round drawn ahead after the caller
+    has read two; it raises on a helper, and closing the run ends cleanly."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    noise_spy.cpus(2)
+    noise_spy.breaks = lambda stream, thread: stream.index == 0 and stream.blocks == 3
+    noise_spy.streams.clear()
+    before = threading.active_count()
+    run = _run_scaffold(prob, sch, range(32), None, THREADED_STEPS)
+    list(itertools.islice(run, 3))
+    assert _until(lambda: noise_spy.broke_on)
+    _, closer = _in_thread(run.close)
+    assert noise_spy.broke_on[0] not in (closer, threading.get_ident())
     assert threading.active_count() == before
