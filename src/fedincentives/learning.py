@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -263,8 +264,9 @@ def _seed_list(seeds) -> list[int]:
     return [int(s) for s in seeds]
 
 
-# Each drawing thread needs this many seeds to pay for waking it: on a 2-vCPU VM
-# two threads of 960-normal blocks took 1.2, 0.94 and 0.65 times one at 2, 4, 16.
+# Each drawing thread needs this many seeds to pay for waking it: on a 2-vCPU VM,
+# 300 rounds of 960-normal blocks with a helper took 1.14, 1.23, 1.04, 0.88 and
+# 0.73 times those without at 2, 4, 8, 16 and 32 seeds.
 _MIN_SEEDS_PER_THREAD = 16
 
 
@@ -275,71 +277,59 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _NoiseAhead:
+def _noise_rounds(gens, shape):
     """Each round's noise, one (seeds, *shape) buffer with block k drawn from
     gens[k], drawn a round ahead: while the caller works on round t, helper
     threads (one per CPU past the first, at least _MIN_SEEDS_PER_THREAD seeds
-    each; numpy fills a block without the GIL) claim round t+1's seeds one at
-    a time from the high end.  next() draws the unclaimed ones from the low
-    end and waits for the rest before it opens round t+2, so each stream is
-    read in the same order for any CPU count; it raises a helper's error with
-    its round.  close() lets each helper finish its block, then joins it."""
+    each; numpy fills a block without the GIL) take round t+1's (buffer, seed)
+    claims off a queue.  Asked for round t+1, the generator draws the claims
+    left and counts every block's report before it queues round t+2, so each
+    stream is read in the same order for any CPU count; it raises a block's
+    error once the whole round is done.  Closing it drops the claims left and
+    joins each helper after the block it is drawing."""
+    claims, reports = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def __init__(self, gens, shape):
-        self._gens, self._cond, self._stop, self._errors = gens, threading.Condition(), False, []
-        # the open round's buffer, its unclaimed seeds [lo, hi) and the blocks helpers draw
-        self._buf, self._spare = (np.empty((len(gens), *shape)) for _ in range(2))
-        self._lo, self._hi, self._busy, self._helpers = 0, len(gens), 0, []
+    def draw(buf, k):
         try:
-            for _ in range(min(_cpus(), len(gens) // _MIN_SEEDS_PER_THREAD) - 1):
-                helper = threading.Thread(target=self._serve, daemon=True)
-                helper.start()
-                self._helpers.append(helper)
-        except BaseException:
-            self.close()
-            raise
+            gens[k].standard_normal(out=buf[k])
+        except Exception as exc:  # raised in the caller with its round
+            reports.put(exc)
+        else:
+            reports.put(None)
 
-    def close(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        for helper in self._helpers:
+    def serve():
+        for claim in iter(claims.get, None):
+            draw(*claim)
+
+    # the first round is queued before the helpers start, so each draws from it
+    ready, ahead = (np.empty((len(gens), *shape)) for _ in range(2))
+    for k in range(len(gens)):
+        claims.put((ready, k))
+    helpers = []
+    try:
+        for _ in range(min(_cpus(), len(gens) // _MIN_SEEDS_PER_THREAD) - 1):
+            helper = threading.Thread(target=serve, daemon=True)
+            helper.start()
+            helpers.append(helper)
+        while True:
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    draw(*claims.get_nowait())
+            errors = [error for error in (reports.get() for _ in gens) if error is not None]
+            if errors:
+                raise errors[0]
+            for k in range(len(gens)):
+                claims.put((ahead, k))
+            yield ready
+            ready, ahead = ahead, ready
+    finally:
+        with contextlib.suppress(queue.Empty):
+            while True:
+                claims.get_nowait()
+        for _ in helpers:
+            claims.put(None)
+        for helper in helpers:
             helper.join()
-
-    def _serve(self) -> None:
-        k = None
-        while True:
-            with self._cond:
-                if k is not None:
-                    self._busy -= 1
-                    if not self._busy:
-                        self._cond.notify_all()
-                while not self._stop and self._lo >= self._hi:
-                    self._cond.wait()
-                if self._stop:
-                    return
-                self._hi, self._busy = self._hi - 1, self._busy + 1
-                k = self._hi
-            try:
-                self._gens[k].standard_normal(out=self._buf[k])
-            except Exception as exc:  # raised in the caller with its round
-                self._errors.append(exc)
-
-    def next(self) -> np.ndarray:
-        while True:
-            with self._cond:
-                if self._lo >= self._hi:
-                    break
-                k, self._lo = self._lo, self._lo + 1
-            self._gens[k].standard_normal(out=self._buf[k])
-        with self._cond:
-            self._cond.wait_for(lambda: not self._busy)
-            if self._errors:
-                raise self._errors[0]
-            ready, self._buf, self._spare = self._buf, self._spare, self._buf
-            self._lo, self._hi = 0, len(self._gens)
-            self._cond.notify_all()
-        return ready
 
 
 def _run_scaffold(
@@ -388,13 +378,13 @@ def _run_scaffold(
     Y = np.empty_like(cv)
     G = np.empty_like(cv)
 
-    drawer = _NoiseAhead(gens, (local_steps + 1, users, dim)) if sigma2 > 0 else None
+    drawer = _noise_rounds(gens, (local_steps + 1, users, dim)) if sigma2 > 0 else None
     with contextlib.closing(drawer) if drawer is not None else contextlib.nullcontext():
         for t in itertools.count():
             eta_bar = schedule.value(t)
             eta = eta_bar / local_steps
             if drawer is not None:
-                buf = drawer.next()
+                buf = next(drawer)
                 buf *= comp_std[:, None]
                 noise = buf.transpose(1, 2, 0, 3)
             # fresh corrections at the server point, one minibatch each

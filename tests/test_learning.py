@@ -641,6 +641,54 @@ def test_a_helper_threads_exception_reaches_the_caller(noise_spy):
     assert threading.active_count() == before
 
 
+def test_an_exception_in_the_callers_own_draw_reaches_it(noise_spy):
+    """The first block the training thread draws itself raises; the
+    training call raises that error on its own thread and stops, and the
+    helper is joined."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    noise_spy.cpus(2)
+    trainer = []
+
+    def train():
+        trainer.append(threading.get_ident())
+        scaffold_train(prob, 200, sch, range(32), local_steps=THREADED_STEPS)
+
+    noise_spy.breaks = lambda stream, thread: not noise_spy.broke_on and thread in trainer
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="stream broke"):
+        _in_thread(train)
+    assert noise_spy.broke_on == trainer
+    assert threading.active_count() == before
+
+
+def test_a_helper_that_fails_to_start_leaves_no_thread(noise_spy, monkeypatch):
+    """Of the two helpers three CPUs give 48 seeds, the second fails to
+    start; the training call raises that error, and the first is joined."""
+    prob = make_problem(THREADED, 1)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    noise_spy.cpus(3)
+    start, started = threading.Thread.start, []
+
+    def start_once(thread):
+        started.append(thread)
+        if len(started) > 1:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def train():
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", start_once)
+            scaffold_train(prob, 5, sch, range(48), local_steps=THREADED_STEPS)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        _in_thread(train)
+    # one helper started, and it is joined
+    assert len(started) == 2 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("cpus, seeds", [(1, 8), (2, 32), (3, 48)])
 def test_the_noise_is_drawn_one_round_ahead_and_no_further(noise_spy, cpus, seeds):
     """After the caller has read k rounds, every stream has drawn k or k + 1
