@@ -12,6 +12,7 @@ until the distance to the remaining-users optimum drops below a target.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import math
@@ -265,8 +266,8 @@ def _seed_list(seeds) -> list[int]:
 
 
 # Each drawing thread needs this many seeds to pay for waking it: on a 2-vCPU VM,
-# 300 rounds of 960-normal blocks with a helper took 1.14, 1.23, 1.04, 0.88 and
-# 0.73 times those without at 2, 4, 8, 16 and 32 seeds.
+# 300 rounds of 960-normal blocks with a helper took 1.20, 1.31, 1.04, 0.84 and
+# 0.72 times those without at 2, 4, 8, 16 and 32 seeds (median of 9).
 _MIN_SEEDS_PER_THREAD = 16
 
 
@@ -281,53 +282,51 @@ def _noise_rounds(gens, shape):
     """Each round's noise, one (seeds, *shape) buffer with block k drawn from
     gens[k], drawn a round ahead: while the caller works on round t, helper
     threads (one per CPU past the first, at least _MIN_SEEDS_PER_THREAD seeds
-    each; numpy fills a block without the GIL) take round t+1's (buffer, seed)
-    claims off a queue.  Asked for round t+1, the generator draws the claims
-    left and counts every block's report before it queues round t+2, so each
-    stream is read in the same order for any CPU count; it raises a block's
-    error once the whole round is done.  Closing it drops the claims left and
-    joins each helper after the block it is drawing."""
-    claims, reports = queue.SimpleQueue(), queue.SimpleQueue()
+    each; numpy fills a block without the GIL) take round t+1's blocks off one
+    shared deque, on one token each.  Asked for round t+1, the generator draws
+    the blocks left and takes one report per helper before it queues round t+2,
+    so each stream is read in the same order for any CPU count; it raises a
+    block's error once the whole round is done.  Closing it drops the blocks
+    left and joins each helper after the block it is drawing."""
+    bufs = [np.empty((len(gens), *shape)) for _ in range(2)]
+    blocks = [[(gen.standard_normal, buf[k]) for k, gen in enumerate(gens)] for buf in bufs]
+    todo, tokens, reports = collections.deque(blocks[0]), queue.SimpleQueue(), queue.SimpleQueue()
 
-    def draw(buf, k):
-        try:
-            gens[k].standard_normal(out=buf[k])
-        except Exception as exc:  # raised in the caller with its round
-            reports.put(exc)
-        else:
-            reports.put(None)
+    def draw():
+        """Fill blocks off the deque until it is empty or one raises; None, or that error."""
+        with contextlib.suppress(IndexError):
+            while True:
+                fill, block = todo.popleft()
+                try:
+                    fill(out=block)
+                except Exception as exc:  # raised in the caller with its round
+                    return exc
+        return None
 
     def serve():
-        for claim in iter(claims.get, None):
-            draw(*claim)
+        for _ in iter(tokens.get, None):
+            reports.put(draw())
 
-    # the first round is queued before the helpers start, so each draws from it
-    ready, ahead = (np.empty((len(gens), *shape)) for _ in range(2))
-    for k in range(len(gens)):
-        claims.put((ready, k))
+    # the first round's token is queued before a helper starts, so each draws from it
     helpers = []
     try:
         for _ in range(min(_cpus(), len(gens) // _MIN_SEEDS_PER_THREAD) - 1):
+            tokens.put(True)
             helper = threading.Thread(target=serve, daemon=True)
             helper.start()
             helpers.append(helper)
-        while True:
-            with contextlib.suppress(queue.Empty):
-                while True:
-                    draw(*claims.get_nowait())
-            errors = [error for error in (reports.get() for _ in gens) if error is not None]
-            if errors:
-                raise errors[0]
-            for k in range(len(gens)):
-                claims.put((ahead, k))
-            yield ready
-            ready, ahead = ahead, ready
+        for t in itertools.count(1):
+            for error in [draw(), *(reports.get() for _ in helpers)]:
+                if error is not None:
+                    raise error
+            todo.extend(blocks[t % 2])
+            for _ in helpers:
+                tokens.put(True)
+            yield bufs[(t - 1) % 2]
     finally:
-        with contextlib.suppress(queue.Empty):
-            while True:
-                claims.get_nowait()
+        todo.clear()
         for _ in helpers:
-            claims.put(None)
+            tokens.put(None)
         for helper in helpers:
             helper.join()
 
@@ -373,7 +372,9 @@ def _run_scaffold(
     # in a fresh draw's order; `noise` views it as (steps, users, seeds, dim).
     Q = problem.Q
     QT = np.ascontiguousarray(Q.transpose(0, 2, 1))
-    b = problem.b[:, None, :]
+    # b and the noise scale laid out as the arrays they act on, so each pass is contiguous
+    b = np.repeat(problem.b[:, None, :], n_seeds, axis=1)
+    scale = np.repeat(comp_std, dim)
     cv = np.empty((users, n_seeds, dim))
     Y = np.empty_like(cv)
     G = np.empty_like(cv)
@@ -385,7 +386,8 @@ def _run_scaffold(
             eta = eta_bar / local_steps
             if drawer is not None:
                 buf = next(drawer)
-                buf *= comp_std[:, None]
+                flat = buf.reshape(-1, scale.size)
+                flat *= scale
                 noise = buf.transpose(1, 2, 0, 3)
             # fresh corrections at the server point, one minibatch each
             np.matmul(W, QT, out=cv)
@@ -421,14 +423,14 @@ def scaffold_train(
     """Train for a fixed number of rounds; returns the gap trajectory
     E||w_t - w*||^2 estimated over the given seeds."""
     _check_keys(rounds=rounds)
+    seeds = _seed_list(seeds)
     run = _run_scaffold(problem, schedule, seeds, w0, local_steps)
-    gap, err = [], []
+    # row t holds round t's squared distances, one per seed
+    sq = np.empty((rounds + 1, len(seeds)))
     with contextlib.closing(run):
-        for W, _ in itertools.islice(run, rounds + 1):
-            sq = np.sum((W - problem.w_star) ** 2, axis=1)
-            gap.append(float(np.mean(sq)))
-            err.append(float(np.std(sq) / math.sqrt(len(sq))))
-    return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
+        for t, (W, _) in enumerate(itertools.islice(run, rounds + 1)):
+            sq[t] = np.sum((W - problem.w_star) ** 2, axis=1)
+    return TrainTrace(gap=sq.mean(axis=1), gap_stderr=sq.std(axis=1) / math.sqrt(len(seeds)))
 
 
 def check_gap_bound(

@@ -1,14 +1,17 @@
 """Loop forms of the learning lab's vectorized kernels, kept as test oracles.
 
 `run_scaffold_loop` is the round loop of `learning._run_scaffold` written with
-`einsum` and a fresh array per operation; `shapley_loop` is the per-coalition
+`einsum` and a fresh array per operation; `gap_per_round` forms the statistics
+of `scaffold_train` one round at a time; `shapley_loop` is the per-coalition
 loop of `federated_shapley_exact`.  Tests compare the library against them.
 """
+import contextlib
+import itertools
 import math
 
 import numpy as np
 
-from fedincentives.learning import TrainTrace, _seed_list
+from fedincentives.learning import TrainTrace, _run_scaffold, _seed_list
 
 
 def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, reference,
@@ -73,6 +76,20 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
         gap_stderr=np.array(gap_err),
     )
     return trace, stop_round, updates
+
+
+def gap_per_round(problem, rounds, schedule, seeds, local_steps):
+    """`scaffold_train`'s trace, formed from `_run_scaffold`'s server models
+    as each round ends: that round's squared distances to w*, then np.mean
+    and np.std / sqrt(n) over them."""
+    gap, err = [], []
+    run = _run_scaffold(problem, schedule, seeds, None, local_steps)
+    with contextlib.closing(run):
+        for W, _ in itertools.islice(run, rounds + 1):
+            sq = np.sum((W - problem.w_star) ** 2, axis=1)
+            gap.append(float(np.mean(sq)))
+            err.append(float(np.std(sq) / math.sqrt(len(sq))))
+    return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
 
 
 def shapley_loop(problem, updates):

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from learning_oracles import run_scaffold_loop, shapley_loop
+from learning_oracles import gap_per_round, run_scaffold_loop, shapley_loop
 
 from fedincentives.learning import (
     LearnConfig,
@@ -433,6 +433,25 @@ def test_scaffold_train_matches_the_loop_kernel(shape, rtol, noise_sigma2):
     _assert_matches(trace.gap_stderr, ref.gap_stderr, rtol, scale=ref.gap)
 
 
+@pytest.mark.parametrize("seeds, noise_sigma2", [
+    pytest.param(6, 1e-2, id="int"),
+    pytest.param(200, 1e-2, id="int-200"),
+    pytest.param([9, 2, 5, 0], 1e-2, id="list"),
+    pytest.param([3], 1e-2, id="single"),
+    pytest.param(6, 0.0, id="noiseless"),
+])
+def test_scaffold_train_statistics_match_the_per_round_loop(seeds, noise_sigma2):
+    """scaffold_train forms the gap and its stderr once per run, over the
+    rounds' stacked squared distances; they keep the per-round bits.  At 200
+    seeds numpy's pairwise sum runs past one 128-element block."""
+    prob = _kernel_problem(ROTATED, noise_sigma2)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    trace = scaffold_train(prob, 60, sch, seeds, local_steps=5)
+    ref = gap_per_round(prob, 60, sch, seeds, 5)
+    assert trace.gap.tobytes() == ref.gap.tobytes()
+    assert trace.gap_stderr.tobytes() == ref.gap_stderr.tobytes()
+
+
 @pytest.mark.parametrize("shape", [SCALAR, ROTATED], ids=["scalar", "rotated"])
 def test_unlearn_stop_round_matches_the_loop_kernel(shape):
     prob = _kernel_problem(shape)
@@ -724,3 +743,30 @@ def test_a_helper_error_in_a_round_never_read_neither_hangs_nor_leaks(noise_spy)
     _, closer = _in_thread(run.close)
     assert noise_spy.broke_on[0] not in (closer, threading.get_ident())
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, seeds", [(2, 32), (3, 48)])
+def test_closing_mid_round_waits_for_every_helper(noise_spy, cpus, seeds):
+    """The first block a helper draws of the round drawn ahead is slow, and
+    the drawer is closed while it draws: close returns only once every helper
+    has finished and been joined, and neither round buffer changes after."""
+    noise_spy.cpus(cpus)
+    slow = threading.Event()
+
+    def slow_third_block(stream, thread):
+        if stream.blocks == 3 and not slow.is_set():
+            slow.set()
+            time.sleep(0.2)
+        return False
+
+    noise_spy.breaks = slow_third_block
+    before = threading.active_count()
+    drawer = learning._noise_rounds([np.random.default_rng(k) for k in range(seeds)], (4, 6))
+    bufs = [next(drawer), next(drawer)]
+    assert threading.active_count() == before + cpus - 1
+    assert slow.wait(10)
+    _in_thread(drawer.close)
+    assert threading.active_count() == before
+    kept = [buf.copy() for buf in bufs]
+    time.sleep(0.3)
+    assert [buf.tobytes() for buf in bufs] == [buf.tobytes() for buf in kept]

@@ -1,8 +1,9 @@
 """The package runs on numpy and the standard library alone; scipy is a
 test-only oracle.  The learning lab's noise threads use `threading`, which
-start-up already loads, and take their claims off a `queue.SimpleQueue`
-(`queue` and its `_queue` and `heapq` imports take about 0.5 ms by
-`python -X importtime`), so no import pays for an executor or process pool."""
+start-up already loads, take their blocks off a `collections.deque` (loaded
+at start-up too) and their tokens off a `queue.SimpleQueue` (`queue` and its
+`_queue` and `heapq` imports take about 0.5 ms by `python -X importtime`),
+so no import pays for an executor or process pool."""
 import os
 import subprocess
 import sys
