@@ -48,17 +48,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_table(out_dir: str, name: str, columns: list[str], rows, fmt: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "json":
         path = os.path.join(out_dir, name + ".json")
-        payload = [
+        _write_json(path, [
             {col: (_fmt(row[i]) if isinstance(row[i], float) else row[i]) for i, col in enumerate(columns)}
             for row in rows
-        ]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        ])
         return path
     path = os.path.join(out_dir, name + ".csv")
     with open(path, "w", newline="\n") as fh:
@@ -174,10 +177,8 @@ def _cmd_simulate(args, setup) -> int:
         "q_hat": _fmt(outcome.q_hat),
         "payoff_mean": _fmt(float(np.mean(outcome.payoffs))),
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # the tables above made out_dir
+    _write_json(os.path.join(args.out_dir, "summary.json"), summary)
     print(f"simulate[{outcome.mechanism}]: cost {outcome.cost:.6g}, "
           f"realized rates ({outcome.p_hat:.4g}, {outcome.q_hat:.4g}), "
           f"outputs in {args.out_dir}")
@@ -188,21 +189,13 @@ def _cmd_compare(args, setup) -> int:
     exp = setup.experiment
     if args.trials is not None:
         exp = replace(exp, trials=args.trials)
-    rows_dict = compare_costs(setup.types, setup.cfg, setup.sampling, exp)
-    rows = [
-        [r["mechanism"], r["I"], r["cost_mean"], r["cost_stderr"], r["payoff_mean"]]
-        for r in rows_dict
-    ]
-    path = write_table(
-        args.out_dir,
-        "compare",
-        ["mechanism", "I", "cost_mean", "cost_stderr", "payoff_mean"],
-        rows,
-        args.format,
-    )
+    rows = compare_costs(setup.types, setup.cfg, setup.sampling, exp)
+    columns = ["mechanism", "I", "cost_mean", "cost_stderr", "payoff_mean"]
+    table = [[r[c] for c in columns] for r in rows]
+    path = write_table(args.out_dir, "compare", columns, table, args.format)
     print(f"compare: {len(rows)} rows over {exp.trials} trials, written to {path}")
-    largest = max(r["I"] for r in rows_dict)
-    at_top = {r["mechanism"]: r["cost_mean"] for r in rows_dict if r["I"] == largest}
+    largest = max(r["I"] for r in rows)
+    at_top = {r["mechanism"]: r["cost_mean"] for r in rows if r["I"] == largest}
     if "RAR" in at_top:
         for other in sorted(at_top):
             if other == "RAR" or at_top[other] == 0:
@@ -217,11 +210,10 @@ def _cmd_sweep(args, setup) -> int:
     if args.trials is not None:
         exp = replace(exp, sweep_trials=args.trials)
     search = find_stationary_rates(setup.types, setup.cfg, setup.sampling, exp)
-    rows = [[r["p"], r["q"], r["p_hat"], r["q_hat"], r["cost"]] for r in search.grid]
-    path = write_table(
-        args.out_dir, "sweep", ["p", "q", "p_hat", "q_hat", "cost"], rows, args.format
-    )
-    print(f"sweep: {len(rows)} grid points, written to {path}")
+    columns = ["p", "q", "p_hat", "q_hat", "cost"]
+    table = [[r[c] for c in columns] for r in search.grid]
+    path = write_table(args.out_dir, "sweep", columns, table, args.format)
+    print(f"sweep: {len(search.grid)} grid points, written to {path}")
     print(f"stationary rates: p* = {search.p_star:.6g}, q* = {search.q_star:.6g}"
           f" ({'refined' if search.refined else 'grid point'})")
     return 0

@@ -123,7 +123,7 @@ def _read_section(parser, name: str, defaults: dict) -> dict:
     return values
 
 
-def _checked(section: str, build, values: dict):
+def _checked(section: str, build, **values):
     """build(**values), its rule errors named by section."""
     try:
         return build(**values)
@@ -192,7 +192,9 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     exp_raw = _read_section(parser, "experiment", vars(ExperimentConfig()))
 
     spread_is_std = game["spread_is_std"]
-    cfg = GameConfig(
+    cfg = _checked(
+        "game",
+        GameConfig,
         T=game["t"],
         lam=game["lambda"],
         rho=game["rho"],
@@ -212,37 +214,31 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         for required in ("theta", "xi"):
             if not parser.has_option(section, required):
                 raise ConfigError(f"missing key {required!r} in section [{section}]")
-        mu = values["loss_mu"]
+        # the loss keys become the type's moments; the rest are its own fields
+        mu = values.pop("loss_mu")
         if not math.isfinite(mu):
             raise ConfigError(f"[{section}] loss_mu must be finite")
-        sigma = _spread_to_sigma(values["loss_spread"], spread_is_std, f"[{section}] loss_spread")
+        sigma = _spread_to_sigma(values.pop("loss_spread"), spread_is_std, f"[{section}] loss_spread")
         if sigma == 0.0:
             mean, var = min(max(mu, 0.0), 1.0), 0.0
         else:
             mean, var = truncated_normal_moments(mu, sigma, 0.0, 1.0)
-        spec = UserTypeSpec(
-            theta=values["theta"],
-            xi=values["xi"],
-            count=values["count"],
-            p=values["p"],
-            q=values["q"],
-            loss_mean=mean,
-            loss_var=var,
-        )
-        types.append(spec)
+        types.append(_checked(section, UserTypeSpec, **values, loss_mean=mean, loss_var=var))
         loss_mu.append(mu)
         loss_sigma.append(sigma)
 
-    sampling = SamplingModel(
+    sampling = _checked(
+        "game",
+        SamplingModel,
         loss_mu=tuple(loss_mu),
         loss_sigma=tuple(loss_sigma),
         shapley_mu=game["shapley_mu"],
         shapley_sigma=_spread_to_sigma(game["shapley_spread"], spread_is_std, "[game] shapley_spread"),
     )
 
-    learn = _checked("learning", LearnConfig, learn_raw)
-    experiment = _checked("experiment", ExperimentConfig, exp_raw)
-    _checked("experiment", experiment.check_user_counts, {"types": types})
+    learn = _checked("learning", LearnConfig, **learn_raw)
+    experiment = _checked("experiment", ExperimentConfig, **exp_raw)
+    _checked("experiment", experiment.check_user_counts, types=types)
 
     return ExperimentSetup(
         types=types,

@@ -201,20 +201,14 @@ def run_pipeline(
     revoke = lower_equilibrium(terms, cfg, q_bar).x
     revokers = np.flatnonzero(revoke)
 
+    retained = np.zeros(len(population), dtype=bool)
+    incentives = np.zeros(len(population))
     retention_result: RetentionResult | None = None
-    if mech == "NRI" or len(revokers) == 0:
-        retained_ids = np.array([], dtype=int)
-        payments = np.zeros(0)
-    else:
+    if mech != "NRI" and len(revokers):
         solve = optimal_retention_exact if len(revokers) <= 20 else optimal_retention_heuristic
         retention_result = solve(revokers, population, terms, cfg)
-        retained_ids = retention_result.retained
-        payments = retention_result.incentives
-
-    retained = np.zeros(len(population), dtype=bool)
-    retained[retained_ids] = True
-    incentives = np.zeros(len(population))
-    incentives[retained_ids] = payments
+        retained[retention_result.retained] = True
+        incentives[retention_result.retained] = retention_result.incentives
 
     cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
     return Outcome(
@@ -338,7 +332,6 @@ def find_stationary_rates(
 
     grid_populations = draw(_STREAM_SWEEP, 0, exp.sweep_trials)
     rows = []
-    best = None
     for p in exp.p_grid:
         for q in exp.q_grid:
             p_hat, q_hat, cost = measure(p, q, grid_populations)
@@ -346,11 +339,10 @@ def find_stationary_rates(
             rows.append(
                 {"p": p, "q": q, "p_hat": p_hat, "q_hat": q_hat, "cost": cost, "dist": dist}
             )
-            if best is None or dist < best[0]:
-                best = (dist, p, q)
-    p_star, q_star = best[1], best[2]
+    # the first grid point at the least distance
+    best = min(rows, key=lambda row: row["dist"])
+    p_star, q_star = best["p"], best["q"]
 
-    refined = False
     for step in range(exp.refine_steps):
         populations = draw(_STREAM_REFINE, step + 1, exp.refine_trials)
         p_hat, q_hat, _ = measure(p_star, q_star, populations)
@@ -358,5 +350,4 @@ def find_stationary_rates(
         q_star = (1.0 - exp.refine_damping) * q_star + exp.refine_damping * q_hat
         p_star = min(max(p_star, 0.0), 0.999)
         q_star = min(max(q_star, 0.0), 1.0)
-        refined = True
-    return StationarySearch(p_star=p_star, q_star=q_star, grid=rows, refined=refined)
+    return StationarySearch(p_star=p_star, q_star=q_star, grid=rows, refined=exp.refine_steps > 0)

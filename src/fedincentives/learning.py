@@ -485,7 +485,7 @@ def unlearn_continue(
     _require((leavers < set(range(problem.users)), "leavers must be a proper subset of the users"))
     keep = [i for i in range(problem.users) if i not in leavers]
     rest = restrict_problem(problem, keep)
-    _check_keys(rounds=max_rounds)
+    _require((max_rounds >= 1, "max_rounds must be positive"))
     run = _run_scaffold(rest, schedule, seeds, problem.w_star, local_steps)
     with contextlib.closing(run):
         for t, (W, _) in enumerate(itertools.islice(run, max_rounds + 1)):

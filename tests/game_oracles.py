@@ -14,7 +14,8 @@ reference that the reduced form of `model.TypeRates.cost_coefficients` meets;
 `stage3_payoff` is one user's entry of `UserTerms.payoffs` under a revocation
 profile; `eager_payoffs_oracle` forms a play's realized payoffs as
 `experiments.run_pipeline` did on every play before `Outcome.payoffs` formed
-them on read.  Tests compare the library against them.
+them on read; `reference_play` plays Stages II-IV as `run_pipeline` does,
+from these oracles alone.  Tests compare the library against them.
 """
 import math
 from dataclasses import dataclass
@@ -437,3 +438,80 @@ def eager_payoffs_oracle(terms, cfg, revoke, retained) -> np.ndarray:
     train_cost = terms.theta_d * cfg.T
     stay = terms.r - train_cost - terms.xi_l_d - terms.theta_d * cfg.lam * leave_mass
     return np.where(revoke, -train_cost, stay)
+
+
+# --- a whole play from the oracles ---
+
+
+class ReferencePlay(NamedTuple):
+    """The observables of one play, with the rounding scale of each float:
+    the sum of the absolute values of the terms it is formed from."""
+
+    revoke: np.ndarray
+    retained: np.ndarray
+    incentives: np.ndarray
+    incentive_scale: np.ndarray
+    cost_parts: dict
+    part_scale: dict
+
+
+def reference_play(mechanism, contract, types, cfg, population) -> ReferencePlay:
+    """experiments.run_pipeline built from the oracles above.
+
+    Stage II gives each user, one at a time, its type's menu item.  Stage III
+    is the least equilibrium by enumeration up to 12 users and by the
+    unhoisted ascent past that.  Stage IV (none under NRI) is the least
+    minimizer by enumeration up to 16 revokers, objectives within ORACLE_TOL
+    of their scale counting as tied, and by the minimum cut past that.  Each
+    retained user is paid to be exactly indifferent, theta d lam L + xi l d
+    - r at the final leavers' squared-loss mass L, and the cost parts are
+    summed user by user.
+    """
+    n = len(population)
+    item = {int(j): k for k, j in enumerate(contract.order)}
+    d, r, theta, xi = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    for i, j in enumerate(population.type_idx):
+        d[i], r[i] = contract.d[item[int(j)]], contract.r[item[int(j)]]
+        theta[i], xi[i] = types[j].theta, types[j].xi
+    loss = population.loss
+    terms = UserTerms(d=d, r=r, theta=theta, xi=xi, loss=loss)
+    q_bar = sum(t.count * t.q for t in types) / sum(t.count for t in types)
+
+    if n <= 12:
+        revoke = least_equilibrium_oracle(terms, cfg, q_bar)
+    else:
+        revoke = sweep_profile_oracle(terms, cfg, q_bar, start_high=False).x
+
+    revokers = np.flatnonzero(revoke)
+    retained = np.zeros(n, dtype=bool)
+    if mechanism.upper() != "NRI" and len(revokers) > 16:
+        retained[min_cut_retention_oracle(revokers, population, terms, cfg)] = True
+    elif mechanism.upper() != "NRI" and len(revokers):
+        X, objective = retention_enumeration(revokers, population, terms, cfg)
+        c, g, e = retention_pieces(revokers, population, terms, cfg)
+        slack = ORACLE_TOL * (np.abs(c).sum() + np.abs(g).sum() * e.sum())
+        tied = np.flatnonzero(objective <= objective.min() + slack)
+        retained[revokers[X[tied[np.argmin(X[tied].sum(axis=1))]]]] = True
+
+    leave_mass = sum(loss[k] * loss[k] for k in revokers if not retained[k])
+    incentives, incentive_scale = np.zeros(n), np.zeros(n)
+    for i in np.flatnonzero(retained):
+        pieces = (theta[i] * d[i] * cfg.lam * leave_mass, xi[i] * loss[i] * d[i], -r[i])
+        incentives[i] = sum(pieces)
+        incentive_scale[i] = sum(abs(piece) for piece in pieces)
+
+    stayers = [i for i in range(n) if not revoke[i] or retained[i]]
+    paid = np.flatnonzero(retained)
+    parts = {
+        "accuracy": sum(float(population.shapley[i]) for i in stayers),
+        "learning_rewards": cfg.gamma * sum(r[i] for i in stayers),
+        "retention_rewards": cfg.gamma * sum(incentives[i] for i in paid),
+    }
+    scale = {
+        "accuracy": sum(abs(float(population.shapley[i])) for i in stayers),
+        "learning_rewards": cfg.gamma * sum(abs(r[i]) for i in stayers),
+        "retention_rewards": cfg.gamma * sum(incentive_scale[i] for i in paid),
+    }
+    parts["total"] = sum(parts.values())
+    scale["total"] = sum(scale.values())
+    return ReferencePlay(revoke, retained, incentives, incentive_scale, parts, scale)

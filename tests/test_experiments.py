@@ -8,7 +8,7 @@ import pytest
 
 from fedincentives import experiments, retention
 from fedincentives.config import load_config
-from fedincentives.contract import design_contract
+from fedincentives.contract import design_contract, verify_ir_ic
 from fedincentives.experiments import (
     MECHANISMS,
     ExperimentConfig,
@@ -18,6 +18,7 @@ from fedincentives.experiments import (
     run_pipeline,
 )
 from fedincentives.model import (
+    Contract,
     GameConfig,
     Population,
     UserTerms,
@@ -28,9 +29,10 @@ from fedincentives.model import (
 )
 from fedincentives.population import SamplingModel, realized_rates, sample_population
 from fedincentives.retention import retention_incentives
+from fedincentives.revocation import upper_equilibrium
 
 from conftest import random_cfg, random_types
-from game_oracles import eager_payoffs_oracle
+from game_oracles import eager_payoffs_oracle, reference_play
 
 
 def _economy(rng, J=None, count_hi=60):
@@ -525,3 +527,156 @@ def test_realized_payoffs_sign_structure(rng):
             d, r = contract.d[k], contract.r[k]
             expect = r - t.theta * d * cfg.T - t.xi * pop.loss[i] * d
             assert out.payoffs[i] == pytest.approx(expect, rel=1e-12)
+
+
+# --- the whole play against a play built from the oracles ---
+
+# each float of a play lies within this share of its rounding scale (the sum
+# of the absolute values of its terms) of the reference's: far above the
+# n eps that the order of a sum of n <= 40 terms can move it by, far below
+# any difference of formula
+ROUNDING = 1e-12
+
+
+def _matches_reference(mechanism, contract, types, cfg, population):
+    """run_pipeline against reference_play: masks bit for bit, payments and
+    cost parts within ROUNDING of their scale.  Returns the play."""
+    out = run_pipeline(mechanism, contract, types, cfg, population)
+    ref = reference_play(mechanism, contract, types, cfg, population)
+    assert np.array_equal(out.revoke, ref.revoke)
+    assert np.array_equal(out.retained, ref.retained)
+    assert np.all(np.abs(out.incentives - ref.incentives) <= ROUNDING * ref.incentive_scale)
+    assert out.cost == out.cost_parts["total"]
+    assert out.cost_parts.keys() == ref.cost_parts.keys()
+    for key, value in ref.cost_parts.items():
+        assert abs(out.cost_parts[key] - value) <= ROUNDING * ref.part_scale[key], key
+    return out
+
+
+def _steered_game(rng, n, J=None, lam=None, q=None, reward=(0.0, 1.5), zero_losses=0.0):
+    """A hand-built menu whose rewards are drawn around the privacy cost of
+    a user of mean loss, so that most plays have revokers, and contribution
+    scores of the size of Stage IV's other terms, so that most of those
+    retain someone and leave someone.  q, when given, is every type's."""
+    J = J or int(rng.integers(1, 5))
+    types = [
+        UserTypeSpec(theta=float(rng.uniform(0.5, 3.0)), xi=float(rng.uniform(0.5, 3.0)),
+                     count=int(rng.integers(1, 50)), p=0.1,
+                     q=float(rng.uniform(0.0, 1.0)) if q is None else q,
+                     loss_mean=0.5, loss_var=0.05)
+        for _ in range(J)
+    ]
+    cfg = GameConfig(T=10.0, lam=float(rng.uniform(0.0, 1.0)) if lam is None else lam,
+                     gamma=float(10.0 ** rng.uniform(-2.0, 0.0)))
+    order = rng.permutation(J)
+    d = np.sort(rng.uniform(0.5, 2.0, J))[::-1]
+    xi = np.array([types[j].xi for j in order])
+    r = 0.5 * xi * d * rng.uniform(*reward, J)
+    contract = Contract(d=d, r=r, pi=np.arange(J, dtype=float), kappa=np.ones(J),
+                        A=np.ones(J), B=np.ones(J), order=order)
+    loss = rng.uniform(0.0, 1.0, n)
+    loss[rng.random(n) < zero_losses] = 0.0
+    pop = Population(type_idx=rng.integers(0, J, n), loss=loss,
+                     shapley=cfg.gamma * rng.normal(0.0, 2.0, n))
+    return contract, types, cfg, pop
+
+
+def test_play_matches_the_reference_on_steered_games():
+    """Every mechanism on hand-built menus, past the 12 users that the
+    equilibrium enumeration reaches and the 16 revokers of the subset one.
+    Every other game pays more for staying and weighs the burden more, so
+    that the least and greatest equilibria often differ and the play must
+    reach the least."""
+    rng = np.random.default_rng(28)
+    revoked = mixed = past_enumeration = extremes_differ = 0
+    for trial in range(120):
+        n = int(rng.integers(13, 25)) if trial % 3 == 0 else int(rng.integers(1, 13))
+        if trial % 2:
+            game = _steered_game(rng, n)
+        else:
+            game = _steered_game(rng, n, lam=float(rng.uniform(0.0, 3.0)), reward=(0.5, 3.5))
+        for mechanism in MECHANISMS:
+            out = _matches_reference(mechanism, *game)
+        revoked += out.revoke.any()
+        mixed += out.retained.any() and not np.array_equal(out.retained, out.revoke)
+        past_enumeration += np.count_nonzero(out.revoke) > 16
+        upper = upper_equilibrium(out.terms, out.cfg, out.q_bar).x
+        extremes_differ += not np.array_equal(out.revoke, upper)
+    assert revoked >= 80 and mixed >= 25 and past_enumeration >= 8 and extremes_differ >= 8
+
+
+def test_play_matches_the_reference_on_designed_menus():
+    """Each mechanism's own menu, LLA's failing IR or IC at the true cost
+    rates, with rewards cut so that revocation is common."""
+    rng = np.random.default_rng(29)
+    revoked = lla_not_ir_ic = 0
+    for _ in range(40):
+        types = random_types(rng, J=int(rng.integers(1, 4)), count_hi=30)
+        cfg = replace(random_cfg(rng), lam=float(rng.uniform(0.0, 0.3)),
+                      gamma=float(10.0 ** rng.uniform(-4.0, -1.0)))
+        n = int(rng.integers(1, 13))
+        pop = Population(type_idx=rng.integers(0, len(types), n), loss=rng.uniform(0.0, 1.0, n),
+                         shapley=rng.normal(0.0, 0.04, n))
+        for mechanism in MECHANISMS:
+            menu = mechanism_contract(mechanism, types, cfg)
+            if mechanism == "LLA":
+                lla_not_ir_ic += not verify_ir_ic(menu, types, cfg).ok
+            menu = replace(menu, r=menu.r * float(rng.uniform(0.3, 1.0)))
+            revoked += _matches_reference(mechanism, menu, types, cfg, pop).revoke.any()
+    assert revoked >= 60 and lla_not_ir_ic >= 20
+
+
+def _dyadic_game(lam, qs, v, loss, r=1.0):
+    """Two users' worth of exact binary fractions per type: theta = 1, xi = 2
+    and d = 1, so that margins, objectives and payments round nowhere and
+    ties stay ties.  v and loss are per user, of the type i % len(qs)."""
+    J, n = len(qs), len(v)
+    types = [UserTypeSpec(theta=1.0, xi=2.0, count=2, p=0.1, q=q, loss_mean=0.5, loss_var=0.0)
+             for q in qs]
+    contract = Contract(d=np.ones(J), r=np.full(J, r), pi=np.zeros(J), kappa=np.ones(J),
+                        A=np.ones(J), B=np.ones(J), order=np.arange(J))
+    pop = Population(type_idx=np.arange(n) % J, loss=np.asarray(loss, dtype=float),
+                     shapley=np.asarray(v, dtype=float))
+    return contract, types, GameConfig(T=10.0, lam=lam, gamma=0.5), pop
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_play_matches_the_reference_on_degenerate_games(mechanism):
+    """Exact ties in Stage III (zero margins stay) and Stage IV (a zero
+    objective keeps no one), zero losses, q = 1, lambda = 0 and everyone
+    revoking."""
+    rng = np.random.default_rng(30)
+    # at lambda = 0 a loss of 1/2 leaves a zero margin and a loss of 1 a
+    # margin of -1; c = v + 1 ties at v = -1 and twin users tie in every key
+    tie = _dyadic_game(0.0, [0.5], v=[-1.0, -1.0, -2.0, 0.0, -2.0, 0.0],
+                       loss=[1.0, 1.0, 1.0, 1.0, 0.5, 0.0])
+    out = _matches_reference(mechanism, *tie)
+    assert out.revoke.tolist() == [True] * 4 + [False] * 2
+    assert out.retained.tolist() == [False, False, mechanism != "NRI", False, False, False]
+    for lam in (0.5, 1.0):
+        for qs in ([0.0], [1.0], [0.5, 1.0]):
+            v = rng.integers(-8, 3, 8) / 4.0
+            loss = rng.integers(0, 3, 8) / 2.0
+            _matches_reference(mechanism, *_dyadic_game(lam, qs, v, loss, r=0.5))
+    for n in range(1, 25):
+        # q = 1 everywhere: no burden is anticipated, so Stage III decouples
+        _matches_reference(mechanism, *_steered_game(rng, n, q=1.0, zero_losses=0.3))
+        _matches_reference(mechanism, *_steered_game(rng, n, lam=0.0, zero_losses=0.3))
+        everyone = _steered_game(rng, n, reward=(0.0, 0.0))
+        everyone[3].loss[:] = np.maximum(everyone[3].loss, 0.01)
+        assert _matches_reference(mechanism, *everyone).revoke.all()
+
+
+@pytest.mark.parametrize("n", [16, 17, 19, 20, 21])
+def test_play_matches_the_reference_at_the_twenty_revoker_boundary(n):
+    """Everyone revokes, so Stage IV solves n revokers: the enumeration's
+    reach ends at 16 and run_pipeline names its solve differently past 20.
+    A small lambda keeps the burden low enough that some are retained."""
+    rng = np.random.default_rng(31 + n)
+    for _ in range(3):
+        game = _steered_game(rng, n, lam=float(rng.uniform(0.0, 0.2)), reward=(0.0, 0.0))
+        game[3].loss[:] = np.maximum(game[3].loss, 0.01)
+        for mechanism in MECHANISMS:
+            out = _matches_reference(mechanism, *game)
+            assert np.count_nonzero(out.revoke) == n
+        assert 0 < np.count_nonzero(out.retained) < n

@@ -304,6 +304,16 @@ def test_unlearning_budget_exhaustion_raises():
                          local_steps=5, max_rounds=3)
 
 
+def test_unlearning_round_budget_must_be_positive():
+    """max_rounds has a rule of its own, and the error names it."""
+    prob = _problem(users=4)
+    sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    for max_rounds in (0, -3):
+        with pytest.raises(ValueError, match="^max_rounds must be positive$"):
+            unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=0.05), sch, [0],
+                             local_steps=5, max_rounds=max_rounds)
+
+
 def test_unlearn_spec_validation():
     prob = _problem(users=4)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
@@ -587,8 +597,11 @@ def test_bytes_do_not_depend_on_the_cpu_count(noise_spy):
     try:
         for cpus in (1, 2, 3, 5):
             noise_spy.cpus(cpus)
+            # a run's helpers may take the idents of the last run's, so count each run alone
             noise_spy.threads.clear()
             trace = scaffold_train(prob, 30, sch, range(80), local_steps=THREADED_STEPS)
+            assert len(noise_spy.threads) == cpus
+            noise_spy.threads.clear()
             rounds = unlearn_continue(prob, spec, flat, range(80), local_steps=THREADED_STEPS)
             assert len(noise_spy.threads) == cpus
             results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))

@@ -1,6 +1,7 @@
 """Tooling guards: every record checks its own rules on construction, and
-each [learning] and [experiment] rule is stated in one place of the package,
-so a library caller and a config file meet the same rule."""
+each rule of [game], [types.N], [learning] and [experiment] is stated in one
+place of the package, so a library caller and a config file meet the same
+rule, which a config file's error names with its section."""
 import importlib
 import inspect
 import pkgutil
@@ -28,7 +29,22 @@ SOURCE = "".join(
 MINIMAL = "[types.1]\ntheta = 2.0\nxi = 900\n"
 
 # (section, a setting that breaks one rule, the fixed start of its message)
+# a [types.N] case states the type in full, past the one MINIMAL states
+TYPE_2 = "theta = 3.0\nxi = 900\n"
+
 RULES = [
+    ("game", "t = 0", "T must be positive and finite"),
+    ("game", "lambda = -1", "lam must be nonnegative and finite"),
+    ("game", "rho = 0", "rho must be positive and finite"),
+    ("game", "gamma = inf", "gamma must be positive and finite"),
+    ("game", "seed = -1", "seed must be nonnegative"),
+    ("game", "tol = 0.1", "tol must lie in (0, 1e-3]"),
+    ("game", "shapley_mu = nan", "shapley_mu must be finite"),
+    ("types.2", TYPE_2 + "p = 1.5", "p must lie in [0, 1)"),
+    ("types.2", TYPE_2 + "q = -0.5", "q must lie in [0, 1]"),
+    ("types.2", TYPE_2 + "count = 0", "count must be at least 1"),
+    ("types.2", "theta = 0\nxi = 900", "theta must be positive and finite"),
+    ("types.2", "theta = 3.0\nxi = inf", "xi must be positive and finite"),
     ("learning", "users = 0", "users must be positive"),
     ("learning", "dim = 0", "dim must be positive"),
     ("learning", "data_size = 0", "data_size must be positive"),
