@@ -215,7 +215,7 @@ def _cmd_sweep(args, setup) -> int:
     path = write_table(args.out_dir, "sweep", columns, table, args.format)
     print(f"sweep: {len(search.grid)} grid points, written to {path}")
     print(f"stationary rates: p* = {search.p_star:.6g}, q* = {search.q_star:.6g}"
-          f" ({'refined' if search.refined else 'grid point'})")
+          f" ({'refined' if exp.refine_steps > 0 else 'grid point'})")
     return 0
 
 
@@ -226,7 +226,7 @@ def _cmd_verify_bounds(args, setup) -> int:
 
     # 1. noiseless contraction at the stability-cap stepsize
     quiet = replace(problem, noise_sigma2=0.0)
-    eta = 1.0 / (12.0 * quiet.smoothness)
+    eta = quiet.step_cap
     w0 = quiet.w_star + np.ones(quiet.dim) / np.sqrt(quiet.dim)
     trace0 = scaffold_train(
         quiet, 40, StepSchedule("constant", eta), [0], w0=w0, local_steps=learn.local_steps
@@ -270,7 +270,7 @@ def _cmd_verify_bounds(args, setup) -> int:
     # 3. halving the noise floor by doubling every batch
     if problem.noise_sigma2 > 0:
         half_rounds = max(60, learn.rounds // 2)
-        flat = StepSchedule("constant", 1.0 / (24.0 * problem.smoothness))
+        flat = StepSchedule("constant", problem.step_cap / 2.0)
         doubled = replace(problem, data_sizes=problem.data_sizes * 2)
         tails = []
         for prob in (problem, doubled):

@@ -17,8 +17,8 @@ from importlib import resources
 
 from .experiments import ExperimentConfig
 from .learning import LearnConfig
-from .model import GameConfig, UserTypeSpec, truncated_normal_moments
-from .population import SamplingModel
+from .model import GameConfig, UserTypeSpec
+from .population import SamplingModel, loss_moments
 
 __all__ = [
     "ConfigError",
@@ -131,12 +131,10 @@ def _checked(section: str, build, **values):
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _spread_to_sigma(spread: float, spread_is_std: bool, where: str) -> float:
+def _spread_to_sigma(spread: float, spread_is_std: bool, rule: str) -> float:
     if not 0.0 <= spread < math.inf:
-        raise ConfigError(f"{where} must be nonnegative and finite")
-    if spread_is_std:
-        return spread
-    return spread ** 0.5
+        raise ConfigError(rule)
+    return spread if spread_is_std else spread ** 0.5
 
 
 def _parse_error(path: str, exc: configparser.Error) -> str:
@@ -216,14 +214,16 @@ def load_config(path: str | None = None) -> ExperimentSetup:
                 raise ConfigError(f"missing key {required!r} in section [{section}]")
         # the loss keys become the type's moments; the rest are its own fields
         mu = values.pop("loss_mu")
-        if not math.isfinite(mu):
-            raise ConfigError(f"[{section}] loss_mu must be finite")
-        sigma = _spread_to_sigma(values.pop("loss_spread"), spread_is_std, f"[{section}] loss_spread")
-        if sigma == 0.0:
-            mean, var = min(max(mu, 0.0), 1.0), 0.0
-        else:
-            mean, var = truncated_normal_moments(mu, sigma, 0.0, 1.0)
-        types.append(_checked(section, UserTypeSpec, **values, loss_mean=mean, loss_var=var))
+        try:
+            rule = "loss_spread must be nonnegative and finite"
+            sigma = _spread_to_sigma(values.pop("loss_spread"), spread_is_std, rule)
+            mean, var = loss_moments(mu, sigma)
+            types.append(UserTypeSpec(**values, loss_mean=mean, loss_var=var))
+        except ValueError as exc:
+            # a rule is worded as its key; a key the type does not state is [game]'s
+            key = str(exc).split()[0]
+            inherited = key in _TYPE_SHARED and not parser.has_option(section, key)
+            raise ConfigError(f"[{'game' if inherited else section}] {exc}") from exc
         loss_mu.append(mu)
         loss_sigma.append(sigma)
 
@@ -233,7 +233,9 @@ def load_config(path: str | None = None) -> ExperimentSetup:
         loss_mu=tuple(loss_mu),
         loss_sigma=tuple(loss_sigma),
         shapley_mu=game["shapley_mu"],
-        shapley_sigma=_spread_to_sigma(game["shapley_spread"], spread_is_std, "[game] shapley_spread"),
+        shapley_sigma=_spread_to_sigma(
+            game["shapley_spread"], spread_is_std, "[game] shapley_spread must be nonnegative and finite"
+        ),
     )
 
     learn = _checked("learning", LearnConfig, **learn_raw)

@@ -286,7 +286,6 @@ class StationarySearch:
     p_star: float
     q_star: float
     grid: list[dict]
-    refined: bool
 
 
 def find_stationary_rates(
@@ -350,4 +349,4 @@ def find_stationary_rates(
         q_star = (1.0 - exp.refine_damping) * q_star + exp.refine_damping * q_hat
         p_star = min(max(p_star, 0.0), 0.999)
         q_star = min(max(q_star, 0.0), 1.0)
-    return StationarySearch(p_star=p_star, q_star=q_star, grid=rows, refined=exp.refine_steps > 0)
+    return StationarySearch(p_star=p_star, q_star=q_star, grid=rows)

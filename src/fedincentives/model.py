@@ -12,7 +12,6 @@ users who finally leave).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "TypeRates",
     "pooled_blocks",
     "stage4_realized_cost",
-    "truncated_normal_moments",
     "mean_retention_rate",
 ]
 
@@ -393,56 +391,3 @@ def stage4_realized_cost(
     }
     return total, parts
 
-
-# --- truncated normal moments ---
-
-
-_SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _norm_cdf(x: float) -> float:
-    """Standard normal CDF from erfc, which keeps its relative precision in
-    the left tail, where 1 + erf(x / sqrt 2) cancels."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _log_gauss_mass(a: float, b: float) -> float | None:
-    """log P(a <= Z <= b), taking the mass from the tail that keeps precision;
-    None when the mass underflows to zero or a subnormal."""
-    if a > 0:
-        a, b = -b, -a
-    if b > 0:
-        tails = _norm_cdf(a) + _norm_cdf(-b)
-        return math.log1p(-tails) if 1.0 - tails >= sys.float_info.min else None
-    mass = _norm_cdf(b) - _norm_cdf(a)
-    return math.log(mass) if mass >= sys.float_info.min else None
-
-
-def truncated_normal_moments(
-    mu: float, sigma: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """Mean and variance of a normal(mu, sigma^2) truncated to [lo, hi].
-
-    Closed form on the standardized bounds a, b with the truncated density
-    pA, pB there: standardized mean m = pA - pB and variance
-    1 + (a - m) pA - (b - m) pB, the form that avoids E[Z^2] - m^2.  Raises
-    ValueError when the interval's normal mass underflows.
-    """
-    if lo >= hi:
-        raise ValueError("lo must be smaller than hi")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    log_mass = _log_gauss_mass(a, b)
-    if log_mass is None:
-        raise ValueError(
-            f"normal({mu:g}, {sigma:g}^2) has no representable mass on [{lo:g}, {hi:g}]"
-        )
-    pa = math.exp(-a * a / 2.0 - _LOG_SQRT_2PI - log_mass)
-    pb = math.exp(-b * b / 2.0 - _LOG_SQRT_2PI - log_mass)
-    m = pa - pb
-    # an infinite bound has zero density; skip it rather than form 0 * inf
-    var = 1.0 + (((a - m) * pa if pa else 0.0) - ((b - m) * pb if pb else 0.0))
-    return m * sigma + mu, var * sigma * sigma

@@ -67,7 +67,8 @@ class _SpyStream:
             return self.gen.standard_normal(*args, **kwargs)
         self.blocks += 1
         thread = threading.get_ident()
-        self.spy.threads.add(thread)
+        # the Thread, not its ident: a run's helper may get a joined one's ident back
+        self.spy.threads.add(threading.current_thread())
         if self.spy.breaks(self, thread):
             self.spy.broke_on.append(thread)
             raise FloatingPointError("stream broke")
@@ -78,9 +79,9 @@ class _SpyStream:
 def noise_spy(monkeypatch):
     """Wrap every Generator made from here on, and report spy.cpus(n) CPUs to
     the learning lab.  spy.streams holds the wrapped generators in the order
-    they were made, spy.threads the idents of the threads that drew a noise
-    block; a block raises FloatingPointError where spy.breaks(stream, thread)
-    is true, and spy.broke_on logs the thread it raised on."""
+    they were made, spy.threads the threads that drew a noise block; a block
+    raises FloatingPointError where spy.breaks(stream, ident) is true, and
+    spy.broke_on logs the ident of the thread it raised on."""
     spy = types.SimpleNamespace(
         streams=[], threads=set(), broke_on=[], breaks=lambda stream, thread: False,
         cpus=lambda n: monkeypatch.setattr(learning, "_cpus", lambda: n),

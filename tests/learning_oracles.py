@@ -3,7 +3,8 @@
 `run_scaffold_loop` is the round loop of `learning._run_scaffold` written with
 `einsum` and a fresh array per operation; `gap_per_round` forms the statistics
 of `scaffold_train` one round at a time; `shapley_loop` is the per-coalition
-loop of `federated_shapley_exact`.  Tests compare the library against them.
+loop of `federated_shapley_exact`, and `loss_change` the total an attribution
+must sum to.  Tests compare the library against them.
 """
 import contextlib
 import itertools
@@ -90,6 +91,15 @@ def gap_per_round(problem, rounds, schedule, seeds, local_steps):
             gap.append(float(np.mean(sq)))
             err.append(float(np.std(sq) / math.sqrt(len(sq))))
     return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
+
+
+def loss_change(problem, rounds, schedule, seed, local_steps):
+    """F(w_R) - F(w_0) over one seed's server models from the round generator:
+    the realized change in global loss that a run's attribution shares out."""
+    run = _run_scaffold(problem, schedule, [seed], None, local_steps)
+    with contextlib.closing(run):
+        models = [W[0].copy() for W, _ in itertools.islice(run, rounds + 1)]
+    return problem.global_value(models[-1]) - problem.global_value(models[0])
 
 
 def shapley_loop(problem, updates):

@@ -41,6 +41,7 @@ from fedincentives.retention import optimal_retention, retention_objective
 from fedincentives.revocation import lower_equilibrium, verify_nash
 
 from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle, stage1_expected_cost
+from learning_oracles import loss_change
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -370,8 +371,8 @@ def test_criterion_10_shapley_axioms():
                             condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
         sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi, total = federated_shapley_exact(prob, 3, sch, seed=seed, local_steps=5,
-                                             with_total=True)
+        phi = federated_shapley_exact(prob, 3, sch, seed=seed, local_steps=5)
+        total = loss_change(prob, 3, sch, seed, local_steps=5)
         worst_eff = max(worst_eff,
                         abs(phi.sum() - total) / max(1.0, abs(total)))
         Q, b = prob.Q.copy(), prob.b.copy()

@@ -151,6 +151,46 @@ def test_sweep_csv_schema(cfg_path, tmp_path, capsys):
     assert "p* =" in capsys.readouterr().out
 
 
+def test_sweep_trials_flag_matches_the_config_key(tmp_path):
+    """--trials N reaches the sweep as [experiment] sweep_trials = N does."""
+    two = tmp_path / "two.ini"
+    two.write_text(SMALL.replace("sweep_trials = 1", "sweep_trials = 2"))
+    one = tmp_path / "one.ini"
+    one.write_text(SMALL)  # sweep_trials = 1
+    runs = {
+        "flag": ["--config", str(two), "--trials", "1"],
+        "key": ["--config", str(one)],
+        "two": ["--config", str(two)],
+    }
+    written = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert _run(["sweep", *argv, "--out-dir", str(out)]) == 0
+        written[name] = (out / "sweep.csv").read_bytes()
+    assert written["flag"] == written["key"]
+    assert written["two"] != written["key"]
+
+
+@pytest.mark.parametrize("steps, label", [(0, "(grid point)"), (1, "(refined)"), (2, "(refined)")])
+def test_sweep_says_whether_it_refined(tmp_path, capsys, steps, label):
+    path = tmp_path / "steps.ini"
+    path.write_text(SMALL.replace("refine_steps = 1", f"refine_steps = {steps}"))
+    assert _run(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(label)
+
+
+def test_retain_notes_negative_incentives(tmp_path, capsys):
+    """At the packaged default, seed 37 retains 9 of 14 revokers, one of them
+    at a negative payment (a charge to stay), which retain reports."""
+    out = tmp_path / "o"
+    assert _run(["retain", "--seed", "37", "--out-dir", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "kept 9/14 revokers" in text
+    assert "note: 1 retention incentives are negative (charges to stay)" in text
+    rows = _lines(out / "retention.csv")[1:]
+    assert sum(float(row.split(",")[3]) < 0 for row in rows) == 1
+
+
 def test_verify_bounds_csv_and_checks(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "o7")
     assert _run(["verify-bounds", "--config", cfg_path, "--out-dir", out]) == 0
@@ -165,8 +205,8 @@ def test_verify_bounds_csv_and_checks(cfg_path, tmp_path, capsys):
 
 def test_verify_bounds_leaves_no_thread_running(tmp_path, noise_spy):
     """32 seeds of 768-normal blocks on two CPUs draw their noise on the
-    caller and a helper thread, which the run stops and joins before it
-    returns."""
+    caller and a helper thread, which each training run stops and joins
+    before it returns."""
     noise_spy.cpus(2)
     body = SMALL.replace("users = 3", "users = 8").replace("dim = 4", "dim = 16")
     path = tmp_path / "threaded.ini"
@@ -174,7 +214,8 @@ def test_verify_bounds_leaves_no_thread_running(tmp_path, noise_spy):
     before = threading.active_count()
     assert _run(["verify-bounds", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
     assert threading.active_count() == before
-    assert len(noise_spy.threads) == 2
+    # the caller, and a helper each for check 2's run and check 3's two
+    assert len(noise_spy.threads) == 4
 
 
 # SMALL's learning lab has Q_i = mu I, where every contraction term but one

@@ -8,7 +8,8 @@ import pytest
 from fedincentives.config import ConfigError, default_config_path, load_config
 from fedincentives.experiments import ExperimentConfig
 from fedincentives.learning import LearnConfig, make_problem, scaffold_train
-from fedincentives.model import GameConfig, truncated_normal_moments
+from fedincentives.model import GameConfig
+from fedincentives.population import truncated_normal_moments
 
 
 def _write(tmp_path, body, name="case.ini"):

@@ -13,8 +13,8 @@ from fedincentives.model import (
     UserTerms,
     UserTypeSpec,
     stage4_realized_cost,
-    truncated_normal_moments,
 )
+from fedincentives.population import truncated_normal_moments
 
 from conftest import random_cfg, random_types
 from game_oracles import stage1_expected_cost, stage3_payoff

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from fedincentives.experiments import ExperimentConfig, find_stationary_rates
-from fedincentives.model import GameConfig, UserTypeSpec, truncated_normal_moments
-from fedincentives.population import SamplingModel, realized_rates, sample_population
+from fedincentives.model import GameConfig, UserTypeSpec
+from fedincentives.population import (
+    SamplingModel,
+    loss_moments,
+    realized_rates,
+    sample_population,
+    truncated_normal_moments,
+)
 
 
 def _one_type(mu, sigma, count, theta=5.0, xi=1200.0, p=0.05, q=0.5):
@@ -25,6 +31,23 @@ def test_loss_moments_match_truncated_normal():
     n = len(pop)
     assert abs(pop.loss.mean() - mean) < 4.0 * np.sqrt(var / n)
     assert abs(pop.loss.var() - var) < 6.0 * var * np.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("mu, point", [(-0.3, 0.0), (0.4, 0.4), (1.7, 1.0)])
+def test_loss_moments_at_zero_spread_are_the_fill(mu, point):
+    """At sigma = 0 every loss is mu clipped to [0, 1], and loss_moments says so."""
+    spec, model = _one_type(mu, 0.0, 5)
+    pop = sample_population([spec], model, seed=0)
+    assert loss_moments(mu, 0.0) == (point, 0.0)
+    assert np.all(pop.loss == loss_moments(mu, 0.0)[0])
+
+
+def test_loss_moments_are_the_truncated_normal_and_check_their_inputs():
+    assert loss_moments(0.4, 0.15) == truncated_normal_moments(0.4, 0.15, 0.0, 1.0)
+    for mu, sigma, key in ((np.nan, 0.1, "loss_mu"), (np.inf, 0.0, "loss_mu"),
+                           (0.5, -0.1, "loss_sigma"), (0.5, np.inf, "loss_sigma")):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            loss_moments(mu, sigma)
 
 
 def test_shapley_moments():
@@ -158,7 +181,6 @@ def test_stationary_search_no_churn_collapses_to_origin():
                            refine_steps=2, refine_trials=2)
     res = find_stationary_rates([quiet], replace(cfg, seed=0), model, exp)
     assert res.p_star == 0.0 and res.q_star == 0.0
-    assert res.refined
     assert all(row["p_hat"] == 0.0 for row in res.grid)
 
 
@@ -183,5 +205,4 @@ def test_stationary_refine_steps_zero_returns_grid_point():
     spec, model, cfg = _pipeline_setup(count=150)
     exp = ExperimentConfig(p_grid=[0.0, 0.02], q_grid=[0.5], sweep_trials=2, refine_steps=0)
     res = find_stationary_rates([spec], replace(cfg, seed=5), model, exp)
-    assert not res.refined
     assert (res.p_star, res.q_star) in {(0.0, 0.5), (0.02, 0.5)}

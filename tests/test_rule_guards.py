@@ -2,9 +2,11 @@
 each rule of [game], [types.N], [learning] and [experiment] is stated in one
 place of the package, so a library caller and a config file meet the same
 rule, which a config file's error names with its section."""
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,9 +24,11 @@ from fedincentives.learning import (
     unlearn_continue,
 )
 
-SOURCE = "".join(
-    path.read_text() for path in sorted(Path(fedincentives.__file__).parent.glob("*.py"))
-)
+MODULES = {
+    path.name: path.read_text()
+    for path in sorted(Path(fedincentives.__file__).parent.glob("*.py"))
+}
+SOURCE = "".join(MODULES.values())
 
 MINIMAL = "[types.1]\ntheta = 2.0\nxi = 900\n"
 
@@ -40,6 +44,12 @@ RULES = [
     ("game", "seed = -1", "seed must be nonnegative"),
     ("game", "tol = 0.1", "tol must lie in (0, 1e-3]"),
     ("game", "shapley_mu = nan", "shapley_mu must be finite"),
+    # a [game] per-type default that a type inherits is named as [game]'s
+    ("game", "p = 1.5", "p must lie in [0, 1)"),
+    ("game", "q = 2", "q must lie in [0, 1]"),
+    ("game", "count = 0", "count must be at least 1"),
+    ("game", "loss_spread = -1", "loss_spread must be nonnegative and finite"),
+    ("game", "loss_mu = nan", "loss_mu must be finite"),
     ("types.2", TYPE_2 + "p = 1.5", "p must lie in [0, 1)"),
     ("types.2", TYPE_2 + "q = -0.5", "q must lie in [0, 1]"),
     ("types.2", TYPE_2 + "count = 0", "count must be at least 1"),
@@ -96,6 +106,35 @@ def test_each_rule_stated_once(tmp_path, section, setting, rule):
     # only load_config's cross-section rule is written with its section
     stated = SOURCE.count('"' + rule) + SOURCE.count(f'"[{section}] {rule}')
     assert stated == 1, f"{rule!r} is stated {stated} times"
+
+
+@pytest.mark.parametrize(
+    "broken, stated",
+    [("p = 1.5", "p = 0.1"), ("q = 2", "q = 0.5"), ("count = 0", "count = 10"),
+     ("loss_spread = -1", "loss_spread = 0.2"), ("loss_mu = nan", "loss_mu = 0.5")],
+)
+def test_a_game_default_every_type_states_is_not_read(tmp_path, broken, stated):
+    path = tmp_path / "case.ini"
+    path.write_text(MINIMAL + f"{stated}\n[types.2]\n{TYPE_2}{stated}\n\n[game]\n{broken}\n")
+    assert len(load_config(str(path)).types) == 2
+
+
+def test_stability_cap_stated_once():
+    """The cap 1/(12L) is LearnProblem.step_cap; every other stepsize that
+    depends on it, such as verify-bounds' half-cap schedule, reads it."""
+    assert len(re.findall(r"\b(?:12|24)\.0 \*", SOURCE)) == 1
+    assert "1.0 / (12.0 * self.smoothness)" in MODULES["learning.py"]
+
+
+def test_loss_model_lives_in_population():
+    for name in ("truncated_normal_moments", "_norm_cdf", "_log_gauss_mass", "loss_moments"):
+        owners = [module for module, text in MODULES.items() if f"def {name}(" in text]
+        assert owners == ["population.py"], f"{name} is defined in {owners}"
+    for module, text in MODULES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                assert "_norm_cdf" not in imported, f"{module} imports _norm_cdf"
 
 
 def test_each_setting_reaches_the_code_as_its_record():
