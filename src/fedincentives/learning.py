@@ -37,7 +37,6 @@ __all__ = [
     "scaffold_train",
     "check_gap_bound",
     "unlearn_continue",
-    "training_loss_metric",
     "federated_shapley_exact",
 ]
 
@@ -341,12 +340,10 @@ def _run_scaffold(
 ):
     """The batched round kernel, run one round per step of the generator.
 
-    Yields (W, None) before the first round, then (W, Y) after each round:
-    W is the seeds' server models, shape (seeds, dim), and Y that round's
-    local models, shape (users, seeds, dim).  Y is a buffer the next round
-    overwrites, so a caller that keeps any of it must copy it.  It never
-    stops; callers take as many rounds as they need, and close it (or drop
-    it) to stop the threads that draw the noise.
+    Yields W, the seeds' server models, shape (seeds, dim), before the
+    first round and after each round.  It never stops; callers take as many
+    rounds as they need, and close it (or drop it) to stop the threads that
+    draw the noise.
     """
     seed_ids = _seed_list(seeds)
     n_seeds = len(seed_ids)
@@ -367,7 +364,7 @@ def _run_scaffold(
     comp_std = np.sqrt(sigma2 / (dim * s_i))
 
     W = np.tile(w0, (n_seeds, 1))
-    yield W, None
+    yield W
 
     # Each seed draws a round's noise as one contiguous (steps, users, dim) block,
     # in a fresh draw's order; `noise` views it as (steps, users, seeds, dim).
@@ -409,7 +406,7 @@ def _run_scaffold(
                 G *= eta
                 Y -= G
             W = Y.mean(axis=0)
-            yield W, Y
+            yield W
 
 
 def scaffold_train(
@@ -429,7 +426,7 @@ def scaffold_train(
     # row t holds round t's squared distances, one per seed
     sq = np.empty((rounds + 1, len(seeds)))
     with contextlib.closing(run):
-        for t, (W, _) in enumerate(itertools.islice(run, rounds + 1)):
+        for t, W in enumerate(itertools.islice(run, rounds + 1)):
             sq[t] = np.sum((W - problem.w_star) ** 2, axis=1)
     return TrainTrace(gap=sq.mean(axis=1), gap_stderr=sq.std(axis=1) / math.sqrt(len(seeds)))
 
@@ -477,42 +474,26 @@ def unlearn_continue(
     _require((max_rounds >= 1, "max_rounds must be positive"))
     run = _run_scaffold(rest, schedule, seeds, problem.w_star, local_steps)
     with contextlib.closing(run):
-        for t, (W, _) in enumerate(itertools.islice(run, max_rounds + 1)):
+        for t, W in enumerate(itertools.islice(run, max_rounds + 1)):
             if np.mean(np.sqrt(np.sum((W - rest.w_star) ** 2, axis=1))) <= spec.epsilon:
                 return t
     raise RuntimeError(f"unlearning did not reach epsilon within {max_rounds} rounds")
 
 
-def training_loss_metric(problem: LearnProblem, w: np.ndarray) -> np.ndarray:
-    """Per-user gradient norms ||grad F_i(w)|| = ||Q_i w + b_i||, the loss proxy."""
-    return np.linalg.norm(problem.Q @ np.asarray(w, dtype=float) + problem.b, axis=1)
+# --- exact attribution ---
 
 
-# --- exact per-round attribution ---
+def federated_shapley_exact(problem: LearnProblem) -> np.ndarray:
+    """Exact Shapley values of the users' coalition optima.
 
-
-def federated_shapley_exact(
-    problem: LearnProblem,
-    rounds: int,
-    schedule: StepSchedule,
-    seed: int = 0,
-    *,
-    local_steps: int,
-) -> np.ndarray:
-    """Per-round Shapley attribution of global-loss change, summed over rounds.
-
-    Each round's characteristic function maps a user subset S to the change
-    in global loss if only S's updates were aggregated that round; the empty
-    set scores 0, and the model then advances with everyone's updates.  Lower
+    Coalition S is worth v(S) = F(w*_S), the global objective F at
+    w*_S = -(sum_S Q_i)^-1 sum_S b_i, the optimum of its members' objectives;
+    the empty coalition is worth F(0) = 0, so the values sum to F(w*).  Lower
     (more negative) values mean larger contributions.  Exact over all 2^I
-    subsets; rejects more than 8 users.
+    subsets, with no training; rejects more than 8 users.
     """
     users = problem.users
     _require((users <= 8, "exact attribution limited to 8 users"))
-    _check_keys(rounds=rounds)
-    # each round's per-user updates, taken from the server model the round started at
-    run = itertools.islice(_run_scaffold(problem, schedule, [seed], None, local_steps), rounds + 1)
-    updates = [Y[:, 0, :] - W[0] for (W, _), (_, Y) in itertools.pairwise(run)]
     # row m of X marks the members of coalition m; joined[m, i] is m with i
     masks = np.arange(1 << users)
     X = ((masks[:, None] >> np.arange(users)) & 1).astype(bool)
@@ -524,14 +505,10 @@ def federated_shapley_exact(
     )
     # Shapley weight of i joining m, zero where i is already a member
     coef = np.where(X, 0.0, weights[np.minimum(sizes, users - 1)][:, None])
-    # characteristic values summed over rounds; Shapley values are linear in them
+    # every nonempty coalition's optimum, in one batched solve of its summed terms
+    members = X[1:].astype(float)
+    hessians = np.einsum("mi,ijk->mjk", members, problem.Q)
+    w = -np.linalg.solve(hessians, (members @ problem.b)[..., None])[..., 0]
     char = np.zeros(1 << users)
-    # reconstruct the server trajectory from the collected updates
-    w = np.zeros(problem.dim)
-    for delta in updates:
-        shifted = w + (X[1:] @ delta) / sizes[1:, None]
-        value = 0.5 * np.sum((shifted @ problem.q_mean) * shifted, axis=1)
-        value += shifted @ problem.b_mean
-        char[1:] += value - problem.global_value(w)
-        w = w + delta.mean(axis=0)
+    char[1:] = 0.5 * np.sum((w @ problem.q_mean) * w, axis=1) + w @ problem.b_mean
     return np.sum(coef * (char[joined] - char[:, None]), axis=0)

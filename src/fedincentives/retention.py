@@ -29,7 +29,6 @@ from .model import GameConfig, Population, UserTerms
 
 __all__ = [
     "RetentionResult",
-    "retention_objective",
     "optimal_retention",
     "retention_incentives",
 ]
@@ -88,25 +87,6 @@ def _retained(ids, e, sel, terms, cfg) -> tuple[np.ndarray, np.ndarray]:
         terms.theta_d[kept] * cfg.lam, float(e[~sel].sum()), base=terms.stay_base(users=kept)
     )
     return kept, 0.0 - margin
-
-
-def retention_objective(
-    subset,
-    revokers,
-    population: Population,
-    terms: UserTerms,
-    cfg: GameConfig,
-) -> float:
-    """Relative cost of retaining `subset` out of `revokers`.
-
-    sum_{i in subset} (v_i + gamma xi_i l_i d_i
-                       + gamma theta_i d_i lam sum_{k leaves} l_k^2),
-    with the leaver sum over revokers outside the subset.  Retaining nobody
-    scores 0.
-    """
-    ids, (c, g, e) = _pieces(revokers, population, terms, cfg)
-    sel = _mask(ids, subset)
-    return float(c[sel].sum() + g[sel].sum() * (e.sum() - e[sel].sum()))
 
 
 def _breakpoints(pieces, e_tot) -> np.ndarray:

@@ -5,10 +5,11 @@ that `contract.optimal_data_sizes` pools; `all_equilibria` checks every pure
 profile of the revocation game whose extremes `revocation.lower_equilibrium`
 and `upper_equilibrium` reach by best-response sweeps, and
 `sweep_profile_oracle` runs those sweeps with the whole stay margin formed
-anew on every sweep; `retention_enumeration`
-scores every subset of revokers, `min_cut_retention_oracle` solves Stage IV
-as a minimum s-t cut and `retention_solve_oracle` keeps the solve as written
-before its gathers were trimmed, all for `retention.optimal_retention`.
+anew on every sweep; `retention_objective` scores one subset of revokers
+from the library's own pieces, `retention_enumeration` scores every subset,
+`min_cut_retention_oracle` solves Stage IV as a minimum s-t cut and
+`retention_solve_oracle` keeps the solve as written before its gathers were
+trimmed, all for `retention.optimal_retention`.
 `stage1_expected_cost` sums the expected server cost term by term, the
 reference that the reduced form of `model.TypeRates.cost_coefficients` meets;
 `stage3_payoff` is one user's entry of `UserTerms.payoffs` under a revocation
@@ -31,7 +32,7 @@ from fedincentives.model import (
     UserTerms,
     UserTypeSpec,
 )
-from fedincentives.retention import RetentionResult
+from fedincentives.retention import RetentionResult, _mask, _pieces
 from fedincentives.revocation import verify_nash
 
 # relative slack of the oracle's own comparisons, set apart from the
@@ -204,6 +205,19 @@ def least_equilibrium_oracle(terms, cfg, q_bar) -> np.ndarray:
     if not verify_nash(least, terms, cfg, q_bar):
         raise RuntimeError("componentwise minimum is not an equilibrium")
     return least
+
+
+def retention_objective(subset, revokers, population, terms, cfg) -> float:
+    """Relative cost of retaining `subset` out of `revokers`.
+
+    sum_{i in subset} (v_i + gamma xi_i l_i d_i
+                       + gamma theta_i d_i lam sum_{k leaves} l_k^2),
+    with the leaver sum over revokers outside the subset.  Retaining nobody
+    scores 0.
+    """
+    ids, (c, g, e) = _pieces(revokers, population, terms, cfg)
+    sel = _mask(ids, subset)
+    return float(c[sel].sum() + g[sel].sum() * (e.sum() - e[sel].sum()))
 
 
 def retention_pieces(revokers, population, terms, cfg):

@@ -3,8 +3,9 @@
 `run_scaffold_loop` is the round loop of `learning._run_scaffold` written with
 `einsum` and a fresh array per operation; `gap_per_round` forms the statistics
 of `scaffold_train` one round at a time; `shapley_loop` is the per-coalition
-loop of `federated_shapley_exact`, and `loss_change` the total an attribution
-must sum to.  Tests compare the library against them.
+loop of `federated_shapley_exact`, each coalition's value taken from its
+restricted problem; `training_loss_metric` is the per-user gradient norm.
+Tests compare the library against them.
 """
 import contextlib
 import itertools
@@ -12,13 +13,13 @@ import math
 
 import numpy as np
 
-from fedincentives.learning import TrainTrace, _run_scaffold, _seed_list
+from fedincentives.learning import TrainTrace, _run_scaffold, _seed_list, restrict_problem
 
 
 def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, reference,
-                      stop_norm=None, collect_updates=False):
-    """Same arguments and result (trace, stop_round, updates) as
-    `learning._run_scaffold`, for a schedule under the stability cap: the
+                      stop_norm=None):
+    """The trace and stop round that `learning._run_scaffold`'s server models
+    give, from the same arguments, for a schedule under the stability cap: the
     library's cap check has its own tests, and the oracle repeats no rule."""
     seed_ids = _seed_list(seeds)
     n_seeds = len(seed_ids)
@@ -36,7 +37,6 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
     gap_mean = [float(np.mean(sq))]
     gap_err = [float(np.std(sq) / math.sqrt(n_seeds))]
     dist_mean = [float(np.mean(np.sqrt(sq)))]
-    updates = []
 
     stop_round = None
     if stop_norm is not None and dist_mean[0] <= stop_norm:
@@ -61,8 +61,6 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
             if noise is not None:
                 G = G + noise[k]
             Y = Y - eta * (G - cv + cv_mean[None])
-        if collect_updates:
-            updates.append(Y[:, 0, :] - W[0])
         W = Y.mean(axis=0)
         t += 1
         sq = np.sum((W - reference) ** 2, axis=1)
@@ -76,7 +74,7 @@ def run_scaffold_loop(problem, rounds, schedule, seeds, w0, local_steps, referen
         gap=np.array(gap_mean),
         gap_stderr=np.array(gap_err),
     )
-    return trace, stop_round, updates
+    return trace, stop_round
 
 
 def gap_per_round(problem, rounds, schedule, seeds, local_steps):
@@ -86,45 +84,34 @@ def gap_per_round(problem, rounds, schedule, seeds, local_steps):
     gap, err = [], []
     run = _run_scaffold(problem, schedule, seeds, None, local_steps)
     with contextlib.closing(run):
-        for W, _ in itertools.islice(run, rounds + 1):
+        for W in itertools.islice(run, rounds + 1):
             sq = np.sum((W - problem.w_star) ** 2, axis=1)
             gap.append(float(np.mean(sq)))
             err.append(float(np.std(sq) / math.sqrt(len(sq))))
     return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
 
 
-def loss_change(problem, rounds, schedule, seed, local_steps):
-    """F(w_R) - F(w_0) over one seed's server models from the round generator:
-    the realized change in global loss that a run's attribution shares out."""
-    run = _run_scaffold(problem, schedule, [seed], None, local_steps)
-    with contextlib.closing(run):
-        models = [W[0].copy() for W, _ in itertools.islice(run, rounds + 1)]
-    return problem.global_value(models[-1]) - problem.global_value(models[0])
+def training_loss_metric(problem, w):
+    """Per-user gradient norms ||grad F_i(w)|| = ||Q_i w + b_i||, the loss proxy."""
+    return np.linalg.norm(problem.Q @ np.asarray(w, dtype=float) + problem.b, axis=1)
 
 
-def shapley_loop(problem, updates):
-    """Per-round Shapley values summed over rounds, and the summed
-    grand-coalition value, from the per-round per-user updates."""
+def shapley_loop(problem):
+    """Shapley values from a loop over coalitions: S is worth the global
+    objective at the optimum of the problem restricted to S, and the empty
+    coalition 0."""
     users = problem.users
-    w = np.zeros(problem.dim)
     fact = [math.factorial(k) for k in range(users + 1)]
     weights = [fact[s] * fact[users - s - 1] / fact[users] for s in range(users)]
+    char = np.zeros(1 << users)
+    for mask in range(1, 1 << users):
+        members = [i for i in range(users) if (mask >> i) & 1]
+        char[mask] = problem.global_value(restrict_problem(problem, members).w_star)
     phi = np.zeros(users)
-    total = 0.0
-    for delta in updates:
-        f_now = problem.global_value(w)
-        char = np.empty(1 << users)
-        char[0] = 0.0
-        for mask in range(1, 1 << users):
-            members = [i for i in range(users) if (mask >> i) & 1]
-            shifted = w + delta[members].mean(axis=0)
-            char[mask] = problem.global_value(shifted) - f_now
-        for i in range(users):
-            for mask in range(1 << users):
-                if (mask >> i) & 1:
-                    continue
-                size = bin(mask).count("1")
-                phi[i] += weights[size] * (char[mask | (1 << i)] - char[mask])
-        total += char[(1 << users) - 1]
-        w = w + delta.mean(axis=0)
-    return phi, total
+    for i in range(users):
+        for mask in range(1 << users):
+            if (mask >> i) & 1:
+                continue
+            size = bin(mask).count("1")
+            phi[i] += weights[size] * (char[mask | (1 << i)] - char[mask])
+    return phi

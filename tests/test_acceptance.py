@@ -37,11 +37,15 @@ from fedincentives.model import (
     pooled_blocks,
 )
 from fedincentives.population import sample_population
-from fedincentives.retention import optimal_retention, retention_objective
+from fedincentives.retention import optimal_retention
 from fedincentives.revocation import lower_equilibrium, verify_nash
 
-from game_oracles import brute_force_pooling_oracle, least_equilibrium_oracle, stage1_expected_cost
-from learning_oracles import loss_change
+from game_oracles import (
+    brute_force_pooling_oracle,
+    least_equilibrium_oracle,
+    retention_objective,
+    stage1_expected_cost,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -370,17 +374,16 @@ def test_criterion_10_shapley_axioms():
                             noise_sigma2=1e-3 if seed % 2 else 0.0, mu=0.5,
                             condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
-        sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi = federated_shapley_exact(prob, 3, sch, seed=seed, local_steps=5)
-        total = loss_change(prob, 3, sch, seed, local_steps=5)
+        phi = federated_shapley_exact(prob)
+        # the grand coalition's value F(w*), less the empty one's F(0) = 0
+        total = prob.global_value(prob.w_star)
         worst_eff = max(worst_eff,
                         abs(phi.sum() - total) / max(1.0, abs(total)))
         Q, b = prob.Q.copy(), prob.b.copy()
         Q[1], b[1] = Q[0], b[0]
         twin = LearnProblem(Q=Q, b=b, data_sizes=prob.data_sizes, iota=prob.iota,
                             noise_sigma2=0.0)
-        sch2 = StepSchedule("inverse_t", 20.0 / (12.0 * twin.smoothness), 19.0)
-        phi2 = federated_shapley_exact(twin, 3, sch2, seed=seed, local_steps=5)
+        phi2 = federated_shapley_exact(twin)
         worst_sym = max(worst_sym, abs(phi2[0] - phi2[1]))
     ok = worst_eff <= 1e-9 and worst_sym <= 1e-9
     _report(10, "attribution axioms", ok,

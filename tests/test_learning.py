@@ -3,10 +3,11 @@ import itertools
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from learning_oracles import gap_per_round, loss_change, run_scaffold_loop, shapley_loop
+from learning_oracles import gap_per_round, run_scaffold_loop, shapley_loop, training_loss_metric
 
 from fedincentives.learning import (
     LearnConfig,
@@ -18,7 +19,6 @@ from fedincentives.learning import (
     make_problem,
     restrict_problem,
     scaffold_train,
-    training_loss_metric,
     unlearn_continue,
 )
 from fedincentives import learning
@@ -30,18 +30,6 @@ def _problem(seed=0, **kw):
                 mu=0.5, condition=4.0, hessian_spread=0.2, rotate=True)
     base.update(kw)
     return make_problem(LearnConfig(**base), seed)
-
-
-def _collected_updates(problem, rounds, schedule, seed, local_steps=5):
-    """One seed's per-user update of each round, taken from the round
-    generator: that round's local models less the server model it started at."""
-    run = _run_scaffold(problem, schedule, [seed], None, local_steps)
-    W_prev, _ = next(run)
-    updates = []
-    for W, Y in itertools.islice(run, rounds):
-        updates.append(Y[:, 0, :] - W_prev[0])
-        W_prev = W
-    return updates
 
 
 def test_make_problem_closed_forms():
@@ -374,11 +362,10 @@ def test_loss_metric_identical_users_equal():
 
 def test_shapley_single_user_gets_everything():
     prob = _problem(users=1, noise_sigma2=0.0)
-    sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
-    phi = federated_shapley_exact(prob, 6, sch, local_steps=5)
-    total = loss_change(prob, 6, sch, 0, local_steps=5)
+    phi = federated_shapley_exact(prob)
+    total = prob.global_value(prob.w_star)
     assert phi[0] == pytest.approx(total, rel=1e-12)
-    assert total < 0  # training from w=0 reduces the global loss
+    assert total < 0  # the optimum lies below F(0) = 0
 
 
 def test_shapley_symmetry_for_identical_users():
@@ -387,8 +374,7 @@ def test_shapley_symmetry_for_identical_users():
     b = base.b.copy()
     Q[1], b[1] = Q[0], b[0]
     dup = LearnProblem(Q=Q, b=b, data_sizes=base.data_sizes, iota=base.iota, noise_sigma2=0.0)
-    sch = StepSchedule("constant", 1.0 / (12.0 * dup.smoothness))
-    phi = federated_shapley_exact(dup, 8, sch, local_steps=5)
+    phi = federated_shapley_exact(dup)
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
 
 
@@ -397,30 +383,68 @@ def test_shapley_efficiency_random_problems():
         learn = LearnConfig(users=int(3 + seed % 4), dim=6, data_size=16, noise_sigma2=1e-3,
                             mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
         prob = make_problem(learn, seed)
-        sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi = federated_shapley_exact(prob, 5, sch, seed=seed, local_steps=5)
-        total = loss_change(prob, 5, sch, seed, local_steps=5)
+        phi = federated_shapley_exact(prob)
+        total = prob.global_value(prob.w_star)
         assert phi.sum() == pytest.approx(total, abs=1e-9 * max(1.0, abs(total)))
 
 
 def test_shapley_rejects_large_coalitions():
     prob = _problem(users=9)
-    sch = StepSchedule("constant", 1.0 / (12.0 * prob.smoothness))
-    with pytest.raises(ValueError):
-        federated_shapley_exact(prob, 2, sch, local_steps=5)
+    with pytest.raises(ValueError, match="^exact attribution limited to 8 users$"):
+        federated_shapley_exact(prob)
 
 
 def test_shapley_matches_the_coalition_loop():
-    for seed in range(8):
-        learn = LearnConfig(users=seed + 1, dim=6, data_size=16, noise_sigma2=1e-3,
-                            mu=0.5, condition=3.0, hessian_spread=0.3, rotate=True)
-        prob = make_problem(learn, seed)
-        sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-        phi = federated_shapley_exact(prob, 5, sch, seed=seed, local_steps=5)
-        updates = _collected_updates(prob, 5, sch, seed)
-        ref_phi, ref_total = shapley_loop(prob, updates)
-        assert np.max(np.abs(phi - ref_phi)) <= 1e-12 * np.max(np.abs(ref_phi))
-        assert phi.sum() == pytest.approx(ref_total, rel=1e-12)
+    for shape in (dict(hessian_spread=0.3, rotate=True), dict(hessian_spread=0.5, condition=10.0)):
+        for users in range(1, 9):
+            learn = LearnConfig(users=users, dim=6, data_size=16, noise_sigma2=1e-3,
+                                mu=0.5, **shape)
+            prob = make_problem(learn, users)
+            phi = federated_shapley_exact(prob)
+            ref = shapley_loop(prob)
+            assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
+            total = prob.global_value(prob.w_star)
+            assert abs(phi.sum() - total) <= 1e-12 * max(1.0, abs(total))
+
+
+def test_shapley_sees_the_users_data():
+    """Moving two users' b apart, with the mean b kept, moves their values:
+    a coalition's optimum reads its members' b, not only their Hessians."""
+    prob = _problem(users=6, dim=5, hessian_spread=0.3, rotate=True, noise_sigma2=0.0)
+    b = prob.b.copy()
+    shift = prob.b[2] - prob.b[3]
+    b[0] += shift
+    b[1] -= shift
+    moved = replace(prob, b=b)
+    assert np.allclose(moved.b_mean, prob.b_mean, rtol=0.0, atol=1e-12)
+    phi, phi_moved = federated_shapley_exact(prob), federated_shapley_exact(moved)
+    assert np.max(np.abs(phi_moved - phi)) > 1e-3
+
+
+@pytest.mark.parametrize("equal_b", [False, True])
+def test_shapley_with_equal_hessians(equal_b):
+    """With one Hessian for all, unequal b give unequal values; equal b
+    make every coalition's optimum w*, so each user gets F(w*)/I."""
+    prob = _problem(users=5, hessian_spread=0.0, rotate=False, noise_sigma2=0.0)
+    assert all(np.array_equal(Q, prob.Q[0]) for Q in prob.Q)
+    if equal_b:
+        prob = replace(prob, b=np.tile(prob.b[0], (prob.users, 1)))
+    phi = federated_shapley_exact(prob)
+    spread = np.max(phi) - np.min(phi)
+    if equal_b:
+        assert spread <= 1e-12 * np.max(np.abs(phi))
+        assert phi[0] == pytest.approx(prob.global_value(prob.w_star) / prob.users, rel=1e-12)
+    else:
+        assert spread > 1e-3 * np.max(np.abs(phi))
+
+
+def test_shapley_trains_nothing(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("attribution ran the round kernel")
+
+    monkeypatch.setattr(learning, "_run_scaffold", no_training)
+    phi = federated_shapley_exact(_problem(users=4))
+    assert phi.shape == (4,) and np.all(np.isfinite(phi))
 
 
 # --- the batched round kernel against its loop form ---
@@ -455,7 +479,7 @@ def test_scaffold_train_matches_the_loop_kernel(shape, rtol, noise_sigma2):
     prob = _kernel_problem(shape, noise_sigma2)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
     trace = scaffold_train(prob, 200, sch, range(6), local_steps=5)
-    ref, _, _ = run_scaffold_loop(prob, 200, sch, range(6), None, 5, prob.w_star)
+    ref, _ = run_scaffold_loop(prob, 200, sch, range(6), None, 5, prob.w_star)
     _assert_matches(trace.gap, ref.gap, rtol)
     # without noise the seeds agree and the stderr is rounding dust
     _assert_matches(trace.gap_stderr, ref.gap_stderr, rtol, scale=ref.gap)
@@ -488,20 +512,9 @@ def test_unlearn_stop_round_matches_the_loop_kernel(shape):
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     rounds = unlearn_continue(prob, UnlearnSpec(leavers=(0, 2), epsilon=epsilon), sch, range(6),
                               local_steps=5)
-    _, ref, _ = run_scaffold_loop(rest, 100000, sch, range(6), prob.w_star, 5, rest.w_star,
+    _, ref = run_scaffold_loop(rest, 100000, sch, range(6), prob.w_star, 5, rest.w_star,
                                   stop_norm=epsilon)
     assert rounds == ref > 0
-
-
-@pytest.mark.parametrize("shape, rtol", KERNEL_SHAPES)
-def test_collected_updates_match_the_loop_kernel(shape, rtol):
-    prob = _kernel_problem(shape)
-    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
-    updates = _collected_updates(prob, 40, sch, 4)
-    _, _, ref = run_scaffold_loop(prob, 40, sch, [4], None, 5, prob.w_star, collect_updates=True)
-    assert len(updates) == len(ref) == 40
-    for new, old in zip(updates, ref):
-        _assert_matches(new, old, rtol, scale=np.max(np.abs(old)))
 
 
 def test_joint_seeds_average_the_single_seed_runs():
@@ -521,7 +534,9 @@ def test_joint_seeds_average_the_single_seed_runs():
 
 # No CLI output covers unlearning or attribution, so their results are pinned
 # here, bit for bit: any change to the round kernel's operations or noise
-# streams, or to the statistic a caller reads from it, moves them.
+# streams, or to the statistic a caller reads from it, moves the unlearning
+# rounds, and any change to the coalition solve or the Shapley sum moves the
+# attribution.
 PINNED_UNLEARN_ROUNDS = {
     ("scalar", (0, 2)): 74,
     ("scalar", (4,)): 47,
@@ -529,10 +544,10 @@ PINNED_UNLEARN_ROUNDS = {
     ("rotated", (4,)): 272,
 }
 PINNED_SHAPLEY = {
-    "scalar": ["-0x1.943b2bd3f93e0p-3", "-0x1.9497367e25236p-3",
-               "-0x1.995db51bfefe1p-3", "-0x1.90eb5e32f0341p-3"],
-    "rotated": ["-0x1.1f1ac6414da03p-7", "-0x1.1aaf22b80eb23p-7",
-                "-0x1.20ea925d07e1fp-7", "-0x1.1db051a7661f9p-7"],
+    "scalar": ["-0x1.100cd64875109p-4", "-0x1.57a3582aeb3cfp-1",
+               "-0x1.90ffa09e1eee8p-1", "0x1.6c52380d003c0p-5"],
+    "rotated": ["-0x1.2127b9263b1ebp+0", "-0x1.68ab6755425f6p-2",
+                "0x1.800b50088a57fp-5", "0x1.4a78a1e3838c0p+0"],
 }
 
 
@@ -550,8 +565,7 @@ def test_unlearn_stop_rounds_are_pinned(name, shape):
 def test_shapley_values_are_pinned(name, shape):
     learn = LearnConfig(users=4, dim=6, data_size=16, noise_sigma2=1e-3, mu=0.5, **shape)
     prob = make_problem(learn, 2)
-    sch = StepSchedule("inverse_t", 20.0 / (12.0 * prob.smoothness), 19.0)
-    phi = federated_shapley_exact(prob, 5, sch, seed=3, local_steps=5)
+    phi = federated_shapley_exact(prob)
     assert phi.tobytes() == np.array([float.fromhex(h) for h in PINNED_SHAPLEY[name]]).tobytes()
 
 

@@ -17,7 +17,7 @@ from fedincentives.model import (
 from fedincentives.population import truncated_normal_moments
 
 from conftest import random_cfg, random_types
-from game_oracles import stage1_expected_cost, stage3_payoff
+from game_oracles import retention_objective, stage1_expected_cost, stage3_payoff
 
 
 def _spec(**kw):
@@ -305,7 +305,7 @@ def test_stage4_empty_population():
 def test_stage4_difference_equals_retention_objective(rng):
     """Retaining S instead of nobody shifts the realized cost by exactly the
     retention objective of S."""
-    from fedincentives.retention import retention_incentives, retention_objective
+    from fedincentives.retention import retention_incentives
 
     types = random_types(rng, J=3)
     cfg = GameConfig(T=50.0, lam=0.05, gamma=1e-4)

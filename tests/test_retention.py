@@ -12,15 +12,12 @@ from fedincentives.model import (
     UserTerms,
     UserTypeSpec,
 )
-from fedincentives.retention import (
-    optimal_retention,
-    retention_incentives,
-    retention_objective,
-)
+from fedincentives.retention import optimal_retention, retention_incentives
 
 from game_oracles import (
     min_cut_retention_oracle,
     retention_enumeration,
+    retention_objective,
     retention_pieces,
     retention_solve_oracle,
 )
