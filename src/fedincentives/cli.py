@@ -187,8 +187,6 @@ def _cmd_simulate(args, setup) -> int:
 
 def _cmd_compare(args, setup) -> int:
     exp = setup.experiment
-    if args.trials is not None:
-        exp = replace(exp, trials=args.trials)
     rows = compare_costs(setup.types, setup.cfg, setup.sampling, exp)
     columns = ["mechanism", "I", "cost_mean", "cost_stderr", "payoff_mean"]
     table = [[r[c] for c in columns] for r in rows]
@@ -207,8 +205,6 @@ def _cmd_compare(args, setup) -> int:
 
 def _cmd_sweep(args, setup) -> int:
     exp = setup.experiment
-    if args.trials is not None:
-        exp = replace(exp, sweep_trials=args.trials)
     search = find_stationary_rates(setup.types, setup.cfg, setup.sampling, exp)
     columns = ["p", "q", "p_hat", "q_hat", "cost"]
     table = [[r[c] for c in columns] for r in search.grid]
@@ -232,12 +228,7 @@ def _cmd_verify_bounds(args, setup) -> int:
         quiet, 40, StepSchedule("constant", eta), [0], w0=w0, local_steps=learn.local_steps
     )
     target = 1.0 - quiet.mu * eta / 2.0
-    ratios = []
-    for t in range(len(trace0.gap) - 1):
-        if trace0.gap[t] <= 1e-18:
-            break
-        ratios.append(trace0.gap[t + 1] / trace0.gap[t])
-    worst = max(ratios) if ratios else 0.0
+    worst = float(np.max(trace0.gap[1:] / trace0.gap[:-1]))
     ok1 = worst <= target + 1e-6
     checks.append(("geometric contraction", ok1, f"worst ratio {worst:.6g} vs {target:.6g}"))
 
@@ -292,13 +283,6 @@ def _cmd_verify_bounds(args, setup) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedincentives",
@@ -323,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("contract", "equilibrium", "retain", "simulate"):
             p.add_argument("--mechanism", choices=MECHANISMS, default="RAR")
         if name in ("compare", "sweep"):
-            p.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
+            # the [experiment] field --trials sets; main checks it by that field's rule
+            field = "trials" if name == "compare" else "sweep_trials"
+            p.add_argument("--trials", type=int, default=None, help=f"override [experiment] {field}")
+            p.set_defaults(trials_field=field)
         if name == "verify-bounds":
             p.add_argument("--strict", action="store_true", help="exit 3 on failed checks")
         p.set_defaults(func=func)
@@ -337,9 +324,11 @@ def main(argv=None) -> int:
         setup = load_config(args.config)
         if args.seed is not None:
             setup.cfg = replace(setup.cfg, seed=args.seed)
+        if getattr(args, "trials", None) is not None:
+            setup.experiment = replace(setup.experiment, **{args.trials_field: args.trials})
     except ValueError as exc:
-        # ConfigError subclasses ValueError; a domain rule broken while
-        # loading, or by the --seed override, is a configuration problem too
+        # ConfigError subclasses ValueError; a domain rule broken while loading,
+        # or by the --seed or --trials override, is a configuration problem too
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -32,14 +32,11 @@ class ConfigError(ValueError):
     """Malformed, missing or unknown configuration content."""
 
 
-# [game] keys with their defaults; each key's kind is its default's type.
+# [game] keys with their defaults; each key's kind is its default's type.  The
+# first six set the GameConfig field _GAME_FIELDS names, and default to it.
+_GAME_FIELDS = {"t": "T", "lambda": "lam", "rho": "rho", "gamma": "gamma", "seed": "seed", "tol": "tol"}
 _GAME = {
-    "t": GameConfig.T,
-    "lambda": GameConfig.lam,
-    "rho": GameConfig.rho,
-    "gamma": GameConfig.gamma,
-    "seed": GameConfig.seed,
-    "tol": GameConfig.tol,
+    **{key: getattr(GameConfig, name) for key, name in _GAME_FIELDS.items()},
     "spread_is_std": False,
     "p": 0.0028,
     "q": 0.5,
@@ -190,16 +187,7 @@ def load_config(path: str | None = None) -> ExperimentSetup:
     exp_raw = _read_section(parser, "experiment", vars(ExperimentConfig()))
 
     spread_is_std = game["spread_is_std"]
-    cfg = _checked(
-        "game",
-        GameConfig,
-        T=game["t"],
-        lam=game["lambda"],
-        rho=game["rho"],
-        gamma=game["gamma"],
-        seed=game["seed"],
-        tol=game["tol"],
-    )
+    cfg = _checked("game", GameConfig, **{name: game[key] for key, name in _GAME_FIELDS.items()})
 
     # theta and xi have no default: their 0.0 only gives the kind
     type_defaults = {"theta": 0.0, "xi": 0.0, **{key: game[key] for key in _TYPE_SHARED}}

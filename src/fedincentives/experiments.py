@@ -39,7 +39,7 @@ from .model import (
     stage4_realized_cost,
 )
 from .population import SamplingModel, realized_rates, sample_population
-from .retention import RetentionResult, optimal_retention, retention_incentives
+from .retention import optimal_retention, retention_incentives
 from .revocation import lower_equilibrium
 
 __all__ = [
@@ -92,7 +92,6 @@ class Outcome:
     revoke: np.ndarray  # Stage III's equilibrium profile, per user
     retained: np.ndarray  # Stage IV's choice, a subset of revoke
     q_bar: float
-    retention: RetentionResult | None
     incentives: np.ndarray  # per-user retention payment, 0 off the retained set
     cost: float
     cost_parts: dict
@@ -203,12 +202,11 @@ def run_pipeline(
 
     retained = np.zeros(len(population), dtype=bool)
     incentives = np.zeros(len(population))
-    retention_result: RetentionResult | None = None
     if mech != "NRI" and len(revokers):
         solve = optimal_retention_exact if len(revokers) <= 20 else optimal_retention_heuristic
-        retention_result = solve(revokers, population, terms, cfg)
-        retained[retention_result.retained] = True
-        incentives[retention_result.retained] = retention_result.incentives
+        stage4 = solve(revokers, population, terms, cfg)
+        retained[stage4.retained] = True
+        incentives[stage4.retained] = stage4.incentives
 
     cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
     return Outcome(
@@ -220,7 +218,6 @@ def run_pipeline(
         revoke=revoke,
         retained=retained,
         q_bar=q_bar,
-        retention=retention_result,
         incentives=incentives,
         cost=cost,
         cost_parts=parts,

@@ -244,19 +244,19 @@ class UserTerms:
         weighs many burdens forms it once."""
         return self.r[users] - sunk - self.xi_l_d[users]
 
-    def stay_margin(self, w, burden, sunk=0.0, base=None):
-        """r - sunk - xi l d - w * burden, the payoff formula of stages III-IV.
+    def stay_margin(self, w, burden, base=None):
+        """base - w * burden, the payoff formula of stages III-IV.
 
         burden is the squared-loss mass of the leavers and w its weight,
-        theta d lam (times 1 - q_bar where revokers only may leave).  With
-        sunk = 0 this is what staying gains over leaving; with sunk the
-        training cost theta d T it is a stayer's payoff, a leaver's being
-        -sunk.  base is stay_base(sunk) when the caller formed it already.
+        theta d lam (times 1 - q_bar where revokers only may leave).  base is
+        a stay_base: all users' r - xi l d by default, what staying gains
+        over leaving, or stay_base(sunk) with the training cost sunk =
+        theta d T, a stayer's payoff, a leaver's being -sunk.
         """
         # the grouping (xi l) d and the left-to-right subtraction fix the
         # bytes of every CLI output; keep them
         if base is None:
-            base = self.stay_base(sunk)
+            base = self.stay_base()
         margin = w * burden
         if isinstance(margin, np.ndarray) and margin.shape == np.shape(base):
             # into w * burden's own buffer where it spans the result (a 0-d
@@ -274,7 +274,7 @@ class UserTerms:
         train_cost = self.theta_d * cfg.T
         # the stayers' payoffs first, so that the margin's temporaries are
         # gone before -train_cost is formed
-        stay = self.stay_margin(self.theta_d * cfg.lam, burden, sunk=train_cost)
+        stay = self.stay_margin(self.theta_d * cfg.lam, burden, base=self.stay_base(train_cost))
         return np.where(revoke, -train_cost, stay)
 
 

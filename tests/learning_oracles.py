@@ -4,8 +4,9 @@
 `einsum` and a fresh array per operation; `gap_per_round` forms the statistics
 of `scaffold_train` one round at a time; `shapley_loop` is the per-coalition
 loop of `federated_shapley_exact`, each coalition's value taken from its
-restricted problem; `training_loss_metric` is the per-user gradient norm.
-Tests compare the library against them.
+restricted problem.  `expected_gap_loop` shares no code with the kernel: it
+gives the distribution of a seed's squared distance from the round map's mean
+and covariance, with no sampling.  Tests compare the library against them.
 """
 import contextlib
 import itertools
@@ -91,11 +92,6 @@ def gap_per_round(problem, rounds, schedule, seeds, local_steps):
     return TrainTrace(gap=np.array(gap), gap_stderr=np.array(err))
 
 
-def training_loss_metric(problem, w):
-    """Per-user gradient norms ||grad F_i(w)|| = ||Q_i w + b_i||, the loss proxy."""
-    return np.linalg.norm(problem.Q @ np.asarray(w, dtype=float) + problem.b, axis=1)
-
-
 def shapley_loop(problem):
     """Shapley values from a loop over coalitions: S is worth the global
     objective at the optimum of the problem restricted to S, and the empty
@@ -115,3 +111,51 @@ def shapley_loop(problem):
             size = bin(mask).count("1")
             phi[i] += weights[size] * (char[mask | (1 << i)] - char[mask])
     return phi
+
+
+def expected_gap_loop(problem, rounds, schedule, w0, local_steps):
+    """The mean and variance of a seed's ||w_t - w*||^2 under the lab's round
+    kernel, for t = 0 .. rounds, with no sampling.
+
+    At stepsize eta = eta_bar / K per local step, with A_i = I - eta Q_i,
+    S_i = sum_{k<K} A_i^k and S = mean_i S_i, round t maps the server model
+    as w' = M w + m + z with M = mean_i (A_i^K - eta S_i (Qbar - Q_i)) and
+    m = -eta S bbar.  The noise z is zero-mean Gaussian: each user's
+    correction and local steps draw K + 1 vectors of per-component variance
+    v_i = sigma^2 / (dim s_i), so its covariance is
+    (eta / I)^2 sum_i v_i [(S_i - S)(S_i - S)' + sum_{k<K} A_i^k (A_i^k)'].
+    The model is then Gaussian with mean mu and covariance Sigma, where
+    mu' = M mu + m and Sigma' = M Sigma M' + cov z; with delta = mu - w*, the
+    squared distance has mean |delta|^2 + tr Sigma and variance
+    2 tr Sigma^2 + 4 delta' Sigma delta.
+    """
+    users, dim = problem.users, problem.dim
+    Q, q_bar, b_bar = problem.Q, problem.Q.mean(axis=0), problem.b.mean(axis=0)
+    v = problem.noise_sigma2 / (dim * problem.batch_sizes)
+    eye = np.eye(dim)
+    mean = np.asarray(w0, dtype=float).copy()
+    cov = np.zeros((dim, dim))
+    gap, var = [], []
+    for t in range(rounds + 1):
+        delta = mean - problem.w_star
+        gap.append(delta @ delta + np.trace(cov))
+        var.append(2.0 * np.trace(cov @ cov) + 4.0 * delta @ cov @ delta)
+        if t == rounds:
+            break
+        eta = schedule.value(t) / local_steps
+        powers = []  # powers[i][k] = A_i^k, k = 0 .. K
+        for i in range(users):
+            step = eye - eta * Q[i]
+            powers.append([eye])
+            for _ in range(local_steps):
+                powers[i].append(step @ powers[i][-1])
+        S = [sum(pw[:local_steps]) for pw in powers]
+        S_bar = sum(S) / users
+        M = sum(powers[i][local_steps] - eta * S[i] @ (q_bar - Q[i]) for i in range(users)) / users
+        noise = np.zeros((dim, dim))
+        for i in range(users):
+            spread = S[i] - S_bar
+            noise += v[i] * (spread @ spread.T + sum(A @ A.T for A in powers[i][:local_steps]))
+        mean = M @ mean - eta * S_bar @ b_bar
+        cov = M @ cov @ M.T + (eta / users) ** 2 * noise
+    return np.array(gap), np.array(var)

@@ -4,7 +4,6 @@ Run with -s (or read captured output) for the per-criterion lines.  Shipped
 parameters come from the packaged default configuration.
 """
 import itertools
-import json
 import math
 import os
 import time
@@ -193,17 +192,16 @@ def test_criterion_04_retention_optimality(shipped):
     )
     worst_slack = 0.0
     n_ret = 0
-    if outcome.retention is not None:
-        pop = outcome.population
-        leavers = outcome.revoke & ~outcome.retained
-        leave_mass = float(np.sum(pop.loss[leavers] ** 2))
-        for i, ru in zip(outcome.retention.retained, outcome.retention.incentives):
-            t = shipped.types[pop.type_idx[i]]
-            d, rl = (a[pop.type_idx[i]] for a in outcome.contract.per_type())
-            benefit = t.theta * d * shipped.cfg.lam * leave_mass + t.xi * pop.loss[i] * d
-            slack = abs(benefit - rl - ru) / max(1.0, abs(rl))
-            worst_slack = max(worst_slack, slack)
-            n_ret += 1
+    pop = outcome.population
+    leavers = outcome.revoke & ~outcome.retained
+    leave_mass = float(np.sum(pop.loss[leavers] ** 2))
+    for i in np.flatnonzero(outcome.retained):
+        t = shipped.types[pop.type_idx[i]]
+        d, rl = (a[pop.type_idx[i]] for a in outcome.contract.per_type())
+        benefit = t.theta * d * shipped.cfg.lam * leave_mass + t.xi * pop.loss[i] * d
+        slack = abs(benefit - rl - outcome.incentives[i]) / max(1.0, abs(rl))
+        worst_slack = max(worst_slack, slack)
+        n_ret += 1
     ok = worst_slack <= 1e-9
     _report(4, "retention exact + indifference", ok,
             f"150 enumeration matches up to 12 revokers; worst relative "

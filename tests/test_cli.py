@@ -476,6 +476,17 @@ def test_negative_seed_flag_exit_1(cfg_path, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, field", [("compare", "trials"), ("sweep", "sweep_trials")])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_trials_flag_exit_1(cfg_path, tmp_path, capsys, command, field, value):
+    """--trials overrides the [experiment] field it names and meets that
+    field's rule as a configuration error, before any population is drawn."""
+    out = str(tmp_path / "o")
+    assert _run([command, "--config", cfg_path, "--trials", value, "--out-dir", out]) == 1
+    assert f"config error: {field} must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -484,7 +495,6 @@ def test_negative_seed_flag_exit_1(cfg_path, tmp_path, capsys, command):
         ["verify-bounds", "--mechanism", "NRI"],
         ["contract", "--trials", "3"],
         ["simulate", "--trials", "3"],
-        ["compare", "--trials", "0"],
     ],
 )
 def test_flags_only_where_read(cfg_path, argv):

@@ -28,7 +28,7 @@ from fedincentives.model import (
     stage4_realized_cost,
 )
 from fedincentives.population import SamplingModel, realized_rates, sample_population
-from fedincentives.retention import retention_incentives
+from fedincentives.retention import optimal_retention, retention_incentives
 from fedincentives.revocation import upper_equilibrium
 
 from conftest import random_cfg, random_types
@@ -91,19 +91,19 @@ def test_outcome_bookkeeping(rng):
         assert out.cost == pytest.approx(total, rel=1e-12, abs=1e-12)
         assert out.payoffs.shape == (n,)
         assert (out.p_hat, out.q_hat) == realized_rates(out.revoke, out.retained)
-        if out.retention is not None:
-            assert out.retention.retained.tolist() == out.retained.nonzero()[0].tolist()
-            assert out.incentives[out.retention.retained].tolist() == (
-                out.retention.incentives.tolist()
-            )
+        # Stage IV's solve on the play's revokers, scattered onto the users;
+        # only the retained are paid
+        stage4 = optimal_retention(np.flatnonzero(out.revoke), out.population, out.terms, cfg)
+        assert stage4.retained.tolist() == out.retained.nonzero()[0].tolist()
+        assert out.incentives[stage4.retained].tolist() == stage4.incentives.tolist()
+        assert not out.incentives[~out.retained].any()
 
 
 def test_nri_never_pays_retention(rng):
     for trial in range(10):
         types, cfg, model = _economy(rng)
         out = _play("NRI", types, cfg, model, seed=trial)
-        assert out.retention is None
-        assert not out.retained.any()
+        assert not out.retained.any() and not out.incentives.any()
         assert out.cost_parts["retention_rewards"] == 0.0
 
 
@@ -127,9 +127,8 @@ def test_optimal_retention_weakly_beats_forced_modes(rng):
         paid[revokers] = retention_incentives(revokers, revokers, pop, terms, cfg)
         all_cost, _ = stage4_realized_cost(pop, terms, cfg, none.revoke, none.revoke, paid)
         assert opt.cost <= all_cost + 1e-9 * scale
-        if opt.retention is not None:
-            gap = opt.cost - none.cost
-            assert gap == pytest.approx(opt.retention.objective, rel=1e-9, abs=1e-9)
+        objective = optimal_retention(np.flatnonzero(opt.revoke), pop, terms, cfg).objective
+        assert opt.cost - none.cost == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("n_rev, name", [(20, "exact"), (21, "heuristic")])
@@ -342,12 +341,13 @@ def test_nri_play_ablates_stage_four(packaged):
     nri = run_pipeline("NRI", menu, setup.types, setup.cfg, pop)
     assert rar.retained.any()
     assert np.array_equal(nri.revoke, rar.revoke)
-    assert nri.retention is None and not nri.retained.any() and not nri.incentives.any()
+    assert not nri.retained.any() and not nri.incentives.any()
     terms = UserTerms.of(pop, menu, setup.types)
     cost, parts = stage4_realized_cost(pop, terms, setup.cfg, rar.revoke, nri.retained,
                                        np.zeros(len(pop)))
     assert (nri.cost, nri.cost_parts) == (cost, parts)
-    assert rar.cost - nri.cost == pytest.approx(rar.retention.objective, rel=1e-9, abs=1e-12)
+    objective = optimal_retention(np.flatnonzero(rar.revoke), pop, terms, setup.cfg).objective
+    assert rar.cost - nri.cost == pytest.approx(objective, rel=1e-9, abs=1e-12)
 
 
 def test_lla_retention_mode_switch(rng):

@@ -4,10 +4,11 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from learning_oracles import gap_per_round, run_scaffold_loop, shapley_loop, training_loss_metric
+from learning_oracles import expected_gap_loop, gap_per_round, run_scaffold_loop, shapley_loop
 
 from fedincentives.learning import (
     LearnConfig,
@@ -167,6 +168,27 @@ def test_noiseless_geometric_contraction():
         if gaps[t] < 1e-20:
             break
         assert gaps[t + 1] <= gaps[t] * (target + 1e-6)
+
+
+def test_noiseless_round_keeps_a_share_of_the_gap_at_the_cap(rng):
+    """A noiseless round maps w - w* by I - eta S Qbar, where S averages the
+    users' sums of K local-step powers; at the cap its second term has norm at
+    most step_cap L, so each round keeps at least (1 - step_cap L)^2 of the
+    gap, and 40 rounds from gap 1 stay far above any roundoff floor."""
+    for _ in range(60):
+        learn = LearnConfig(
+            users=int(rng.integers(1, 11)), dim=int(rng.integers(1, 17)), noise_sigma2=0.0,
+            local_steps=int(rng.integers(1, 9)), mu=float(rng.uniform(0.1, 3.0)),
+            condition=float(rng.uniform(1.0, 100.0)), hessian_spread=float(rng.uniform(0.0, 0.9)),
+            rotate=bool(rng.integers(2)), b_scale=float(rng.uniform(-3.0, 3.0)),
+        )
+        prob = make_problem(learn, int(rng.integers(1 << 30)))
+        w0 = prob.w_star + np.ones(prob.dim) / np.sqrt(prob.dim)
+        trace = scaffold_train(prob, 40, StepSchedule("constant", prob.step_cap), [0], w0=w0,
+                               local_steps=learn.local_steps)
+        floor = (1.0 - prob.step_cap * prob.smoothness) ** 2
+        assert np.all(trace.gap[1:] / trace.gap[:-1] >= floor * (1.0 - 1e-12))
+        assert trace.gap[40] > 1e-18
 
 
 def test_inverse_t_scaled_gap_bounded():
@@ -331,33 +353,6 @@ def test_unlearn_spec_validation():
     for epsilon in (0.0, np.nan):
         with pytest.raises(ValueError, match="^epsilon must"):
             UnlearnSpec(leavers=(0,), epsilon=epsilon)
-
-
-def test_loss_metric_matches_finite_differences():
-    prob = _problem(users=3)
-    w = np.linspace(-1.0, 1.0, prob.dim)
-    losses = training_loss_metric(prob, w)
-    eps = 1e-6
-    for i in range(prob.users):
-        g = np.empty(prob.dim)
-        for k in range(prob.dim):
-            e = np.zeros(prob.dim)
-            e[k] = eps
-            fp = 0.5 * (w + e) @ prob.Q[i] @ (w + e) + prob.b[i] @ (w + e)
-            fm = 0.5 * (w - e) @ prob.Q[i] @ (w - e) + prob.b[i] @ (w - e)
-            g[k] = (fp - fm) / (2 * eps)
-        assert np.linalg.norm(g) == pytest.approx(losses[i], abs=1e-6)
-    # at a user's own minimizer the metric vanishes
-    w_own = np.linalg.solve(prob.Q[1], -prob.b[1])
-    assert training_loss_metric(prob, w_own)[1] < 1e-10
-
-
-def test_loss_metric_identical_users_equal():
-    prob = _problem(users=4, hessian_spread=0.0, rotate=False)
-    b = np.tile(prob.b[0], (4, 1))
-    same = LearnProblem(Q=prob.Q, b=b, data_sizes=prob.data_sizes, iota=prob.iota, noise_sigma2=0.0)
-    losses = training_loss_metric(same, same.w_star)
-    assert np.allclose(losses, losses[0])
 
 
 def test_shapley_single_user_gets_everything():
@@ -528,6 +523,59 @@ def test_joint_seeds_average_the_single_seed_runs():
         [scaffold_train(prob, 100, sch, [s], local_steps=5).gap for s in (0, 3, 7)], axis=0
     )
     np.testing.assert_allclose(joint.gap, single, rtol=1e-14, atol=0.0)
+
+
+# --- the round kernel against its exact expected gap ---
+
+ORACLE_ROUNDS = 40
+ORACLE_SEEDS = 400
+# A seed's squared distance to w* is a quadratic form in a Gaussian vector,
+# whose mean and variance expected_gap_loop gives exactly; so round t's
+# Monte-Carlo gap, a mean over ORACLE_SEEDS seeds, has the standard error
+# sqrt(var_t / ORACLE_SEEDS).  The band on its z-statistic is the two-sided
+# normal quantile at a family-wise level of 1e-3 over the rounds tested
+# (Bonferroni): a right kernel leaves it on at most about one set of streams
+# in a thousand.
+Z_BAND = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * ORACLE_ROUNDS))
+_ROTATED_6 = make_problem(LearnConfig(users=6, dim=8, **ROTATED), 0)
+ORACLE_PROBLEMS = {
+    "default": make_problem(LearnConfig(), 0),
+    "rotated": _ROTATED_6,
+    "unequal-sizes": replace(_ROTATED_6, data_sizes=np.array([8, 16, 24, 40, 64, 128])),
+}
+
+
+def _oracle_schedule(prob, kind):
+    """A schedule that starts at the cap: constant, or inverse_t from there."""
+    if kind == "constant":
+        return StepSchedule("constant", prob.step_cap)
+    return StepSchedule("inverse_t", 24.0 * prob.step_cap, 23.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "inverse_t"])
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_noiseless_trace_matches_the_exact_gap(name, kind):
+    quiet = replace(ORACLE_PROBLEMS[name], noise_sigma2=0.0)
+    sch = _oracle_schedule(quiet, kind)
+    w0 = quiet.w_star + np.ones(quiet.dim) / np.sqrt(quiet.dim)
+    trace = scaffold_train(quiet, ORACLE_ROUNDS, sch, [0], w0=w0, local_steps=5)
+    gap, var = expected_gap_loop(quiet, ORACLE_ROUNDS, sch, w0, 5)
+    assert not var.any()
+    np.testing.assert_allclose(trace.gap, gap, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "inverse_t"])
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_noisy_trace_stays_in_the_exact_gap_band(name, kind):
+    """From w*, where the mean stays and the gap is all noise."""
+    prob = ORACLE_PROBLEMS[name]
+    sch = _oracle_schedule(prob, kind)
+    trace = scaffold_train(prob, ORACLE_ROUNDS, sch, ORACLE_SEEDS, w0=prob.w_star,
+                           local_steps=5)
+    gap, var = expected_gap_loop(prob, ORACLE_ROUNDS, sch, prob.w_star, 5)
+    assert trace.gap[0] == gap[0] == 0.0
+    z = (trace.gap[1:] - gap[1:]) / np.sqrt(var[1:] / ORACLE_SEEDS)
+    assert np.max(np.abs(z)) <= Z_BAND
 
 
 # --- pinned outputs ---

@@ -155,3 +155,38 @@ def test_each_setting_reaches_the_code_as_its_record():
         defaulted = {name for name in settings & set(params)
                      if params[name].default is not inspect.Parameter.empty}
         assert not defaulted, f"{function.__name__} restates the default of {sorted(defaulted)}"
+
+
+# experiments.py imports retention_incentives for the benchmark tracer alone,
+# which patches it there; it leaves with the tracer's single Stage-IV span
+UNUSED_IMPORT_EXEMPT = {("experiments.py", "retention_incentives")}
+
+
+def _unused_imports(text: str) -> set[str]:
+    """Names a module imports and never reads; a name in __all__ is read."""
+    tree = ast.parse(text)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_no_unused_imports():
+    tests = {path.name: path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))}
+    found = {
+        (name, unused)
+        for texts in (MODULES, tests)
+        for name, text in texts.items()
+        for unused in _unused_imports(text)
+    }
+    assert found - UNUSED_IMPORT_EXEMPT == set()
+    assert UNUSED_IMPORT_EXEMPT <= found, "an exemption no longer applies; drop it"
