@@ -244,7 +244,7 @@ def compare_costs(
         scaled = [
             replace(t, count=max(1, round(t.count * total / base_total))) for t in types
         ]
-        menus = {m.upper(): mechanism_contract(m, scaled, cfg) for m in exp.mechanisms}
+        menus = {_mechanism_name(m): mechanism_contract(m, scaled, cfg) for m in exp.mechanisms}
         costs = {key: [] for key in menus}
         payoffs = {key: [] for key in menus}
         actual_total = sum(t.count for t in scaled)

@@ -31,7 +31,6 @@ __all__ = [
     "LearnProblem",
     "StepSchedule",
     "TrainTrace",
-    "UnlearnSpec",
     "make_problem",
     "restrict_problem",
     "scaffold_train",
@@ -171,8 +170,9 @@ class LearnProblem:
     def step_cap(self) -> float:  # the stability cap: no schedule may start above it
         return 1.0 / (12.0 * self.smoothness)
 
-    def global_value(self, w: np.ndarray) -> float:
-        return float(0.5 * w @ self.q_mean @ w + self.b_mean @ w)
+    def global_value(self, w: np.ndarray) -> float | np.ndarray:
+        """F at one model, or at each row of a (..., dim) stack."""
+        return 0.5 * np.sum((w @ self.q_mean) * w, axis=-1) + w @ self.b_mean
 
 
 @dataclass(frozen=True)
@@ -202,18 +202,6 @@ class TrainTrace:
     @property
     def rounds(self) -> np.ndarray:
         return np.arange(len(self.gap))
-
-
-@dataclass(frozen=True)
-class UnlearnSpec:
-    leavers: tuple
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _require(
-            (len(self.leavers) >= 1, "leavers must be nonempty"),
-            (self.epsilon > 0.0, "epsilon must be positive"),
-        )
 
 
 # --- generation ---
@@ -358,10 +346,8 @@ def _run_scaffold(
     w0 = np.asarray(w0, dtype=float)
 
     gens = [np.random.default_rng(np.random.SeedSequence([s, 0x5343414646])) for s in seed_ids]
-    sigma2 = problem.noise_sigma2
-    s_i = problem.batch_sizes
     # per-component std so a single sample has squared-norm variance sigma^2
-    comp_std = np.sqrt(sigma2 / (dim * s_i))
+    comp_std = np.sqrt(problem.noise_sigma2 / (dim * problem.batch_sizes))
 
     W = np.tile(w0, (n_seeds, 1))
     yield W
@@ -377,21 +363,20 @@ def _run_scaffold(
     Y = np.empty_like(cv)
     G = np.empty_like(cv)
 
-    drawer = _noise_rounds(gens, (local_steps + 1, users, dim)) if sigma2 > 0 else None
-    with contextlib.closing(drawer) if drawer is not None else contextlib.nullcontext():
+    # without noise comp_std is 0, and adding its zeros changes no value
+    drawer = _noise_rounds(gens, (local_steps + 1, users, dim))
+    with contextlib.closing(drawer):
         for t in itertools.count():
             eta_bar = schedule.value(t)
             eta = eta_bar / local_steps
-            if drawer is not None:
-                buf = next(drawer)
-                flat = buf.reshape(-1, scale.size)
-                flat *= scale
-                noise = buf.transpose(1, 2, 0, 3)
+            buf = next(drawer)
+            flat = buf.reshape(-1, scale.size)
+            flat *= scale
+            noise = buf.transpose(1, 2, 0, 3)
             # fresh corrections at the server point, one minibatch each
             np.matmul(W, QT, out=cv)
             cv += b
-            if drawer is not None:
-                cv += noise[0]
+            cv += noise[0]
             cv_mean = cv.mean(axis=0)
             Y[...] = W
             # in place, the same operations in the same order as
@@ -399,8 +384,7 @@ def _run_scaffold(
             for k in range(1, local_steps + 1):
                 np.matmul(Y, Q, out=G)
                 G += b
-                if drawer is not None:
-                    G += noise[k]
+                G += noise[k]
                 G -= cv
                 G += cv_mean
                 G *= eta
@@ -458,7 +442,8 @@ def check_gap_bound(trace: TrainTrace, problem: LearnProblem) -> dict:
 
 def unlearn_continue(
     problem: LearnProblem,
-    spec: UnlearnSpec,
+    leavers,
+    epsilon: float,
     schedule: StepSchedule,
     seeds,
     *,
@@ -467,15 +452,18 @@ def unlearn_continue(
 ) -> int:
     """Rounds of continued training (remaining users only) until the
     seed-mean distance to the remaining-users optimum drops to epsilon."""
-    leavers = set(spec.leavers)
-    _require((leavers < set(range(problem.users)), "leavers must be a proper subset of the users"))
-    keep = [i for i in range(problem.users) if i not in leavers]
-    rest = restrict_problem(problem, keep)
-    _require((max_rounds >= 1, "max_rounds must be positive"))
+    leavers = set(leavers)
+    _require(
+        (len(leavers) >= 1, "leavers must be nonempty"),
+        (epsilon > 0.0, "epsilon must be positive"),
+        (leavers < set(range(problem.users)), "leavers must be a proper subset of the users"),
+        (max_rounds >= 1, "max_rounds must be positive"),
+    )
+    rest = restrict_problem(problem, [i for i in range(problem.users) if i not in leavers])
     run = _run_scaffold(rest, schedule, seeds, problem.w_star, local_steps)
     with contextlib.closing(run):
         for t, W in enumerate(itertools.islice(run, max_rounds + 1)):
-            if np.mean(np.sqrt(np.sum((W - rest.w_star) ** 2, axis=1))) <= spec.epsilon:
+            if np.mean(np.sqrt(np.sum((W - rest.w_star) ** 2, axis=1))) <= epsilon:
                 return t
     raise RuntimeError(f"unlearning did not reach epsilon within {max_rounds} rounds")
 
@@ -510,5 +498,5 @@ def federated_shapley_exact(problem: LearnProblem) -> np.ndarray:
     hessians = np.einsum("mi,ijk->mjk", members, problem.Q)
     w = -np.linalg.solve(hessians, (members @ problem.b)[..., None])[..., 0]
     char = np.zeros(1 << users)
-    char[1:] = 0.5 * np.sum((w @ problem.q_mean) * w, axis=1) + w @ problem.b_mean
+    char[1:] = problem.global_value(w)
     return np.sum(coef * (char[joined] - char[:, None]), axis=0)

@@ -21,7 +21,6 @@ from fedincentives.learning import (
     LearnConfig,
     LearnProblem,
     StepSchedule,
-    UnlearnSpec,
     federated_shapley_exact,
     make_problem,
     scaffold_train,
@@ -354,8 +353,7 @@ def test_criterion_09_unlearning_monotonicity():
     order = np.argsort(np.abs(r))
     burdens = np.abs(r[order]) ** 2
     rounds = [
-        unlearn_continue(problem, UnlearnSpec(leavers=(int(i),), epsilon=0.05),
-                         schedule, range(100), local_steps=5)
+        unlearn_continue(problem, (int(i),), 0.05, schedule, range(100), local_steps=5)
         for i in order
     ]
     rho = float(stats.spearmanr(burdens, rounds).statistic)

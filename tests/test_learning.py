@@ -14,7 +14,6 @@ from fedincentives.learning import (
     LearnConfig,
     LearnProblem,
     StepSchedule,
-    UnlearnSpec,
     check_gap_bound,
     federated_shapley_exact,
     make_problem,
@@ -287,8 +286,7 @@ def test_unlearning_zero_gradient_leaver_free():
     rest = restrict_problem(shifted, [0, 1, 2, 4])
     assert np.linalg.norm(rest.w_star - shifted.w_star) < 1e-9
     sch = StepSchedule("constant", 1.0 / (12.0 * shifted.smoothness))
-    rounds = unlearn_continue(shifted, UnlearnSpec(leavers=(3,), epsilon=1e-6), sch, [0],
-                              local_steps=5)
+    rounds = unlearn_continue(shifted, (3,), 1e-6, sch, [0], local_steps=5)
     assert rounds == 0
 
 
@@ -303,10 +301,8 @@ def test_unlearning_rounds_track_leaver_burden():
                         iota=0.25, noise_sigma2=1e-6)
     assert np.linalg.norm(prob.w_star) < 1e-12
     sch = StepSchedule("constant", 1.0 / 24.0)
-    t_small = unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=0.02), sch, range(20),
-                               local_steps=5)
-    t_big = unlearn_continue(prob, UnlearnSpec(leavers=(1,), epsilon=0.02), sch, range(20),
-                             local_steps=5)
+    t_small = unlearn_continue(prob, (0,), 0.02, sch, range(20), local_steps=5)
+    t_big = unlearn_continue(prob, (1,), 0.02, sch, range(20), local_steps=5)
     assert t_big > t_small
 
 
@@ -316,10 +312,8 @@ def test_unlearning_epsilon_halving_rate():
     base = make_problem(LearnConfig(users=4, dim=8, data_size=4, iota=0.25, noise_sigma2=1.0,
                                     mu=1.0, condition=1.0, b_scale=1.0), 9)
     sch = StepSchedule("inverse_t", 2.0, 23.0)
-    t1 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.015), sch, range(40),
-                          local_steps=5)
-    t2 = unlearn_continue(base, UnlearnSpec(leavers=(0,), epsilon=0.0075), sch, range(40),
-                          local_steps=5)
+    t1 = unlearn_continue(base, (0,), 0.015, sch, range(40), local_steps=5)
+    t2 = unlearn_continue(base, (0,), 0.0075, sch, range(40), local_steps=5)
     assert t1 >= 100  # both targets sit below the transient, in the noise tail
     assert 2.0 <= t2 / t1 <= 8.0
 
@@ -328,8 +322,7 @@ def test_unlearning_budget_exhaustion_raises():
     prob = _problem(users=4, noise_sigma2=0.0, b_scale=5.0)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     with pytest.raises(RuntimeError):
-        unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=1e-9), sch, [0],
-                         local_steps=5, max_rounds=3)
+        unlearn_continue(prob, (0,), 1e-9, sch, [0], local_steps=5, max_rounds=3)
 
 
 def test_unlearning_round_budget_must_be_positive():
@@ -338,21 +331,21 @@ def test_unlearning_round_budget_must_be_positive():
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     for max_rounds in (0, -3):
         with pytest.raises(ValueError, match="^max_rounds must be positive$"):
-            unlearn_continue(prob, UnlearnSpec(leavers=(0,), epsilon=0.05), sch, [0],
-                             local_steps=5, max_rounds=max_rounds)
+            unlearn_continue(prob, (0,), 0.05, sch, [0], local_steps=5, max_rounds=max_rounds)
 
 
-def test_unlearn_spec_validation():
+def test_unlearn_continue_validation():
+    """unlearn_continue checks its leavers and epsilon before it trains."""
     prob = _problem(users=4)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     with pytest.raises(ValueError, match="^leavers must be nonempty"):
-        UnlearnSpec(leavers=(), epsilon=0.1)
-    with pytest.raises(ValueError, match="^leavers must be a proper subset"):
-        unlearn_continue(prob, UnlearnSpec(leavers=(0, 1, 2, 3), epsilon=0.1), sch, [0],
-                         local_steps=5)
+        unlearn_continue(prob, (), 0.1, sch, [0], local_steps=5)
+    for leavers in ((0, 1, 2, 3), (0, 4)):
+        with pytest.raises(ValueError, match="^leavers must be a proper subset"):
+            unlearn_continue(prob, leavers, 0.1, sch, [0], local_steps=5)
     for epsilon in (0.0, np.nan):
         with pytest.raises(ValueError, match="^epsilon must"):
-            UnlearnSpec(leavers=(0,), epsilon=epsilon)
+            unlearn_continue(prob, (0,), epsilon, sch, [0], local_steps=5)
 
 
 def test_shapley_single_user_gets_everything():
@@ -433,6 +426,24 @@ def test_shapley_with_equal_hessians(equal_b):
         assert spread > 1e-3 * np.max(np.abs(phi))
 
 
+def test_global_value_reads_a_stack_row_by_row():
+    """F at an (m, dim) stack is each row's own F.  The stack multiplies by
+    one matrix product and a single model by vector products, which add in
+    other orders, so the agreement is to rounding: within a few ulps of the
+    sum of the terms' magnitudes."""
+    for users, shape in ((4, dict(condition=1.0)), (6, dict(condition=10.0, rotate=True))):
+        prob = _problem(users=users, **shape)
+        stack = np.vstack([np.random.default_rng(users).standard_normal((32, prob.dim)),
+                           prob.w_star, np.zeros(prob.dim)])
+        values = prob.global_value(stack)
+        rows = np.array([prob.global_value(w) for w in stack])
+        assert values.shape == (len(stack),) and values[-1] == rows[-1] == 0.0
+        assert values[-2] == pytest.approx(0.5 * prob.b_mean @ prob.w_star, rel=1e-12)
+        size, q_size, b_size = np.abs(stack), np.abs(prob.q_mean), np.abs(prob.b_mean)
+        terms = 0.5 * np.sum((size @ q_size) * size, axis=1) + size @ b_size
+        assert np.all(np.abs(values - rows) <= 4 * (prob.dim + 2) * np.finfo(float).eps * terms)
+
+
 def test_shapley_trains_nothing(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("attribution ran the round kernel")
@@ -505,8 +516,7 @@ def test_unlearn_stop_round_matches_the_loop_kernel(shape):
     rest = restrict_problem(prob, [1, 3, 4])
     epsilon = 0.1 * float(np.linalg.norm(prob.w_star - rest.w_star))
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    rounds = unlearn_continue(prob, UnlearnSpec(leavers=(0, 2), epsilon=epsilon), sch, range(6),
-                              local_steps=5)
+    rounds = unlearn_continue(prob, (0, 2), epsilon, sch, range(6), local_steps=5)
     _, ref = run_scaffold_loop(rest, 100000, sch, range(6), prob.w_star, 5, rest.w_star,
                                   stop_norm=epsilon)
     assert rounds == ref > 0
@@ -604,8 +614,7 @@ def test_unlearn_stop_rounds_are_pinned(name, shape):
     prob = _kernel_problem(shape)
     sch = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
     for leavers in ((0, 2), (4,)):
-        rounds = unlearn_continue(prob, UnlearnSpec(leavers=leavers, epsilon=0.05), sch, range(6),
-                                  local_steps=5)
+        rounds = unlearn_continue(prob, leavers, 0.05, sch, range(6), local_steps=5)
         assert rounds == PINNED_UNLEARN_ROUNDS[name, leavers]
 
 
@@ -662,7 +671,6 @@ def test_bytes_do_not_depend_on_the_cpu_count(noise_spy):
     prob = make_problem(THREADED, 1)
     sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
     flat = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
-    spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -674,7 +682,7 @@ def test_bytes_do_not_depend_on_the_cpu_count(noise_spy):
             trace = scaffold_train(prob, 30, sch, range(80), local_steps=THREADED_STEPS)
             assert len(noise_spy.threads) == cpus
             noise_spy.threads.clear()
-            rounds = unlearn_continue(prob, spec, flat, range(80), local_steps=THREADED_STEPS)
+            rounds = unlearn_continue(prob, (0,), 0.05, flat, range(80), local_steps=THREADED_STEPS)
             assert len(noise_spy.threads) == cpus
             results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))
     finally:
@@ -694,11 +702,33 @@ def test_no_noise_thread_outlives_a_run(noise_spy):
     assert threading.active_count() == before and len(noise_spy.threads) == 2
     noise_spy.threads.clear()
     # it stops well before its round budget
-    spec = UnlearnSpec(leavers=(0,), epsilon=0.05)
     rounds, _ = _in_thread(
-        lambda: unlearn_continue(prob, spec, sch, range(32), local_steps=THREADED_STEPS))
+        lambda: unlearn_continue(prob, (0,), 0.05, sch, range(32), local_steps=THREADED_STEPS))
     assert rounds < 1000
     assert threading.active_count() == before and len(noise_spy.threads) == 2
+
+
+def test_a_noiseless_run_draws_its_streams_like_a_noisy_one(noise_spy):
+    """Without noise the kernel still draws each round's blocks and scales
+    them by zero: at 2 CPUs and 32 seeds, training and unlearning each
+    start their helper, give the 1-CPU bytes and leave no thread running."""
+    prob = replace(make_problem(THREADED, 1), noise_sigma2=0.0)
+    sch = StepSchedule("inverse_t", 1.0 / prob.smoothness, 11.0)
+    flat = StepSchedule("constant", 1.0 / (24.0 * prob.smoothness))
+    before = threading.active_count()
+    results = []
+    for cpus in (1, 2):
+        noise_spy.cpus(cpus)
+        noise_spy.threads.clear()
+        trace, _ = _in_thread(
+            lambda: scaffold_train(prob, 30, sch, range(32), local_steps=THREADED_STEPS))
+        assert threading.active_count() == before and len(noise_spy.threads) == cpus
+        noise_spy.threads.clear()
+        rounds, _ = _in_thread(
+            lambda: unlearn_continue(prob, (0,), 0.05, flat, range(32), local_steps=THREADED_STEPS))
+        assert threading.active_count() == before and len(noise_spy.threads) == cpus
+        results.append((trace.gap.tobytes(), trace.gap_stderr.tobytes(), rounds))
+    assert results[0][2] > 0 and results[1] == results[0]
 
 
 @pytest.mark.parametrize("stop", ["close", "drop"])

@@ -126,6 +126,16 @@ def test_stability_cap_stated_once():
     assert "1.0 / (12.0 * self.smoothness)" in MODULES["learning.py"]
 
 
+def test_global_objective_stated_once():
+    """F(w) = 1/2 w'Q̄w + b̄'w is LearnProblem.global_value: learning.py forms
+    a product with Q̄ or b̄ there alone, and the attribution values each
+    coalition through it."""
+    products = r"[\w)\]]+ @ (?:self|problem)\.[qb]_mean|(?:self|problem)\.[qb]_mean @"
+    assert re.findall(products, MODULES["learning.py"]) == ["w @ self.q_mean", "w @ self.b_mean"]
+    attribution = inspect.getsource(federated_shapley_exact)
+    assert "problem.global_value(" in attribution and "_mean" not in attribution
+
+
 def test_loss_model_lives_in_population():
     for name in ("truncated_normal_moments", "_norm_cdf", "_log_gauss_mass", "loss_moments"):
         owners = [module for module, text in MODULES.items() if f"def {name}(" in text]
