@@ -3,15 +3,15 @@
 Subcommands map to the pipeline stages and experiment harnesses:
 
   contract       Stage-I menu with participation/self-selection report
-  equilibrium    Stage-III revocation equilibrium for one population
+  equilibrium    Stage-III revocation equilibrium of the sampled population's play
   retain         Stage-IV retention choice and incentives
   simulate       full four-stage run, all outputs
   compare        benchmark cost table over mechanisms and population sizes
   sweep          stationary churn-rate search over a (p, q) grid
   verify-bounds  convergence shape checks on the synthetic learning lab
 
-Exit codes: 0 success, 1 configuration error, 2 numeric or infeasibility
-error, 3 failed strict bound verification.
+Exit codes: 0 success, 1 configuration error or unwritable output, 2 numeric
+or infeasibility error, 3 failed strict bound verification.
 """
 from __future__ import annotations
 
@@ -33,9 +33,8 @@ from .experiments import (
     run_pipeline,
 )
 from .learning import StepSchedule, check_gap_bound, make_problem, scaffold_train
-from .model import UserTerms
 from .population import sample_population
-from .revocation import lower_equilibrium, upper_equilibrium
+from .revocation import upper_equilibrium
 
 __all__ = ["main"]
 
@@ -126,27 +125,23 @@ def _cmd_contract(args, setup) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_equilibrium(args, setup) -> int:
-    contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
-    population = sample_population(setup.types, setup.sampling, setup.cfg.seed)
-    terms = UserTerms.of(population, contract, setup.types)
-    q_bar = contract.type_terms(setup.types)[1]
-    lower = lower_equilibrium(terms, setup.cfg, q_bar)
-    upper = upper_equilibrium(terms, setup.cfg, q_bar)
-    path = _write_equilibrium(args, population, lower.x)
-    n_rev = int(np.sum(lower.x))
-    print(f"equilibrium: {n_rev}/{len(population)} revoke after {lower.iterations} sweeps,"
-          f" written to {path}")
-    if not np.array_equal(lower.x, upper.x):
-        extra = int(np.sum(upper.x)) - n_rev
-        print(f"note: extremal equilibria differ ({extra} users revoke only in the greatest one)")
-    return 0
-
-
 def _pipeline(args, setup):
     contract = mechanism_contract(args.mechanism, setup.types, setup.cfg)
     population = sample_population(setup.types, setup.sampling, setup.cfg.seed)
     return run_pipeline(args.mechanism, contract, setup.types, setup.cfg, population)
+
+
+def _cmd_equilibrium(args, setup) -> int:
+    outcome = _pipeline(args, setup)
+    upper = upper_equilibrium(outcome.terms, setup.cfg, outcome.q_bar)
+    path = _write_equilibrium(args, outcome.population, outcome.revoke)
+    n_rev = int(np.sum(outcome.revoke))
+    print(f"equilibrium: {n_rev}/{len(outcome.population)} revoke after {outcome.sweeps} sweeps,"
+          f" written to {path}")
+    if not np.array_equal(outcome.revoke, upper.x):
+        extra = int(np.sum(upper.x)) - n_rev
+        print(f"note: extremal equilibria differ ({extra} users revoke only in the greatest one)")
+    return 0
 
 
 def _cmd_retain(args, setup) -> int:
@@ -336,6 +331,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output path that cannot be written is the caller's setting
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -90,6 +90,7 @@ class Outcome:
     terms: UserTerms  # Stage II's terms, which the payoffs are formed from
     cfg: GameConfig
     revoke: np.ndarray  # Stage III's equilibrium profile, per user
+    sweeps: int  # Stage III's best-response sweeps
     retained: np.ndarray  # Stage IV's choice, a subset of revoke
     q_bar: float
     incentives: np.ndarray  # per-user retention payment, 0 off the retained set
@@ -197,8 +198,8 @@ def run_pipeline(
     terms = UserTerms.of(population, contract, types)
     q_bar = contract.type_terms(types)[1]
 
-    revoke = lower_equilibrium(terms, cfg, q_bar).x
-    revokers = np.flatnonzero(revoke)
+    stage3 = lower_equilibrium(terms, cfg, q_bar)
+    revokers = np.flatnonzero(stage3.x)
 
     retained = np.zeros(len(population), dtype=bool)
     incentives = np.zeros(len(population))
@@ -208,14 +209,15 @@ def run_pipeline(
         retained[stage4.retained] = True
         incentives[stage4.retained] = stage4.incentives
 
-    cost, parts = stage4_realized_cost(population, terms, cfg, revoke, retained, incentives)
+    cost, parts = stage4_realized_cost(population, terms, cfg, stage3.x, retained, incentives)
     return Outcome(
         mechanism=mech,
         contract=contract,
         population=population,
         terms=terms,
         cfg=cfg,
-        revoke=revoke,
+        revoke=stage3.x,
+        sweeps=stage3.iterations,
         retained=retained,
         q_bar=q_bar,
         incentives=incentives,

@@ -103,10 +103,10 @@ class LearnConfig:
 class LearnProblem:
     """Per-user quadratics plus sampling geometry.
 
-    Q has shape (I, n, n) with each slice symmetric positive definite, b has
-    shape (I, n).  data_sizes are the per-user sample counts d_i; batch sizes
-    are s_i = max(1, round(iota * d_i)).  noise_sigma2 bounds the squared
-    norm of single-sample gradient noise.
+    Q has shape (I, n, n) with each slice symmetric positive definite, and the
+    problem keeps its symmetric part; b has shape (I, n).  data_sizes are the
+    per-user sample counts d_i; batch sizes are s_i = max(1, round(iota * d_i)).
+    noise_sigma2 bounds the squared norm of single-sample gradient noise.
     """
 
     Q: np.ndarray
@@ -129,9 +129,11 @@ class LearnProblem:
             (np.all(np.isfinite(self.b)), "b must be finite"),
         )
         _check_keys(iota=self.iota, noise_sigma2=self.noise_sigma2)
+        QT = np.transpose(Q, (0, 2, 1))
+        self.Q = 0.5 * (Q + QT)
         _require(
-            (np.allclose(Q, np.transpose(Q, (0, 2, 1)), atol=1e-10), "each Q_i must be symmetric"),
-            (np.all(np.linalg.eigvalsh(Q)[:, 0] > 0), "each Q_i must be positive definite"),
+            (np.allclose(Q, QT, atol=1e-10), "each Q_i must be symmetric"),
+            (np.all(np.linalg.eigvalsh(self.Q)[:, 0] > 0), "each Q_i must be positive definite"),
         )
 
     @property
@@ -226,7 +228,7 @@ def make_problem(learn: LearnConfig, seed: int) -> LearnProblem:
             mat = rng.standard_normal((dim, dim))
             orth, _ = np.linalg.qr(mat)
             base = orth @ base @ orth.T
-        Q[i] = 0.5 * (base + base.T)
+        Q[i] = base
     b = learn.b_scale * rng.standard_normal((users, dim))
     return LearnProblem(
         Q=Q,
@@ -355,7 +357,6 @@ def _run_scaffold(
     # Each seed draws a round's noise as one contiguous (steps, users, dim) block,
     # in a fresh draw's order; `noise` views it as (steps, users, seeds, dim).
     Q = problem.Q
-    QT = np.ascontiguousarray(Q.transpose(0, 2, 1))
     # b and the noise scale laid out as the arrays they act on, so each pass is contiguous
     b = np.repeat(problem.b[:, None, :], n_seeds, axis=1)
     scale = np.repeat(comp_std, dim)
@@ -374,7 +375,7 @@ def _run_scaffold(
             flat *= scale
             noise = buf.transpose(1, 2, 0, 3)
             # fresh corrections at the server point, one minibatch each
-            np.matmul(W, QT, out=cv)
+            np.matmul(W, Q, out=cv)
             cv += b
             cv += noise[0]
             cv_mean = cv.mean(axis=0)

@@ -235,7 +235,7 @@ class UserTerms:
         return cls(d=d, r=r, theta=theta, xi=xi, loss=population.loss)
 
     def take(self, users) -> "UserTerms":
-        """The terms of the given users (an index, index array or mask)."""
+        """The terms of the given users (an index array or a mask)."""
         return UserTerms(*(getattr(self, f.name)[users] for f in fields(self) if f.init))
 
     def stay_base(self, sunk=0.0, users=...):
@@ -244,25 +244,20 @@ class UserTerms:
         weighs many burdens forms it once."""
         return self.r[users] - sunk - self.xi_l_d[users]
 
-    def stay_margin(self, w, burden, base=None):
+    def stay_margin(self, w, burden, base):
         """base - w * burden, the payoff formula of stages III-IV.
 
         burden is the squared-loss mass of the leavers and w its weight,
         theta d lam (times 1 - q_bar where revokers only may leave).  base is
-        a stay_base: all users' r - xi l d by default, what staying gains
-        over leaving, or stay_base(sunk) with the training cost sunk =
-        theta d T, a stayer's payoff, a leaver's being -sunk.
+        a stay_base: stay_base() is r - xi l d, what staying gains over
+        leaving, and stay_base(sunk) with the training cost sunk = theta d T
+        gives a stayer's payoff, a leaver's being -sunk.
         """
         # the grouping (xi l) d and the left-to-right subtraction fix the
-        # bytes of every CLI output; keep them
-        if base is None:
-            base = self.stay_base()
+        # bytes of every CLI output; keep them.  The difference goes into
+        # w * burden's own buffer: a full-size temporary fewer on every sweep
         margin = w * burden
-        if isinstance(margin, np.ndarray) and margin.shape == np.shape(base):
-            # into w * burden's own buffer where it spans the result (a 0-d
-            # product has none): a full-size temporary fewer on every sweep
-            return np.subtract(base, margin, out=margin)
-        return base - margin
+        return np.subtract(base, margin, out=margin)
 
     def payoffs(self, revoke, burden, cfg: GameConfig) -> np.ndarray:
         """Realized payoffs when the leavers' squared-loss mass is burden.

@@ -45,7 +45,7 @@ def _margin_without_own(terms, w, x):
     """Stay margins under profile x; own squared loss never enters one's own
     externality sum."""
     l2 = terms.l2
-    return terms.stay_margin(w, float(l2[x].sum()) - np.where(x, l2, 0.0))
+    return terms.stay_margin(w, float(l2[x].sum()) - np.where(x, l2, 0.0), terms.stay_base())
 
 
 def lower_equilibrium(terms: UserTerms, cfg: GameConfig, q_bar: float) -> RevocationProfile:

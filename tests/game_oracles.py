@@ -138,7 +138,8 @@ def stage3_payoff(
     where q_bar is the anticipated retention rate of revokers."""
     x = np.asarray(x, dtype=bool)
     leaver_mass = (1.0 - q_bar) * float(terms.l2[x].sum())
-    return float(terms.take(idx).payoffs(x[idx], leaver_mass, cfg))
+    # one user as 1-element terms, whose payoff has the bits of the whole vector's entry
+    return float(terms.take([idx]).payoffs(x[[idx]], leaver_mass, cfg)[0])
 
 
 def all_equilibria(terms, cfg, q_bar) -> np.ndarray:
@@ -152,7 +153,7 @@ def all_equilibria(terms, cfg, q_bar) -> np.ndarray:
     masks = np.arange(1 << n, dtype=np.uint32)
     X = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     S = X @ l2
-    margin = terms.stay_margin(w, S[:, None] - X * l2)
+    margin = terms.stay_margin(w, S[:, None] - X * l2, terms.stay_base())
     ne = np.all(np.where(X, margin <= 0.0, margin >= 0.0), axis=1)
     return X[ne]
 
@@ -167,7 +168,8 @@ def sweep_profile_oracle(terms, cfg, q_bar, start_high: bool) -> SweepProfile:
     """The best-response sweeps as written before the margin's fixed part
     was hoisted out of the loop: every sweep forms w * burden on the whole
     stay margin, for revokers and stayers alike.  Kept verbatim apart from
-    the name of the record it returns, so that the sweeps of
+    the name of the record it returns and the base it now passes to
+    `stay_margin`, so that the sweeps of
     `revocation.lower_equilibrium` and `upper_equilibrium` must settle on the
     same profile after the same number of sweeps."""
     w = terms.theta * terms.d * cfg.lam * (1.0 - q_bar)
@@ -179,7 +181,7 @@ def sweep_profile_oracle(terms, cfg, q_bar, start_high: bool) -> SweepProfile:
         iterations += 1
         mass = float(np.sum(l2[x]))
         # own squared loss never enters one's own externality sum
-        margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0))
+        margin = terms.stay_margin(w, mass - np.where(x, l2, 0.0), terms.stay_base())
         if start_high:
             movers = x & (margin >= 0.0)
             x = x & ~movers
@@ -353,7 +355,7 @@ class _Revokers:
     def payments(self, leave_mass):
         """Indifference payments rU = -(stay margin) at the given leaver
         mass; 0.0 - m rather than -m keeps a zero at +0.0."""
-        return 0.0 - self.user.stay_margin(self.tg, leave_mass)
+        return 0.0 - self.user.stay_margin(self.tg, leave_mass, self.user.stay_base())
 
     def incentives(self, sel: np.ndarray) -> np.ndarray:
         """Payments of the selected revokers, aligned with ids[sel], at the

@@ -371,6 +371,19 @@ def test_equilibrium_notes_differing_extremal_equilibria(tmp_path, capsys):
     assert "note: extremal equilibria differ (17 users revoke only in the greatest one)" in out
 
 
+@pytest.mark.parametrize("command", ["contract", "verify-bounds"])
+def test_unwritable_out_dir_exit_1(tmp_path, capsys, cfg_path, command):
+    """An --out-dir that cannot be made, here an existing file, is one error
+    line on stderr and exit 1, with no traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert _run([command, "--config", cfg_path, "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_bad_config_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[types.1]\ntheta = 2.0\nxi = 900\nthetta = 3\n")

@@ -29,7 +29,7 @@ from fedincentives.model import (
 )
 from fedincentives.population import SamplingModel, realized_rates, sample_population
 from fedincentives.retention import optimal_retention, retention_incentives
-from fedincentives.revocation import upper_equilibrium
+from fedincentives.revocation import lower_equilibrium, upper_equilibrium
 
 from conftest import random_cfg, random_types
 from game_oracles import eager_payoffs_oracle, reference_play
@@ -83,6 +83,18 @@ def test_outcome_bookkeeping(rng):
         out = _play("RAR", types, cfg, model, seed=trial)
         n = len(out.population)
         assert out.q_bar == pytest.approx(mean_retention_rate(types))
+        # Stage III's sweep count, under every mechanism, and on a play where
+        # nobody revokes: with no losses each stay margin is the reward
+        contract = mechanism_contract("RAR", types, cfg)
+        calm = replace(out.population, loss=np.zeros(n))
+        paid = replace(contract, r=np.ones(len(contract.r)))
+        plays = [_play(m, types, cfg, model, seed=trial) for m in MECHANISMS]
+        plays += [run_pipeline(m, paid, types, cfg, calm) for m in MECHANISMS]
+        assert not any(play.revoke.any() for play in plays[len(MECHANISMS):])
+        for play in plays:
+            stage3 = lower_equilibrium(play.terms, play.cfg, play.q_bar)
+            assert play.sweeps == stage3.iterations
+            assert play.revoke.tolist() == stage3.x.tolist()
         # retained users are a subset of revokers
         assert not np.any(out.retained & ~out.revoke)
         parts = out.cost_parts

@@ -73,6 +73,25 @@ def test_problem_validation():
         LearnProblem(Q=Q, b=b, data_sizes=sizes, noise_sigma2=np.inf, iota=0.25)
 
 
+def test_problem_holds_the_symmetric_part_of_q(rng):
+    """A Q symmetric only to within the rule's tolerance is held as its
+    symmetric part, so both products of the round kernel read one Hessian,
+    and it trains bit for bit like that part does."""
+    prob = _problem(noise_sigma2=0.01)
+    assert prob.Q.tobytes() == prob.Q.transpose(0, 2, 1).copy().tobytes()
+    bent = prob.Q + 1e-12 * rng.standard_normal(prob.Q.shape)
+    sym = 0.5 * (bent + bent.transpose(0, 2, 1))
+    held = replace(prob, Q=bent)
+    assert held.Q.tobytes() == sym.tobytes() == held.Q.transpose(0, 2, 1).copy().tobytes()
+    w0 = prob.w_star + 1.0
+    traces = [
+        scaffold_train(p, 30, StepSchedule("constant", prob.step_cap), 4, w0=w0, local_steps=3)
+        for p in (held, replace(prob, Q=sym))
+    ]
+    assert traces[0].gap.tobytes() == traces[1].gap.tobytes()
+    assert traces[0].gap_stderr.tobytes() == traces[1].gap_stderr.tobytes()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -136,6 +136,37 @@ def test_global_objective_stated_once():
     assert "problem.global_value(" in attribution and "_mean" not in attribution
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(MODULES[module]))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_play_is_wired_once():
+    """run_pipeline alone feeds Stage II into Stage III: the CLI names none of
+    the pieces it wires, and each command that reads a play reads its own."""
+    tree = ast.parse(MODULES["cli.py"])
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not named & {"UserTerms", "type_terms", "lower_equilibrium"}
+    for command in ("_cmd_equilibrium", "_cmd_retain", "_cmd_simulate"):
+        calls = {node.func.id for node in ast.walk(_function("cli.py", command))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_pipeline" in calls, f"{command} does not play through _pipeline"
+
+
+def test_stay_margin_has_one_path():
+    """Every caller of UserTerms.stay_margin states its base, and the margin
+    is formed one way for every shape."""
+    fn = _function("model.py", "stay_margin")
+    assert [arg.arg for arg in fn.args.args] == ["self", "w", "burden", "base"]
+    assert not fn.args.defaults and not fn.args.kw_defaults
+    nodes = list(ast.walk(fn))
+    assert not [n for n in nodes if isinstance(n, ast.Name) and n.id == "isinstance"]
+    assert len([n for n in nodes if isinstance(n, ast.Return)]) == 1
+
+
 def test_loss_model_lives_in_population():
     for name in ("truncated_normal_moments", "_norm_cdf", "_log_gauss_mass", "loss_moments"):
         owners = [module for module, text in MODULES.items() if f"def {name}(" in text]
